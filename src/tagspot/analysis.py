@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy import special, stats
@@ -46,6 +47,8 @@ from .codebook import Codebook, mask_matrix
 FADING_ANALYSIS_MODELS = ("wideband", "narrowband")
 
 _MC_CHUNK = 1 << 15
+# (generator, draw count) per Monte Carlo chunk; see _mc_estimate
+_Chunks = Iterator[tuple[np.random.Generator, int]]
 
 
 @dataclass(frozen=True)
@@ -75,13 +78,6 @@ class AnalysisModel:
             / lay.active_thin_per_wide
             * 10.0 ** (self.snr_db / 10.0)
         )
-
-
-def _wilson_ci(hits: int, trials: int) -> "tuple[float, float]":
-    ci = stats.binomtest(hits, trials).proportion_ci(
-        confidence_level=0.95, method="wilson"
-    )
-    return float(ci.low), float(ci.high)
 
 
 def _unit_gauss_nodes(n: int) -> "tuple[np.ndarray, np.ndarray]":
@@ -283,8 +279,27 @@ def _band_mask_matrix(codebook: Codebook, layout: CarrierLayout) -> np.ndarray:
     return masks[:, band].astype(np.float64)
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, chunk_index])
+def _mc_estimate(
+    trials: int,
+    seed: int,
+    count_hits: "Callable[[_Chunks], Iterator[int]]",
+) -> "tuple[float, tuple[float, float]]":
+    """Hit fraction and its 95% Wilson interval, summing what count_hits
+    yields over chunks of at most _MC_CHUNK draws, each with a generator
+    seeded by (seed, chunk index). count_hits iterates the chunks itself, so
+    a chunk's arrays live until the next chunk replaces them and the
+    allocator reuses their pages instead of faulting fresh ones in."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    chunks = (
+        (np.random.default_rng([seed, chunk_index]), min(_MC_CHUNK, trials - lo))
+        for chunk_index, lo in enumerate(range(0, trials, _MC_CHUNK))
+    )
+    hits = sum(count_hits(chunks))
+    ci = stats.binomtest(hits, trials).proportion_ci(
+        confidence_level=0.95, method="wilson"
+    )
+    return hits / trials, (float(ci.low), float(ci.high))
 
 
 def pf_family_mc(
@@ -300,21 +315,19 @@ def pf_family_mc(
     and the detector fires when any codeword's in-mask/out-of-mask ratio
     clears gamma/(1-gamma). Returns (estimate, 95% Wilson interval).
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
     t = gamma / (1.0 - gamma)
     masks = _band_mask_matrix(codebook, layout)
     dof_wide = 2 * layout.thin_per_wide
-    hits = 0
-    for chunk_index, lo in enumerate(range(0, trials, _MC_CHUNK)):
-        m = min(_MC_CHUNK, trials - lo)
-        rng = _chunk_rng(seed, chunk_index)
-        draws = rng.chisquare(dof_wide, size=(m, 2 * layout.groups))
-        in_mask = draws @ masks.T
-        total = draws.sum(axis=1)
-        ratios = in_mask / (total[:, None] - in_mask)
-        hits += int(np.count_nonzero(ratios.max(axis=1) > t))
-    return hits / trials, _wilson_ci(hits, trials)
+
+    def count(chunks: _Chunks) -> "Iterator[int]":
+        for rng, m in chunks:
+            draws = rng.chisquare(dof_wide, size=(m, 2 * layout.groups))
+            in_mask = draws @ masks.T
+            total = draws.sum(axis=1)
+            ratios = in_mask / (total[:, None] - in_mask)
+            yield int(np.count_nonzero(ratios.max(axis=1) > t))
+
+    return _mc_estimate(trials, seed, count)
 
 
 def pf_pairs_bound(
@@ -327,20 +340,18 @@ def pf_pairs_bound(
     take the stronger carrier into the numerator and the weaker into the
     denominator. Upper-bounds pf_family_mc for every codebook, draw by draw
     when run with the same seed and trial count (the draws coincide)."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
     t = gamma / (1.0 - gamma)
     dof_wide = 2 * layout.thin_per_wide
-    hits = 0
-    for chunk_index, lo in enumerate(range(0, trials, _MC_CHUNK)):
-        m = min(_MC_CHUNK, trials - lo)
-        rng = _chunk_rng(seed, chunk_index)
-        draws = rng.chisquare(dof_wide, size=(m, 2 * layout.groups))
-        pairs = draws.reshape(m, layout.groups, 2)
-        numerator = pairs.max(axis=2).sum(axis=1)
-        denominator = pairs.min(axis=2).sum(axis=1)
-        hits += int(np.count_nonzero(numerator / denominator > t))
-    return hits / trials, _wilson_ci(hits, trials)
+
+    def count(chunks: _Chunks) -> "Iterator[int]":
+        for rng, m in chunks:
+            draws = rng.chisquare(dof_wide, size=(m, 2 * layout.groups))
+            pairs = draws.reshape(m, layout.groups, 2)
+            numerator = pairs.max(axis=2).sum(axis=1)
+            denominator = pairs.min(axis=2).sum(axis=1)
+            yield int(np.count_nonzero(numerator / denominator > t))
+
+    return _mc_estimate(trials, seed, count)
 
 
 def pm_mc(
@@ -354,35 +365,30 @@ def pm_mc(
     """Misclassification probability: transmit a uniformly random codeword,
     decode by argmax strength over the family with no threshold, count
     wrong argmax. Noise units as in the module docstring."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if fading not in FADING_ANALYSIS_MODELS:
-        raise ValueError(f"fading must be one of {FADING_ANALYSIS_MODELS}")
-    model = AnalysisModel(layout=layout, snr_db=snr_db, fading=fading)
-    r = model.p_over_n
+    r = AnalysisModel(layout=layout, snr_db=snr_db, fading=fading).p_over_n
     masks = _band_mask_matrix(codebook, layout).astype(bool)
     beta2 = 2 * layout.active_thin_per_wide
     guard2 = 2 * (layout.thin_per_wide - layout.active_thin_per_wide)
     wides = 2 * layout.groups
-    misses = 0
-    for chunk_index, lo in enumerate(range(0, trials, _MC_CHUNK)):
-        m = min(_MC_CHUNK, trials - lo)
-        rng = _chunk_rng(seed, chunk_index)
-        sent = rng.integers(0, codebook.size, size=m)
-        tone_noise = rng.chisquare(beta2, size=(m, wides))
-        guard = (
-            rng.chisquare(guard2, size=(m, wides)) if guard2 > 0 else 0.0
-        )
-        if fading == "wideband":
-            tone_active = (1.0 + r) * tone_noise
-        else:
-            tone_active = rng.noncentral_chisquare(beta2, beta2 * r, size=(m, wides))
-        active_rows = masks[sent]
-        powers = np.where(active_rows, tone_active, tone_noise) + guard
-        scores = powers @ masks.T
-        decoded = np.argmax(scores, axis=1)
-        misses += int(np.count_nonzero(decoded != sent))
-    return misses / trials, _wilson_ci(misses, trials)
+
+    def count(chunks: _Chunks) -> "Iterator[int]":
+        for rng, m in chunks:
+            sent = rng.integers(0, codebook.size, size=m)
+            tone_noise = rng.chisquare(beta2, size=(m, wides))
+            guard = (
+                rng.chisquare(guard2, size=(m, wides)) if guard2 > 0 else 0.0
+            )
+            if fading == "wideband":
+                tone_active = (1.0 + r) * tone_noise
+            else:
+                tone_active = rng.noncentral_chisquare(beta2, beta2 * r, size=(m, wides))
+            active_rows = masks[sent]
+            powers = np.where(active_rows, tone_active, tone_noise) + guard
+            scores = powers @ masks.T
+            decoded = np.argmax(scores, axis=1)
+            yield int(np.count_nonzero(decoded != sent))
+
+    return _mc_estimate(trials, seed, count)
 
 
 # ---------------------------------------------------------------------------
@@ -430,18 +436,16 @@ def sweep_active_carriers(
         t0 = (1.0 + r) * median
         gamma0 = t0 / (1.0 + t0)
         pf = float(stats.f.sf(t0, dfn, dfd))
-        pf_mc = None
-        ci = None
+        pf_mc = ci = None
         if trials > 0:
-            hits = 0
-            for chunk_index, lo in enumerate(range(0, trials, _MC_CHUNK)):
-                m = min(_MC_CHUNK, trials - lo)
-                rng = _chunk_rng(seed + q, chunk_index)
-                num = rng.chisquare(dfn, size=m) / dfn
-                den = rng.chisquare(dfd, size=m) / dfd
-                hits += int(np.count_nonzero(num / den > t0))
-            pf_mc = hits / trials
-            ci = _wilson_ci(hits, trials)
+
+            def count(chunks: _Chunks) -> "Iterator[int]":
+                for rng, m in chunks:
+                    num = rng.chisquare(dfn, size=m) / dfn
+                    den = rng.chisquare(dfd, size=m) / dfd
+                    yield int(np.count_nonzero(num / den > t0))
+
+            pf_mc, ci = _mc_estimate(trials, seed + q, count)
         points.append(SweepPoint(q, float(gamma0), pf, pf_mc, ci))
     return points
 
@@ -462,9 +466,14 @@ def range_gain(snr_gap_db: float, path_loss_exponent: float) -> float:
     return float(10.0 ** (snr_gap_db / (10.0 * path_loss_exponent)))
 
 
+def payload_frames(payload_bytes: int) -> int:
+    """Data frames a payload occupies at 12 payload bytes per frame."""
+    return math.ceil(payload_bytes / 12)
+
+
 def overhead(
     payload_bytes: int,
-    frames_for_payload=None,
+    frames_for_payload: "Callable[[int], int]" = payload_frames,
     sync_frames: int = 6,
     tag_frames: int = 8,
 ) -> float:
@@ -476,11 +485,7 @@ def overhead(
     """
     if payload_bytes <= 0:
         raise ValueError("payload must be positive")
-    if frames_for_payload is None:
-        payload_frames = math.ceil(payload_bytes / 12)
-    else:
-        payload_frames = int(frames_for_payload(payload_bytes))
-    return tag_frames / (payload_frames + sync_frames)
+    return tag_frames / (int(frames_for_payload(payload_bytes)) + sync_frames)
 
 
 # ---------------------------------------------------------------------------

@@ -151,8 +151,8 @@ def apply_fading(
             raise ValueError("spectrum length does not match layout")
         return TagSpectrum(x.amplitudes * _fading_gains(model, layout, rng))
     if model == "narrowband":
-        phase = rng.random() * 2.0 * np.pi
-        return IqFrame(x.samples * np.exp(1j * phase), x.sample_rate)
+        gain = _fading_gains(model, layout, rng)[0]
+        return IqFrame(x.samples * gain, x.sample_rate)
     if len(x) != layout.frame_len:
         raise ValueError(
             f"frame length {len(x)} != one tag frame ({layout.frame_len}); "

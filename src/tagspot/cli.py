@@ -3,10 +3,11 @@
 Subcommands: modulate, impair, spot, curves, leakage, sweep, range,
 overhead, codebook-verify. Every command accepts --config pointing at a
 JSON document (stamped with config_version) whose keys are the command's
-parameter names; explicit flags override document fields. Stochastic
-commands demand an explicit --seed, and identical config plus seed
-produces byte-identical primary output: tables carry no timestamps and
-every float is formatted with a fixed precision.
+parameter names; explicit flags override document fields, and a field the
+command does not take is rejected. Stochastic commands demand an explicit
+--seed, and identical config plus seed produces byte-identical primary
+output: tables carry no timestamps and every float is formatted with a
+fixed precision.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
@@ -29,6 +30,7 @@ from .analysis import (
     leakage_block,
     leakage_single,
     overhead,
+    payload_frames,
     pm_mc,
     range_gain,
     sweep_active_carriers,
@@ -42,6 +44,7 @@ from .iqfile import layout_from_metadata, read_iq, write_iq
 from .waveform import (
     IqFrame,
     build_tag_spectrum,
+    interference_frame_len,
     mean_power,
     papr,
     synthesize_data_interference,
@@ -77,11 +80,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _load_config(path: "str | None") -> dict:
-    if path is None:
-        return {}
+def _config_fields(args: argparse.Namespace) -> dict:
+    """The --config document's parameter fields, checked against the
+    command: every field must name one of its parameters."""
     try:
-        raw = Path(path).read_text()
+        raw = Path(args.config).read_text()
     except OSError as exc:
         raise CliError(2, f"cannot read config: {exc}") from exc
     try:
@@ -90,30 +93,28 @@ def _load_config(path: "str | None") -> dict:
         raise CliError(1, f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CliError(1, "config must be a JSON object")
-    if doc.get("config_version") != CONFIG_VERSION:
+    if doc.pop("config_version", None) != CONFIG_VERSION:
         raise CliError(
             1, f"config must declare config_version: {CONFIG_VERSION}"
+        )
+    command = doc.pop("command", args.command)
+    if command != args.command:
+        raise CliError(1, f"config is for {command!r}, not {args.command!r}")
+    unknown = sorted(set(doc) - (set(vars(args)) - {"config", "func"}))
+    if unknown:
+        raise CliError(
+            1, f"unknown config fields for {args.command}: {', '.join(unknown)}"
         )
     return doc
 
 
-def _resolve(args: argparse.Namespace, config: dict, name: str, default=None):
-    """Flag value if given, else config document field, else default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        return config[name]
-    return default
-
-
-def _config_layout(config: dict) -> CarrierLayout:
-    if "layout" in config:
-        try:
-            return layout_from_dict(config["layout"])
-        except (TypeError, ValueError) as exc:
-            raise CliError(1, f"bad layout in config: {exc}") from exc
-    return REFERENCE_LAYOUT
+def _config_layout(args: argparse.Namespace) -> CarrierLayout:
+    if args.layout is None:
+        return REFERENCE_LAYOUT
+    try:
+        return layout_from_dict(args.layout)
+    except (TypeError, ValueError) as exc:
+        raise CliError(1, f"bad layout in config: {exc}") from exc
 
 
 def _parse_grid(text: str, name: str) -> "list[float]":
@@ -148,8 +149,13 @@ def _read_iq_input(path: str) -> "tuple[IqFrame, dict]":
         return read_iq(path)
     except OSError as exc:
         raise CliError(2, f"cannot read IQ input: {exc}") from exc
-    except ValueError as exc:
-        raise CliError(1, str(exc)) from exc
+
+
+def _write_iq_output(out: str, frame: IqFrame, layout: CarrierLayout, extra: dict) -> None:
+    try:
+        write_iq(out, frame, layout=layout, extra=extra)
+    except OSError as exc:
+        raise CliError(2, f"cannot write IQ output: {exc}") from exc
 
 
 def _header_lines(command: str, fields: "list[tuple[str, object]]") -> "list[str]":
@@ -179,52 +185,47 @@ def _emit(out: "str | None", text: str) -> None:
         raise CliError(2, f"cannot write output: {exc}") from exc
 
 
+def _emit_table(out, command: str, fields, columns: str, rows) -> None:
+    """Header fields, then the columns line, then one line per row."""
+    header = _header_lines(command, [*fields, ("columns", columns)])
+    body = [" ".join(_fmt(v) for v in row) for row in rows]
+    _emit(out, "\n".join(header + body) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _cmd_modulate(args: argparse.Namespace, config: dict) -> int:
-    layout = _config_layout(config)
-    codebook = _get_codebook(_resolve(args, config, "codebook"))
-    seed = _require_seed(_resolve(args, config, "seed"), "tone phases are random")
-    power = float(_resolve(args, config, "power", 1.0))
-    papr_cap = _resolve(args, config, "papr_cap")
-    max_attempts = int(_resolve(args, config, "max_attempts", 100))
-    sample_rate = float(_resolve(args, config, "sample_rate", 1.0))
-    out = _resolve(args, config, "out")
-    if out is None:
+def _cmd_modulate(args: argparse.Namespace) -> int:
+    layout = _config_layout(args)
+    codebook = _get_codebook(args.codebook)
+    seed = _require_seed(args.seed, "tone phases are random")
+    power = float(args.power)
+    papr_cap = args.papr_cap
+    if args.out is None:
         raise CliError(1, "--out is required")
 
     rng = np.random.default_rng(seed)
-    want_random = bool(_resolve(args, config, "random", False))
-    word_index = _resolve(args, config, "word")
-    if want_random and word_index is not None:
-        raise CliError(1, "--word and --random are mutually exclusive")
-    if want_random:
-        word_index = int(rng.integers(codebook.size))
-    elif word_index is None:
-        word_index = 0
-    word_index = int(word_index)
+    word_index = args.word
+    if args.random:
+        if word_index is not None:
+            raise CliError(1, "--word and --random are mutually exclusive")
+        word_index = rng.integers(codebook.size)
+    word_index = int(word_index or 0)
     if not 0 <= word_index < codebook.size:
         raise CliError(
             1, f"codeword index {word_index} out of range 0..{codebook.size - 1}"
         )
 
     mask = codeword_to_mask(codebook.words[word_index], layout)
-    try:
-        if papr_cap is not None:
-            limited = synthesize_tag_papr_limited(
-                mask, layout, power, float(papr_cap), rng, max_attempts
-            )
-            frame = limited.frame
-            cap_met = limited.met_cap
-            attempts = limited.attempts
-        else:
-            frame = synthesize_tag(build_tag_spectrum(mask, layout, power, rng), layout)
-            cap_met = None
-            attempts = 1
-    except ValueError as exc:
-        raise CliError(1, str(exc)) from exc
+    if papr_cap is not None:
+        limited = synthesize_tag_papr_limited(
+            mask, layout, power, float(papr_cap), rng, int(args.max_attempts)
+        )
+        frame = limited.frame
+    else:
+        frame = synthesize_tag(build_tag_spectrum(mask, layout, power, rng), layout)
+    sample_rate = float(args.sample_rate)
     if sample_rate != 1.0:
         frame = IqFrame(frame.samples, sample_rate)
 
@@ -238,66 +239,54 @@ def _cmd_modulate(args: argparse.Namespace, config: dict) -> int:
     }
     if papr_cap is not None:
         extra["papr_cap_db"] = float(papr_cap)
-        extra["papr_cap_met"] = bool(cap_met)
-        extra["attempts"] = attempts
-    try:
-        write_iq(out, frame, layout=layout, extra=extra)
-    except OSError as exc:
-        raise CliError(2, f"cannot write IQ output: {exc}") from exc
+        extra["papr_cap_met"] = bool(limited.met_cap)
+        extra["attempts"] = limited.attempts
+    _write_iq_output(args.out, frame, layout, extra)
 
     print(f"codeword_index: {word_index}")
     print(f"samples: {len(frame)}")
     print(f"total_power: {_fmt(power)}")
     print(f"papr_db: {_fmt(papr(frame))}")
     if papr_cap is not None:
-        print(f"papr_cap_met: {_fmt(bool(cap_met))}")
-    print(f"out: {out}")
+        print(f"papr_cap_met: {_fmt(bool(limited.met_cap))}")
+    print(f"out: {args.out}")
     return 0
 
 
-def _cmd_impair(args: argparse.Namespace, config: dict) -> int:
-    in_path = _resolve(args, config, "in_path")
-    out = _resolve(args, config, "out")
-    if in_path is None:
+def _cmd_impair(args: argparse.Namespace) -> int:
+    if args.in_path is None:
         raise CliError(1, "--in is required")
-    if out is None:
+    if args.out is None:
         raise CliError(1, "--out is required")
-    frame, meta = _read_iq_input(in_path)
-    layout = layout_from_metadata(meta) or _config_layout(config)
+    frame, meta = _read_iq_input(args.in_path)
+    layout = layout_from_metadata(meta) or _config_layout(args)
 
-    snr_db = _resolve(args, config, "snr")
-    cfo = float(_resolve(args, config, "cfo", 0.0))
-    fading = _resolve(args, config, "fading", "none")
-    sir_db = _resolve(args, config, "sir")
-    intf_offset = int(_resolve(args, config, "interference_offset", 0))
-    if fading not in FADING_MODELS:
-        raise CliError(1, f"fading must be one of {FADING_MODELS}")
+    snr_db, sir_db, fading = args.snr, args.sir, args.fading
+    cfo = float(args.cfo)
+    intf_offset = int(args.interference_offset)
     if intf_offset < 0:
         raise CliError(1, "interference offset must be nonnegative")
-    stochastic = snr_db is not None or sir_db is not None or fading != "none"
-    seed = _resolve(args, config, "seed")
-    if stochastic:
+    seed = args.seed
+    if snr_db is not None or sir_db is not None or fading != "none":
         seed = _require_seed(seed, "noise, fading and interference draw randomness")
     rng = np.random.default_rng(seed if seed is not None else 0)
 
     in_power = mean_power(frame)
-    try:
-        # documented order: fading, then cfo, then interference, then noise
-        if fading != "none":
-            frame = apply_fading(frame, fading, rng, layout)
-        if cfo:
-            frame = apply_cfo(frame, cfo, layout)
-        if sir_db is not None:
-            n_frames = math.ceil(max(len(frame) - intf_offset, 1) / 80)
-            interference = synthesize_data_interference(layout, n_frames, 1.0, rng)
-            gain = gain_for_sir(frame, interference, intf_offset, float(sir_db))
-            frame = mix([(frame, 0, 1.0), (interference, intf_offset, gain)])
-        if snr_db is not None:
-            tones = layout.active_thin_per_wide * layout.groups
-            p_tone = mean_power(frame) * layout.fft_size / tones
-            frame = apply_awgn(frame, noise_power_for_snr(float(snr_db), p_tone, layout), rng)
-    except ValueError as exc:
-        raise CliError(1, str(exc)) from exc
+    # documented order: fading, then cfo, then interference, then noise
+    if fading != "none":
+        frame = apply_fading(frame, fading, rng, layout)
+    if cfo:
+        frame = apply_cfo(frame, cfo, layout)
+    if sir_db is not None:
+        span = max(len(frame) - intf_offset, 1)
+        n_frames = math.ceil(span / interference_frame_len(layout))
+        interference = synthesize_data_interference(layout, n_frames, 1.0, rng)
+        gain = gain_for_sir(frame, interference, intf_offset, float(sir_db))
+        frame = mix([(frame, 0, 1.0), (interference, intf_offset, gain)])
+    if snr_db is not None:
+        tones = layout.active_thin_per_wide * layout.groups
+        p_tone = mean_power(frame) * layout.fft_size / tones
+        frame = apply_awgn(frame, noise_power_for_snr(float(snr_db), p_tone, layout), rng)
 
     extra = {
         "command": "impair",
@@ -307,234 +296,174 @@ def _cmd_impair(args: argparse.Namespace, config: dict) -> int:
         "sir_db": None if sir_db is None else float(sir_db),
         "interference_offset": intf_offset,
         "seed": seed,
-        "source": str(in_path),
+        "source": str(args.in_path),
     }
-    try:
-        write_iq(out, frame, layout=layout, extra=extra)
-    except OSError as exc:
-        raise CliError(2, f"cannot write IQ output: {exc}") from exc
+    _write_iq_output(args.out, frame, layout, extra)
 
     out_power = mean_power(frame)
     print(f"in_power: {_fmt(in_power)}")
     print(f"out_power: {_fmt(out_power)}")
     if in_power > 0 and out_power > 0:
         print(f"power_ratio_db: {_fmt(10.0 * math.log10(out_power / in_power))}")
-    print(f"out: {out}")
+    print(f"out: {args.out}")
     return 0
 
 
-def _cmd_spot(args: argparse.Namespace, config: dict) -> int:
-    in_path = _resolve(args, config, "in_path")
-    if in_path is None:
+def _cmd_spot(args: argparse.Namespace) -> int:
+    if args.in_path is None:
         raise CliError(1, "--in is required")
-    frame, meta = _read_iq_input(in_path)
-    layout = layout_from_metadata(meta) or _config_layout(config)
-    codebook = _get_codebook(_resolve(args, config, "codebook"))
-    gamma = float(_resolve(args, config, "gamma", 0.62))
-    carrier_sense = float(_resolve(args, config, "carrier_sense", -1.0))
-    denominator = _resolve(args, config, "denominator", "band")
-    out = _resolve(args, config, "out")
-
-    try:
-        detector = DetectorConfig(
-            layout=layout,
-            codebook=codebook,
-            gamma=gamma,
-            carrier_sense_snr_db=carrier_sense,
-            denominator=denominator,
-        )
-        report = spot_report(frame, detector)
-    except ValueError as exc:
-        raise CliError(1, str(exc)) from exc
+    frame, meta = _read_iq_input(args.in_path)
+    layout = layout_from_metadata(meta) or _config_layout(args)
+    codebook = _get_codebook(args.codebook)
+    gamma = float(args.gamma)
+    carrier_sense = float(args.carrier_sense)
+    detector = DetectorConfig(
+        layout=layout,
+        codebook=codebook,
+        gamma=gamma,
+        carrier_sense_snr_db=carrier_sense,
+        denominator=args.denominator,
+    )
+    report = spot_report(frame, detector)
 
     header = _header_lines(
         "spot",
         [
-            ("in", in_path),
+            ("in", args.in_path),
             ("codebook", codebook.name),
             ("gamma", gamma),
             ("carrier_sense_snr_db", carrier_sense),
-            ("denominator", denominator),
+            ("denominator", args.denominator),
             ("layout", _layout_summary(layout)),
             ("windows_total", report.windows_total),
             ("windows_gated", report.windows_gated),
             ("events", len(report.events)),
         ],
     )
-    text = "\n".join(header) + "\n" + serialize_events(list(report.events))
-    _emit(out, text)
-    if out is not None:
+    _emit(args.out, "\n".join(header) + "\n" + serialize_events(list(report.events)))
+    if args.out is not None:
         print(f"windows_total: {report.windows_total}")
         print(f"windows_gated: {report.windows_gated}")
         print(f"events: {len(report.events)}")
-        print(f"out: {out}")
+        print(f"out: {args.out}")
     return 0
 
 
-def _cmd_curves(args: argparse.Namespace, config: dict) -> int:
-    layout = _config_layout(config)
-    codebook = _get_codebook(_resolve(args, config, "codebook"))
-    snr_grid = _parse_grid(_resolve(args, config, "snr", "0"), "snr")
-    gamma_grid = sorted(_parse_grid(_resolve(args, config, "gamma", "0.62"), "gamma"))
-    fading = _resolve(args, config, "fading", "wideband")
-    trials = int(_resolve(args, config, "trials", 0))
-    include_null = bool(_resolve(args, config, "include_null_noise", False))
-    out = _resolve(args, config, "out")
-    if fading not in FADING_ANALYSIS_MODELS:
-        raise CliError(1, f"fading must be one of {FADING_ANALYSIS_MODELS}")
-    seed = _resolve(args, config, "seed")
+def _cmd_curves(args: argparse.Namespace) -> int:
+    layout = _config_layout(args)
+    codebook = _get_codebook(args.codebook)
+    snr_grid = _parse_grid(args.snr, "snr")
+    gamma_grid = sorted(_parse_grid(args.gamma, "gamma"))
+    trials = int(args.trials)
+    include_null = bool(args.include_null_noise)
+    seed = args.seed
     if trials > 0:
         seed = _require_seed(seed, "Monte Carlo columns are requested")
 
     rows = []
     for snr_db in snr_grid:
-        model = AnalysisModel(layout=layout, snr_db=float(snr_db), fading=fading)
-        try:
-            curve = build_roc(
-                model,
-                gamma_grid,
-                codebook=codebook if trials > 0 else None,
-                trials=trials,
-                seed=seed if trials > 0 else 0,
-                include_null_noise=include_null,
-            )
-            if trials > 0:
-                pm = pm_mc(float(snr_db), codebook, layout, fading, trials, seed)[0]
-            else:
-                pm = float("nan")
-        except ValueError as exc:
-            raise CliError(1, str(exc)) from exc
+        model = AnalysisModel(layout=layout, snr_db=float(snr_db), fading=args.fading)
+        curve = build_roc(
+            model,
+            gamma_grid,
+            codebook=codebook if trials > 0 else None,
+            trials=trials,
+            seed=seed if trials > 0 else 0,
+            include_null_noise=include_null,
+        )
+        if trials > 0:
+            pm = pm_mc(float(snr_db), codebook, layout, args.fading, trials, seed)[0]
+        else:
+            pm = float("nan")
         for pt in curve.points:
             rows.append(
                 (pt.gamma, float(snr_db), pt.pd, pt.pf, pm, trials,
                  pt.pf_ci95[0], pt.pf_ci95[1], pt.flagged)
             )
 
-    header = _header_lines(
-        "curves",
-        [
-            ("model", fading),
-            ("codebook", codebook.name),
-            ("layout", _layout_summary(layout)),
-            ("include_null_noise", include_null),
-            ("trials", trials),
-            ("seed", "none" if seed is None else seed),
-            ("columns", "gamma snr_db pd pf pm trials pf_ci_low pf_ci_high flagged"),
-        ],
-    )
-    body = [" ".join(_fmt(v) for v in row) for row in rows]
-    _emit(out, "\n".join(header + body) + "\n")
+    fields = [
+        ("model", args.fading),
+        ("codebook", codebook.name),
+        ("layout", _layout_summary(layout)),
+        ("include_null_noise", include_null),
+        ("trials", trials),
+        ("seed", "none" if seed is None else seed),
+    ]
+    columns = "gamma snr_db pd pf pm trials pf_ci_low pf_ci_high flagged"
+    _emit_table(args.out, "curves", fields, columns, rows)
     return 0
 
 
-def _cmd_leakage(args: argparse.Namespace, config: dict) -> int:
-    layout = _config_layout(config)
-    max_offset = int(_resolve(args, config, "max_offset", 8))
-    out = _resolve(args, config, "out")
+def _cmd_leakage(args: argparse.Namespace) -> int:
+    layout = _config_layout(args)
+    max_offset = int(args.max_offset)
     if max_offset < 1:
         raise CliError(1, "max offset must be at least 1")
-    header = _header_lines(
-        "leakage",
-        [
-            ("layout", _layout_summary(layout)),
-            ("max_offset", max_offset),
-            ("block_leak_k1", np.pi**2 / 6.0),
-            ("columns", "k single_leak_half_bin block_leak expected_offset_leak"),
-        ],
-    )
-    rows = []
-    for k in range(1, max_offset + 1):
-        rows.append(
-            (k, float(leakage_single(k, 0.5)), leakage_block(k),
-             expected_offset_leak(k, layout))
-        )
-    body = [" ".join(_fmt(v) for v in row) for row in rows]
-    _emit(out, "\n".join(header + body) + "\n")
+    fields = [
+        ("layout", _layout_summary(layout)),
+        ("max_offset", max_offset),
+        ("block_leak_k1", np.pi**2 / 6.0),
+    ]
+    rows = [
+        (k, float(leakage_single(k, 0.5)), leakage_block(k),
+         expected_offset_leak(k, layout))
+        for k in range(1, max_offset + 1)
+    ]
+    columns = "k single_leak_half_bin block_leak expected_offset_leak"
+    _emit_table(args.out, "leakage", fields, columns, rows)
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace, config: dict) -> int:
-    carriers = int(_resolve(args, config, "carriers", 56))
-    snr_db = float(_resolve(args, config, "snr", 0.0))
-    trials = int(_resolve(args, config, "trials", 0))
-    out = _resolve(args, config, "out")
-    seed = _resolve(args, config, "seed")
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    carriers = int(args.carriers)
+    snr_db = float(args.snr)
+    trials = int(args.trials)
+    seed = args.seed
     if trials > 0:
         seed = _require_seed(seed, "Monte Carlo columns are requested")
-    try:
-        points = sweep_active_carriers(
-            carriers, snr_db, trials=trials, seed=seed if seed is not None else 0
-        )
-    except ValueError as exc:
-        raise CliError(1, str(exc)) from exc
+    points = sweep_active_carriers(
+        carriers, snr_db, trials=trials, seed=seed if seed is not None else 0
+    )
     best = sweep_argmin(points)
-    header = _header_lines(
-        "sweep",
-        [
-            ("carriers", carriers),
-            ("snr_db", snr_db),
-            ("trials", trials),
-            ("seed", "none" if seed is None else seed),
-            ("argmin_q", best.q),
-            ("argmin_pf", best.pf),
-            ("columns", "q gamma0 pf pf_mc pf_mc_ci_low pf_mc_ci_high"),
-        ],
-    )
-    rows = []
-    for pt in points:
-        if pt.pf_mc is None:
-            rows.append((pt.q, pt.gamma0, pt.pf, "nan", "nan", "nan"))
-        else:
-            rows.append(
-                (pt.q, pt.gamma0, pt.pf, pt.pf_mc, pt.pf_mc_ci95[0], pt.pf_mc_ci95[1])
-            )
-    body = [" ".join(_fmt(v) for v in row) for row in rows]
-    _emit(out, "\n".join(header + body) + "\n")
+    fields = [
+        ("carriers", carriers),
+        ("snr_db", snr_db),
+        ("trials", trials),
+        ("seed", "none" if seed is None else seed),
+        ("argmin_q", best.q),
+        ("argmin_pf", best.pf),
+    ]
+    rows = [
+        (pt.q, pt.gamma0, pt.pf, "nan", "nan", "nan") if pt.pf_mc is None
+        else (pt.q, pt.gamma0, pt.pf, pt.pf_mc, *pt.pf_mc_ci95)
+        for pt in points
+    ]
+    columns = "q gamma0 pf pf_mc pf_mc_ci_low pf_mc_ci_high"
+    _emit_table(args.out, "sweep", fields, columns, rows)
     return 0
 
 
-def _cmd_range(args: argparse.Namespace, config: dict) -> int:
-    snr_gap = float(_resolve(args, config, "snr_gap", 20.0))
-    exponents = _parse_grid(_resolve(args, config, "exponents", "3,6"), "exponents")
-    out = _resolve(args, config, "out")
-    header = _header_lines(
-        "range",
-        [
-            ("snr_gap_db", snr_gap),
-            ("columns", "path_loss_exponent range_gain"),
-        ],
-    )
-    try:
-        rows = [(d, range_gain(snr_gap, d)) for d in exponents]
-    except ValueError as exc:
-        raise CliError(1, str(exc)) from exc
-    body = [" ".join(_fmt(v) for v in row) for row in rows]
-    _emit(out, "\n".join(header + body) + "\n")
+def _cmd_range(args: argparse.Namespace) -> int:
+    snr_gap = float(args.snr_gap)
+    rows = [(d, range_gain(snr_gap, d)) for d in _parse_grid(args.exponents, "exponents")]
+    columns = "path_loss_exponent range_gain"
+    _emit_table(args.out, "range", [("snr_gap_db", snr_gap)], columns, rows)
     return 0
 
 
-def _cmd_overhead(args: argparse.Namespace, config: dict) -> int:
-    payload = int(_resolve(args, config, "payload_bytes", 1500))
-    sync_frames = int(_resolve(args, config, "sync_frames", 6))
-    tag_frames = int(_resolve(args, config, "tag_frames", 8))
-    out = _resolve(args, config, "out")
-    try:
-        fraction = overhead(payload, sync_frames=sync_frames, tag_frames=tag_frames)
-    except ValueError as exc:
-        raise CliError(1, str(exc)) from exc
-    payload_frames = math.ceil(payload / 12)
-    header = _header_lines(
-        "overhead",
-        [("columns", "payload_bytes payload_frames sync_frames tag_frames overhead")],
-    )
-    row = (payload, payload_frames, sync_frames, tag_frames, fraction)
-    _emit(out, "\n".join(header + [" ".join(_fmt(v) for v in row)]) + "\n")
+def _cmd_overhead(args: argparse.Namespace) -> int:
+    payload = int(args.payload_bytes)
+    sync_frames = int(args.sync_frames)
+    tag_frames = int(args.tag_frames)
+    fraction = overhead(payload, sync_frames=sync_frames, tag_frames=tag_frames)
+    row = (payload, payload_frames(payload), sync_frames, tag_frames, fraction)
+    columns = "payload_bytes payload_frames sync_frames tag_frames overhead"
+    _emit_table(args.out, "overhead", [], columns, [row])
     return 0
 
 
-def _cmd_codebook_verify(args: argparse.Namespace, config: dict) -> int:
-    path = _resolve(args, config, "codebook")
-    codebook = _get_codebook(path)
+def _cmd_codebook_verify(args: argparse.Namespace) -> int:
+    codebook = _get_codebook(args.codebook)
     verified = verify_min_distance(codebook.words)
     print(f"name: {codebook.name}")
     print(f"size: {codebook.size}")
@@ -552,90 +481,106 @@ def _cmd_codebook_verify(args: argparse.Namespace, config: dict) -> int:
 # parser plumbing
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_command(commands, name: str, func, summary: str, layout: bool = False):
+    """A subparser with the options every command takes. Commands that read
+    a carrier layout also accept a "layout" field in their config."""
+    sub = commands.add_parser(name, help=summary)
     sub.add_argument("--config", help="JSON config document; flags override its fields")
     sub.add_argument("--seed", type=int, help="randomness seed (required for stochastic runs)")
     sub.add_argument("--out", help="output path (tables default to stdout)")
+    sub.set_defaults(func=func)
+    if layout:
+        sub.set_defaults(layout=None)
+    return sub
+
+
+def _add_codebook(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--codebook", help="codebook file (default: built-in family)")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tagspot", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
+    # main applies a config document to the chosen command's parser
+    parser.commands = commands.choices
 
-    p = commands.add_parser("modulate", parents=[], help="synthesize one tag frame to an IQ file")
-    _add_common(p)
-    p.add_argument("--word", type=int, help="codeword index (default 0)")
-    p.add_argument("--random", action="store_true", default=None, help="pick the codeword from the seed")
-    p.add_argument("--power", type=float, help="total spectral power (default 1)")
+    p = _add_command(commands, "modulate", _cmd_modulate,
+                     "synthesize one tag frame to an IQ file", layout=True)
+    p.add_argument("--word", type=int, help="codeword index (default: 0, or drawn from the seed with --random)")
+    p.add_argument("--random", action="store_true", help="pick the codeword from the seed")
+    p.add_argument("--power", type=float, default=1.0,
+                   help="total spectral power (default %(default)s)")
     p.add_argument("--papr-cap", dest="papr_cap", type=float, help="redraw phases until PAPR <= cap dB")
-    p.add_argument("--max-attempts", dest="max_attempts", type=int, help="draw budget for --papr-cap")
-    p.add_argument("--sample-rate", dest="sample_rate", type=float, help="metadata sample rate")
-    p.add_argument("--codebook", help="codebook file (default: built-in family)")
-    p.set_defaults(func=_cmd_modulate)
+    p.add_argument("--max-attempts", dest="max_attempts", type=int, default=100,
+                   help="draw budget for --papr-cap (default %(default)s)")
+    p.add_argument("--sample-rate", dest="sample_rate", type=float, default=1.0,
+                   help="metadata sample rate (default %(default)s)")
+    _add_codebook(p)
 
-    p = commands.add_parser("impair", help="apply fading, cfo, interference and noise to an IQ file")
-    _add_common(p)
+    p = _add_command(commands, "impair", _cmd_impair,
+                     "apply fading, cfo, interference and noise to an IQ file", layout=True)
     p.add_argument("--in", dest="in_path", help="input IQ file")
     p.add_argument("--snr", type=float, help="target SNR in dB (input treated as one tag)")
-    p.add_argument("--cfo", type=float, help="carrier offset in thin-carrier widths")
-    p.add_argument("--fading", choices=FADING_MODELS, help="fading model (default none)")
+    p.add_argument("--cfo", type=float, default=0.0,
+                   help="carrier offset in thin-carrier widths (default %(default)s)")
+    p.add_argument("--fading", choices=FADING_MODELS, default="none",
+                   help="fading model (default %(default)s)")
     p.add_argument("--sir", type=float, help="add data-like interference at this SIR dB")
-    p.add_argument("--interference-offset", dest="interference_offset", type=int,
-                   help="interference start sample (default 0)")
-    p.set_defaults(func=_cmd_impair)
+    p.add_argument("--interference-offset", dest="interference_offset", type=int, default=0,
+                   help="interference start sample (default %(default)s)")
 
-    p = commands.add_parser("spot", help="run the detector over an IQ file")
-    _add_common(p)
+    p = _add_command(commands, "spot", _cmd_spot, "run the detector over an IQ file", layout=True)
     p.add_argument("--in", dest="in_path", help="input IQ file")
-    p.add_argument("--gamma", type=float, help="detection threshold (default 0.62)")
-    p.add_argument("--carrier-sense", dest="carrier_sense", type=float,
-                   help="carrier sense gate in dB over the noise floor (default -1)")
-    p.add_argument("--denominator", choices=STRENGTH_DENOMINATORS,
-                   help="strength denominator convention (default band)")
-    p.add_argument("--codebook", help="codebook file (default: built-in family)")
-    p.set_defaults(func=_cmd_spot)
+    p.add_argument("--gamma", type=float, default=0.62,
+                   help="detection threshold (default %(default)s)")
+    p.add_argument("--carrier-sense", dest="carrier_sense", type=float, default=-1.0,
+                   help="carrier sense gate in dB over the noise floor (default %(default)s)")
+    p.add_argument("--denominator", choices=STRENGTH_DENOMINATORS, default="band",
+                   help="strength denominator convention (default %(default)s)")
+    _add_codebook(p)
 
-    p = commands.add_parser("curves", help="detection and false-alarm tables over snr/gamma grids")
-    _add_common(p)
-    p.add_argument("--snr", help="comma-separated SNR grid in dB "
-                   "(write --snr=-4,0,4 when the grid starts negative)")
-    p.add_argument("--gamma", help="comma-separated threshold grid")
-    p.add_argument("--fading", choices=FADING_ANALYSIS_MODELS, help="analysis fading model")
-    p.add_argument("--trials", type=int, help="Monte Carlo trials per point (0: closed forms only)")
+    p = _add_command(commands, "curves", _cmd_curves,
+                     "detection and false-alarm tables over snr/gamma grids", layout=True)
+    p.add_argument("--snr", default="0", help="comma-separated SNR grid in dB, default "
+                   "%(default)s (write --snr=-4,0,4 when the grid starts negative)")
+    p.add_argument("--gamma", default="0.62",
+                   help="comma-separated threshold grid (default %(default)s)")
+    p.add_argument("--fading", choices=FADING_ANALYSIS_MODELS, default="wideband",
+                   help="analysis fading model (default %(default)s)")
+    p.add_argument("--trials", type=int, default=0,
+                   help="Monte Carlo trials per point (default %(default)s: closed forms only)")
     p.add_argument("--include-null-noise", dest="include_null_noise", action="store_true",
-                   default=None, help="use the all-carrier strength denominator")
-    p.add_argument("--codebook", help="codebook file (default: built-in family)")
-    p.set_defaults(func=_cmd_curves)
+                   help="use the all-carrier strength denominator")
+    _add_codebook(p)
 
-    p = commands.add_parser("leakage", help="off-grid tone leakage tables")
-    _add_common(p)
-    p.add_argument("--max-offset", dest="max_offset", type=int, help="largest offset row (default 8)")
-    p.set_defaults(func=_cmd_leakage)
+    p = _add_command(commands, "leakage", _cmd_leakage, "off-grid tone leakage tables", layout=True)
+    p.add_argument("--max-offset", dest="max_offset", type=int, default=8,
+                   help="largest offset row (default %(default)s)")
 
-    p = commands.add_parser("sweep", help="active-carrier count optimization table")
-    _add_common(p)
-    p.add_argument("--carriers", type=int, help="total wide carriers (default 56)")
-    p.add_argument("--snr", type=float, help="per-tone SNR in dB (default 0)")
-    p.add_argument("--trials", type=int, help="Monte Carlo cross-check trials per split")
-    p.set_defaults(func=_cmd_sweep)
+    p = _add_command(commands, "sweep", _cmd_sweep, "active-carrier count optimization table")
+    p.add_argument("--carriers", type=int, default=56,
+                   help="total wide carriers (default %(default)s)")
+    p.add_argument("--snr", type=float, default=0.0, help="per-tone SNR in dB (default %(default)s)")
+    p.add_argument("--trials", type=int, default=0,
+                   help="Monte Carlo cross-check trials per split (default %(default)s)")
 
-    p = commands.add_parser("range", help="range gain from an SNR advantage")
-    _add_common(p)
-    p.add_argument("--snr-gap", dest="snr_gap", type=float, help="SNR advantage in dB (default 20)")
-    p.add_argument("--exponents", help="comma-separated path loss exponents (default 3,6)")
-    p.set_defaults(func=_cmd_range)
+    p = _add_command(commands, "range", _cmd_range, "range gain from an SNR advantage")
+    p.add_argument("--snr-gap", dest="snr_gap", type=float, default=20.0,
+                   help="SNR advantage in dB (default %(default)s)")
+    p.add_argument("--exponents", default="3,6",
+                   help="comma-separated path loss exponents (default %(default)s)")
 
-    p = commands.add_parser("overhead", help="tag airtime overhead for a payload size")
-    _add_common(p)
-    p.add_argument("--payload-bytes", dest="payload_bytes", type=int, help="payload size (default 1500)")
-    p.add_argument("--sync-frames", dest="sync_frames", type=int, help="sync frames per packet (default 6)")
-    p.add_argument("--tag-frames", dest="tag_frames", type=int, help="frames a tag occupies (default 8)")
-    p.set_defaults(func=_cmd_overhead)
+    p = _add_command(commands, "overhead", _cmd_overhead, "tag airtime overhead for a payload size")
+    p.add_argument("--payload-bytes", dest="payload_bytes", type=int, default=1500,
+                   help="payload size (default %(default)s)")
+    p.add_argument("--sync-frames", dest="sync_frames", type=int, default=6,
+                   help="sync frames per packet (default %(default)s)")
+    p.add_argument("--tag-frames", dest="tag_frames", type=int, default=8,
+                   help="frames a tag occupies (default %(default)s)")
 
-    p = commands.add_parser("codebook-verify", help="re-verify a codebook's declared distance")
-    _add_common(p)
-    p.add_argument("--codebook", help="codebook file (default: built-in family)")
-    p.set_defaults(func=_cmd_codebook_verify)
+    p = _add_command(commands, "codebook-verify", _cmd_codebook_verify,
+                     "re-verify a codebook's declared distance")
+    _add_codebook(p)
 
     return parser
 
@@ -644,16 +589,17 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _load_config(args.config)
-        if "command" in config and config["command"] != args.command:
-            raise CliError(
-                1,
-                f"config is for {config['command']!r}, not {args.command!r}",
-            )
-        return args.func(args, config)
+        if args.config is not None:
+            # config fields become the command's defaults, so flags still win
+            parser.commands[args.command].set_defaults(**_config_fields(args))
+            args = parser.parse_args(argv)
+        return args.func(args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
     except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -83,8 +83,11 @@ class Codebook:
         return np.array([[int(c) for c in w] for w in self.words], dtype=np.uint8)
 
 
-def verify_min_distance(words: "tuple[str, ...] | list[str] | np.ndarray") -> int:
-    """Minimum pairwise Hamming distance, brute forced over all pairs."""
+def _closest_pair(
+    words: "tuple[str, ...] | list[str] | np.ndarray",
+) -> "tuple[int, int, int]":
+    """Minimum pairwise Hamming distance and the indices (i, j) of a pair
+    of words at that distance, brute forced over all pairs."""
     if isinstance(words, np.ndarray):
         bits = words.astype(np.int64)
     else:
@@ -98,23 +101,13 @@ def verify_min_distance(words: "tuple[str, ...] | list[str] | np.ndarray") -> in
     gram = bits @ bits.T
     dist = weights[:, None] + weights[None, :] - 2 * gram
     np.fill_diagonal(dist, np.iinfo(np.int64).max)
-    return int(dist.min())
-
-
-def _verify_declared_distance(cb: Codebook) -> None:
-    if cb.size < 2:
-        return
-    bits = cb.bits().astype(np.int64)
-    weights = bits.sum(axis=1)
-    gram = bits @ bits.T
-    dist = weights[:, None] + weights[None, :] - 2 * gram
-    np.fill_diagonal(dist, np.iinfo(np.int64).max)
     i, j = np.unravel_index(np.argmin(dist), dist.shape)
-    if dist[i, j] < cb.min_distance:
-        raise CodebookError(
-            f"declared min_distance {cb.min_distance} violated by words "
-            f"{int(i)} and {int(j)} at distance {int(dist[i, j])}"
-        )
+    return int(dist[i, j]), int(i), int(j)
+
+
+def verify_min_distance(words: "tuple[str, ...] | list[str] | np.ndarray") -> int:
+    """Minimum pairwise Hamming distance, brute forced over all pairs."""
+    return _closest_pair(words)[0]
 
 
 def parse_codebook(text: str) -> Codebook:
@@ -149,7 +142,13 @@ def parse_codebook(text: str) -> Codebook:
         min_distance=min_distance,
         words=tuple(words),
     )
-    _verify_declared_distance(cb)
+    if cb.size >= 2:
+        distance, i, j = _closest_pair(cb.bits())
+        if distance < cb.min_distance:
+            raise CodebookError(
+                f"declared min_distance {cb.min_distance} violated by words "
+                f"{i} and {j} at distance {distance}"
+            )
     return cb
 
 

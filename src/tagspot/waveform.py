@@ -182,6 +182,12 @@ def interference_occupied_carriers(layout: CarrierLayout) -> tuple[int, ...]:
     return tuple(range(dc - half, dc)) + tuple(range(dc + 1, dc + 1 + half))
 
 
+def interference_frame_len(layout: CarrierLayout) -> int:
+    """Samples in one data-like interference frame: wide_total plus its
+    cyclic prefix, 80 for the reference layout."""
+    return layout.wide_total + int(layout.wide_total * layout.cp_fraction)
+
+
 def synthesize_data_interference(
     layout: CarrierLayout,
     n_frames: int,
@@ -193,16 +199,16 @@ def synthesize_data_interference(
     Each frame rides the wide-carrier grid directly: a transform of length
     wide_total (one bin per wide carrier), 4-point constellation symbols of
     equal magnitude on the occupied carriers, and the same 1/4 cyclic prefix
-    fraction as tags. total_power is the spectral power of ONE frame, so a
-    frame is wide_total * (1 + cp_fraction) samples, 80 for the reference
-    layout, and 8 frames span exactly one tag frame.
+    fraction as tags. total_power is the spectral power of ONE frame; a
+    frame is interference_frame_len(layout) samples, so 8 frames span
+    exactly one tag frame.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be at least 1")
     if total_power < 0:
         raise ValueError("total_power must be nonnegative")
     body_len = layout.wide_total
-    cp = int(body_len * layout.cp_fraction)
+    cp = interference_frame_len(layout) - body_len
     occupied = np.asarray(interference_occupied_carriers(layout))
     amplitude = np.sqrt(total_power / occupied.size)
     frames = []

@@ -1,6 +1,7 @@
 """Command-line interface: workflows, config documents, and exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,6 +265,67 @@ def test_config_document_rules(tmp_path):
     assert meta["cfo"] == 0.5
 
 
+def test_unknown_config_fields_are_rejected_by_name(tmp_path, capsys):
+    source = _modulate(tmp_path)
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps({"config_version": 1, "gamm": 0.5}))
+    assert cli_main(["spot", "--in", str(source), "--config", str(typo)]) == 1
+    assert "gamm" in capsys.readouterr().err
+
+    # layout is a field only of the commands that read one
+    layout = tmp_path / "layout.json"
+    layout.write_text(json.dumps({"config_version": 1, "layout": {}}))
+    assert cli_main(["sweep", "--carriers", "4", "--config", str(layout)]) == 1
+    assert "layout" in capsys.readouterr().err
+    assert cli_main(["leakage", "--max-offset", "1", "--config", str(layout)]) == 0
+    capsys.readouterr()
+
+
+# 32 wide carriers of 8 thin bins: 12 two-carrier groups and 8 nulls
+SMALL_LAYOUT = {
+    "fft_size": 256,
+    "wide_total": 32,
+    "groups": 12,
+    "null_wide": [0, 1, 2, 16, 28, 29, 30, 31],
+}
+
+
+def _small_layout_config(tmp_path):
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps({"config_version": 1, "layout": SMALL_LAYOUT}))
+    return config
+
+
+def test_modulate_rejects_a_layout_that_does_not_fit_the_codebook(tmp_path, capsys):
+    out = tmp_path / "t.iq"
+    argv = ["modulate", "--seed", "1", "--config", str(_small_layout_config(tmp_path)),
+            "--out", str(out)]
+    assert cli_main(argv) == 1  # built-in codebook has 28-bit words
+    assert "groups 12" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_impair_interference_covers_the_signal_on_a_small_layout(tmp_path):
+    codebook = tmp_path / "cb12.txt"
+    codebook.write_text(
+        "name: twelve\nword_length: 12\nmin_distance: 12\n"
+        "000000000000\n111111111111\n"
+    )
+    source = tmp_path / "tag.iq"
+    assert cli_main(["modulate", "--seed", "5", "--config", str(_small_layout_config(tmp_path)),
+                     "--codebook", str(codebook), "--out", str(source)]) == 0
+    mixed_path = tmp_path / "mixed.iq"
+    assert cli_main(["impair", "--in", str(source), "--sir", "0", "--seed", "9",
+                     "--out", str(mixed_path)]) == 0
+    clean, _ = read_iq(source)
+    mixed, _ = read_iq(mixed_path)
+    assert len(clean) == len(mixed) == 320
+    added = np.abs(mixed.samples - clean.samples) ** 2
+    # every 40-sample interference frame of the tag carries interference
+    per_frame = added.reshape(-1, 40).mean(axis=1)
+    assert np.all(per_frame > 0.1 * added.mean())
+
+
 def test_io_errors_exit_with_code_2(tmp_path):
     assert cli_main(["impair", "--in", str(tmp_path / "absent.iq"),
                      "--out", str(tmp_path / "o.iq")]) == 2
@@ -274,3 +336,21 @@ def test_unknown_flags_and_commands_exit_with_code_1(capsys):
     assert cli_main(["modulate", "--bogus"]) == 1
     assert cli_main(["frobnicate"]) == 1
     capsys.readouterr()
+
+
+RESULTS = Path(__file__).resolve().parents[1] / "results"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("leakage-closed-form.txt", ["leakage", "--max-offset", "8"]),
+        ("carrier-sweep.txt",
+         ["sweep", "--carriers", "56", "--snr", "0.0", "--trials", "100000",
+          "--seed", "20260819"]),
+    ],
+)
+def test_committed_tables_regenerate_byte_identical(tmp_path, name, argv):
+    out = tmp_path / name
+    assert cli_main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (RESULTS / name).read_bytes()
