@@ -277,6 +277,8 @@ def _cmd_impair(args: argparse.Namespace) -> int:
         frame = apply_fading(frame, fading, rng, layout)
     if cfo:
         frame = apply_cfo(frame, cfo, layout)
+    # --snr refers to the tag alone, so its power is taken before interference
+    tag_power = mean_power(frame)
     if sir_db is not None:
         span = max(len(frame) - intf_offset, 1)
         n_frames = math.ceil(span / interference_frame_len(layout))
@@ -285,7 +287,7 @@ def _cmd_impair(args: argparse.Namespace) -> int:
         frame = mix([(frame, 0, 1.0), (interference, intf_offset, gain)])
     if snr_db is not None:
         tones = layout.active_thin_per_wide * layout.groups
-        p_tone = mean_power(frame) * layout.fft_size / tones
+        p_tone = tag_power * layout.fft_size / tones
         frame = apply_awgn(frame, noise_power_for_snr(float(snr_db), p_tone, layout), rng)
 
     extra = {

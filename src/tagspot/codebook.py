@@ -208,11 +208,11 @@ def mask_matrix(cb: Codebook, layout: CarrierLayout) -> np.ndarray:
             f"codebook word length {cb.word_length} != layout groups "
             f"{layout.groups}"
         )
+    bits = np.frombuffer("".join(cb.words).encode("ascii"), dtype=np.uint8) - ord("0")
+    bits = bits.reshape(cb.size, cb.word_length)
+    pairs = np.array(layout.group_map)
     out = np.zeros((cb.size, layout.wide_total), dtype=bool)
-    pairs = layout.group_map
-    for t, word in enumerate(cb.words):
-        for bit, pair in zip(word, pairs):
-            out[t, pair[int(bit)]] = True
+    out[np.arange(cb.size)[:, None], pairs[np.arange(layout.groups), bits]] = True
     return out
 
 

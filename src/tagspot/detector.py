@@ -19,6 +19,16 @@ divides by the non-null carriers only. The null carriers contribute pure
 noise to the ratio, so "band" reaches a given detection probability at a
 lower SNR; it is the operational default. The analysis module quantifies
 the gap between the two conventions.
+
+Cost is linear in the stream. The front end takes the windows in chunks of
+_CHUNK_WINDOWS: one strided view, one vectorized power pass and one batched
+FFT per chunk, so memory stays bounded by the chunk whatever the stream
+length. A scalar pass over the chunk then runs the gate and noise-tracker
+recurrence, which is sequential in time, and folds and scores each window
+that passes the gate. Overlap suppression is a forward scan over the
+candidates, sorted by start: each candidate is compared only with those
+less than fft_size samples after it, O(C * fft_size / cp_len) for C
+candidates instead of comparing every pair.
 """
 
 from __future__ import annotations
@@ -26,12 +36,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .carriers import CarrierLayout, WideCarrierMask
 from .codebook import Codebook, mask_matrix
 from .waveform import IqFrame
 
 STRENGTH_DENOMINATORS = ("band", "all")
+
+#: Windows per batched power and FFT pass in spot_report. It bounds the
+#: working set to _CHUNK_WINDOWS * fft_size complex samples whatever the
+#: stream length; 64 and 256 ran equally fast.
+_CHUNK_WINDOWS = 64
 
 
 @dataclass(frozen=True)
@@ -102,9 +118,11 @@ def fold_spectrum(fft_bins: np.ndarray, layout: CarrierLayout) -> np.ndarray:
     bins = np.asarray(fft_bins)
     if bins.shape != (layout.fft_size,):
         raise ValueError(f"expected {layout.fft_size} bins, got {bins.shape}")
-    ascending = np.fft.fftshift(bins)
-    power = np.abs(ascending) ** 2
-    return power.reshape(layout.wide_total, layout.thin_per_wide).sum(axis=1)
+    # np.fft.fftshift as one slice-and-concatenate (h == n // 2 for even n)
+    power = np.abs(bins) ** 2
+    h = layout.fft_size - layout.fft_size // 2
+    ascending = np.concatenate((power[h:], power[:h]))
+    return ascending.reshape(layout.wide_total, layout.thin_per_wide).sum(axis=1)
 
 
 def tag_strength(wide_powers: np.ndarray, mask: WideCarrierMask) -> float:
@@ -178,74 +196,98 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
     """
     layout = config.layout
     n = layout.fft_size
+    hop = layout.cp_len
     if len(samples) < n:
         raise ValueError(f"need at least {n} samples, got {len(samples)}")
     stream = samples.samples
     masks = mask_matrix(config.codebook, layout).astype(np.float64)
     band = np.asarray(layout.band_wide)
     root_n = np.sqrt(n)
+    windows_total = (len(stream) - n) // hop + 1
 
     candidates: "list[tuple[int, int, float, float, float]]" = []
     noise_estimate: "float | None" = None
-    windows_total = 0
     windows_gated = 0
-    for start in range(0, len(stream) - n + 1, layout.cp_len):
-        windows_total += 1
-        window = stream[start : start + n]
-        power = float(np.mean(np.abs(window) ** 2))
-        if noise_estimate is None or noise_estimate == 0:
-            # no floor yet, or a floor seeded by pure silence
-            snr_estimate_db = np.inf
-        elif power == 0:
-            snr_estimate_db = -np.inf
-        else:
-            # carrier-sense SNR estimate: interval power over tracked floor
-            snr_estimate_db = 10.0 * np.log10(power / noise_estimate)
-        if snr_estimate_db <= config.carrier_sense_snr_db or power == 0:
-            windows_gated += 1
-            noise_estimate = noise_tracker_update(
-                noise_estimate, power, config.noise_smoothing
-            )
-            continue
-        wide = fold_spectrum(np.fft.fft(window) / root_n, layout)
-        numerators = masks @ wide
-        denominator = wide.sum() if config.denominator == "all" else wide[band].sum()
-        best = int(np.argmax(numerators))
-        strength = float(numerators[best] / denominator)
-        position, com_ok = center_of_mass(wide, layout)
-        com_ok = abs(position) <= config.com_bound
-        if strength > config.gamma and com_ok:
-            candidates.append((start, best, strength, position, snr_estimate_db))
-        else:
-            noise_estimate = noise_tracker_update(
-                noise_estimate, power, config.noise_smoothing
-            )
-
-    events = []
-    for i, (start, idx, strength, position, snr_db) in enumerate(candidates):
-        suppressed = False
-        for j, other in enumerate(candidates):
-            if j == i or abs(other[0] - start) >= n:
-                continue
-            if other[2] > strength or (other[2] == strength and other[0] < start):
-                suppressed = True
-                break
-        if not suppressed:
-            events.append(
-                DetectionEvent(
-                    interval_start=start,
-                    codeword_index=idx,
-                    strength=strength,
-                    com_position=position,
-                    com_valid=True,
-                    snr_estimate_db=snr_db,
+    for first in range(0, windows_total, _CHUNK_WINDOWS):
+        count = min(_CHUNK_WINDOWS, windows_total - first)
+        lo = first * hop
+        views = sliding_window_view(stream[lo : lo + (count - 1) * hop + n], n)[::hop]
+        powers = np.mean(np.abs(views) ** 2, axis=1)
+        spectra = np.fft.fft(views, axis=1) / root_n
+        for k in range(count):
+            power = float(powers[k])
+            if noise_estimate is None or noise_estimate == 0:
+                # no floor yet, or a floor seeded by pure silence
+                snr_estimate_db = np.inf
+            elif power == 0:
+                snr_estimate_db = -np.inf
+            else:
+                # carrier-sense SNR estimate: interval power over tracked floor
+                snr_estimate_db = 10.0 * np.log10(power / noise_estimate)
+            if snr_estimate_db <= config.carrier_sense_snr_db or power == 0:
+                windows_gated += 1
+                noise_estimate = noise_tracker_update(
+                    noise_estimate, power, config.noise_smoothing
                 )
-            )
+                continue
+            wide = fold_spectrum(spectra[k], layout)
+            numerators = masks @ wide
+            denominator = wide.sum() if config.denominator == "all" else wide[band].sum()
+            best = int(np.argmax(numerators))
+            strength = float(numerators[best] / denominator)
+            position, com_ok = center_of_mass(wide, layout)
+            com_ok = abs(position) <= config.com_bound
+            if strength > config.gamma and com_ok:
+                candidates.append(
+                    (lo + k * hop, best, strength, position, snr_estimate_db)
+                )
+            else:
+                noise_estimate = noise_tracker_update(
+                    noise_estimate, power, config.noise_smoothing
+                )
+
+    events = tuple(
+        DetectionEvent(
+            interval_start=start,
+            codeword_index=idx,
+            strength=strength,
+            com_position=position,
+            com_valid=True,
+            snr_estimate_db=snr_db,
+        )
+        for start, idx, strength, position, snr_db in _suppress(candidates, n)
+    )
     return SpotReport(
-        events=tuple(events),
+        events=events,
         windows_total=windows_total,
         windows_gated=windows_gated,
     )
+
+
+def _suppress(
+    candidates: "list[tuple[int, int, float, float, float]]", n: int
+) -> "list[tuple[int, int, float, float, float]]":
+    """Candidates that no overlapping candidate outranks.
+
+    Candidates are (start, codeword, strength, ...) tuples sorted by unique
+    start. Candidate i is dropped when an earlier one less than n samples
+    away has strength >= its own, or a later one that close has strength >
+    its own. The rule is not transitive: a dropped candidate still drops
+    its weaker neighbours. Each overlapping pair is compared once in a
+    forward scan, and starts lie at least one hop apart, so the cost is
+    O(C * n / hop), linear in the number of candidates C.
+    """
+    dropped = [False] * len(candidates)
+    for i, (start, _, strength, *_) in enumerate(candidates):
+        for j in range(i + 1, len(candidates)):
+            later = candidates[j]
+            if later[0] - start >= n:
+                break
+            if later[2] > strength:
+                dropped[i] = True
+            else:
+                dropped[j] = True
+    return [c for c, gone in zip(candidates, dropped) if not gone]
 
 
 def spot(samples: IqFrame, config: DetectorConfig) -> "list[DetectionEvent]":

@@ -12,7 +12,7 @@ from tagspot.channel import noise_power_for_snr
 from tagspot.cli import main as cli_main
 from tagspot.detector import parse_events
 from tagspot.iqfile import read_iq, sidecar_path
-from tagspot.waveform import mean_power
+from tagspot.waveform import IqFrame, mean_power
 
 LAY = REFERENCE_LAYOUT
 
@@ -126,6 +126,24 @@ def test_impair_interference_and_reruns(tmp_path):
         )
         == 1
     )
+
+
+def test_impair_snr_ignores_the_interferer(tmp_path):
+    # --snr calibrates on the tag alone: the noise added on top of a 0 dB
+    # interferer matches the noise that --snr 0 adds without one
+    source = _modulate(tmp_path)
+    paths = {name: tmp_path / f"{name}.iq" for name in ("sir", "both", "snr")}
+    base = ["impair", "--in", str(source), "--seed", "9"]
+    assert cli_main(base + ["--sir", "0", "--out", str(paths["sir"])]) == 0
+    assert cli_main(base + ["--sir", "0", "--snr", "0", "--out", str(paths["both"])]) == 0
+    assert cli_main(base + ["--snr", "0", "--out", str(paths["snr"])]) == 0
+    frames = {name: read_iq(path)[0] for name, path in paths.items()}
+    clean, _ = read_iq(source)
+    added_on_interferer = mean_power(
+        IqFrame(frames["both"].samples - frames["sir"].samples)
+    )
+    added_alone = mean_power(IqFrame(frames["snr"].samples - clean.samples))
+    assert added_on_interferer == pytest.approx(added_alone, rel=0.1)
 
 
 def test_spot_finds_the_modulated_word(tmp_path, capsys):
