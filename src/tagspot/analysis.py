@@ -34,6 +34,7 @@ uncertainties are 95% Wilson intervals.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -47,7 +48,7 @@ from .codebook import Codebook, mask_matrix
 FADING_ANALYSIS_MODELS = ("wideband", "narrowband")
 
 _MC_CHUNK = 1 << 15
-# (generator, draw count) per Monte Carlo chunk; see _mc_estimate
+# (generator, draw count) per Monte Carlo chunk; see _mc_chunks
 _Chunks = Iterator[tuple[np.random.Generator, int]]
 
 
@@ -279,27 +280,62 @@ def _band_mask_matrix(codebook: Codebook, layout: CarrierLayout) -> np.ndarray:
     return masks[:, band].astype(np.float64)
 
 
+def _mc_chunks(trials: int, seed: int) -> _Chunks:
+    """Chunks of at most _MC_CHUNK draws, each with a generator seeded by
+    (seed, chunk index)."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    return (
+        (np.random.default_rng([seed, chunk_index]), min(_MC_CHUNK, trials - lo))
+        for chunk_index, lo in enumerate(range(0, trials, _MC_CHUNK))
+    )
+
+
+def _wilson(hits: int, trials: int) -> "tuple[float, tuple[float, float]]":
+    """Hit fraction and its 95% Wilson interval."""
+    ci = stats.binomtest(hits, trials).proportion_ci(
+        confidence_level=0.95, method="wilson"
+    )
+    return hits / trials, (float(ci.low), float(ci.high))
+
+
 def _mc_estimate(
     trials: int,
     seed: int,
     count_hits: "Callable[[_Chunks], Iterator[int]]",
 ) -> "tuple[float, tuple[float, float]]":
-    """Hit fraction and its 95% Wilson interval, summing what count_hits
-    yields over chunks of at most _MC_CHUNK draws, each with a generator
-    seeded by (seed, chunk index). count_hits iterates the chunks itself, so
-    a chunk's arrays live until the next chunk replaces them and the
-    allocator reuses their pages instead of faulting fresh ones in."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    chunks = (
-        (np.random.default_rng([seed, chunk_index]), min(_MC_CHUNK, trials - lo))
-        for chunk_index, lo in enumerate(range(0, trials, _MC_CHUNK))
-    )
-    hits = sum(count_hits(chunks))
-    ci = stats.binomtest(hits, trials).proportion_ci(
-        confidence_level=0.95, method="wilson"
-    )
-    return hits / trials, (float(ci.low), float(ci.high))
+    """_wilson of the sum of what count_hits yields over _mc_chunks.
+    count_hits iterates the chunks itself, so a chunk's arrays live until
+    the next chunk replaces them and the allocator reuses their pages
+    instead of faulting fresh ones in."""
+    chunks = _mc_chunks(trials, seed)
+    return _wilson(sum(count_hits(chunks)), trials)
+
+
+@functools.lru_cache(maxsize=1)
+def _family_max_ratios(
+    codebook: Codebook, layout: CarrierLayout, trials: int, seed: int
+) -> np.ndarray:
+    """Each noise-only draw's largest in-mask/out-of-mask ratio over the
+    family, sorted ascending and read-only.
+
+    The ratios depend on neither gamma nor SNR, so every point of a gamma
+    grid thresholds the same array; build_roc clears this one-entry memo
+    when it returns, so draws never outlive one curve.
+    """
+    masks = _band_mask_matrix(codebook, layout)
+    dof_wide = 2 * layout.thin_per_wide
+    out = np.empty(trials)
+    lo = 0
+    for rng, m in _mc_chunks(trials, seed):
+        draws = rng.chisquare(dof_wide, size=(m, 2 * layout.groups))
+        in_mask = draws @ masks.T
+        total = draws.sum(axis=1)
+        out[lo : lo + m] = (in_mask / (total[:, None] - in_mask)).max(axis=1)
+        lo += m
+    out.sort()
+    out.flags.writeable = False
+    return out
 
 
 def pf_family_mc(
@@ -314,20 +350,13 @@ def pf_family_mc(
     Per draw the in-band wide-carrier powers are independent chi2(2 alpha)
     and the detector fires when any codeword's in-mask/out-of-mask ratio
     clears gamma/(1-gamma). Returns (estimate, 95% Wilson interval).
+    Consecutive calls with the same codebook, layout, trials and seed
+    threshold one memoized set of draws (see _family_max_ratios).
     """
     t = gamma / (1.0 - gamma)
-    masks = _band_mask_matrix(codebook, layout)
-    dof_wide = 2 * layout.thin_per_wide
-
-    def count(chunks: _Chunks) -> "Iterator[int]":
-        for rng, m in chunks:
-            draws = rng.chisquare(dof_wide, size=(m, 2 * layout.groups))
-            in_mask = draws @ masks.T
-            total = draws.sum(axis=1)
-            ratios = in_mask / (total[:, None] - in_mask)
-            yield int(np.count_nonzero(ratios.max(axis=1) > t))
-
-    return _mc_estimate(trials, seed, count)
+    ratios = _family_max_ratios(codebook, layout, trials, seed)
+    hits = trials - int(np.searchsorted(ratios, t, side="right"))
+    return _wilson(hits, trials)
 
 
 def pf_pairs_bound(
@@ -504,8 +533,8 @@ class RocPoint:
 @dataclass(frozen=True)
 class RocCurve:
     """Operating curve over a gamma grid; pd and pf are each monotone
-    nonincreasing in gamma (enforced; Monte Carlo points share draws across
-    the grid, so the property holds exactly there too)."""
+    nonincreasing in gamma (enforced; Monte Carlo points threshold one
+    shared set of draws, so the property holds there by construction)."""
 
     points: "tuple[RocPoint, ...]"
     trials: int
@@ -533,19 +562,24 @@ def build_roc(
 ) -> RocCurve:
     """Detection curve on a gamma grid: closed-form pd for the transmitted
     codeword plus either closed-form single-codeword pf or, with a codebook
-    and trials, the family false alarm Monte Carlo (same seed at every grid
-    point, hence monotone)."""
+    and trials, the family false alarm Monte Carlo. Every grid point's
+    pf_family_mc call thresholds the same draws, made once per curve and
+    freed before returning, so the Monte Carlo pf is monotone by
+    construction."""
     points = []
-    for gamma in sorted(gammas):
-        pd = pd_single(gamma, model, include_null_noise=include_null_noise)
-        if codebook is not None and trials > 0:
-            pf, ci = pf_family_mc(gamma, codebook, model.layout, trials, seed)
-        else:
-            pf = pf_single(gamma, model.layout, include_null_noise)
-            ci = (pf, pf)
-        # an all-miss Monte Carlo point (pf = 0, CI reaching above it) is
-        # unresolved and flags too; exact points have zero width and never do
-        half_width = (ci[1] - ci[0]) / 2.0
-        flagged = half_width > 0.2 * pf
-        points.append(RocPoint(gamma, pd, pf, ci, flagged))
+    try:
+        for gamma in sorted(gammas):
+            pd = pd_single(gamma, model, include_null_noise=include_null_noise)
+            if codebook is not None and trials > 0:
+                pf, ci = pf_family_mc(gamma, codebook, model.layout, trials, seed)
+            else:
+                pf = pf_single(gamma, model.layout, include_null_noise)
+                ci = (pf, pf)
+            # an all-miss Monte Carlo point (pf = 0, CI reaching above it) is
+            # unresolved and flags too; exact points have zero width and never do
+            half_width = (ci[1] - ci[0]) / 2.0
+            flagged = half_width > 0.2 * pf
+            points.append(RocPoint(gamma, pd, pf, ci, flagged))
+    finally:
+        _family_max_ratios.cache_clear()
     return RocCurve(tuple(points), trials, seed)

@@ -211,11 +211,12 @@ def synthesize_data_interference(
     cp = interference_frame_len(layout) - body_len
     occupied = np.asarray(interference_occupied_carriers(layout))
     amplitude = np.sqrt(total_power / occupied.size)
-    frames = []
-    for _ in range(n_frames):
-        phases = rng.integers(0, 4, occupied.size) * (np.pi / 2) + np.pi / 4
-        spectrum = np.zeros(body_len, dtype=np.complex128)
-        spectrum[occupied] = amplitude * np.exp(1j * phases)
-        body = np.fft.ifft(np.fft.ifftshift(spectrum)) * np.sqrt(body_len)
-        frames.append(np.concatenate([body[-cp:], body]))
-    return IqFrame(np.concatenate(frames))
+    # one row per frame; the symbols are drawn in the same order as a
+    # frame-by-frame loop would draw them
+    symbols = rng.integers(0, 4, (n_frames, occupied.size))
+    phases = symbols * (np.pi / 2) + np.pi / 4
+    spectra = np.zeros((n_frames, body_len), dtype=np.complex128)
+    spectra[:, occupied] = amplitude * np.exp(1j * phases)
+    bodies = np.fft.ifft(np.fft.ifftshift(spectra, axes=1), axis=1)
+    bodies *= np.sqrt(body_len)
+    return IqFrame(np.concatenate([bodies[:, -cp:], bodies], axis=1).ravel())

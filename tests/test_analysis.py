@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+from tagspot import analysis
 from tagspot.analysis import (
     AnalysisModel,
     RocCurve,
@@ -31,9 +33,9 @@ from tagspot.analysis import (
     sweep_active_carriers,
     sweep_argmin,
 )
-from tagspot.carriers import REFERENCE_LAYOUT
+from tagspot.carriers import CarrierLayout, REFERENCE_LAYOUT
 from tagspot.channel import apply_awgn, apply_fading, noise_power_for_snr
-from tagspot.codebook import Codebook, codeword_to_mask
+from tagspot.codebook import Codebook, codeword_to_mask, mask_matrix
 from tagspot.detector import fold_spectrum, tag_strength_banded
 from tagspot.waveform import IqFrame, build_tag_spectrum, synthesize_tag
 
@@ -330,6 +332,90 @@ def test_roc_flags_unresolved_monte_carlo_points(codebook):
     by_gamma = {pt.gamma: pt for pt in curve.points}
     assert not by_gamma[0.45].flagged  # pf near one resolves immediately
     assert by_gamma[0.62].flagged  # pf ~ 1e-7 cannot resolve in 2000 trials
+
+
+def _max_ratios_by_chunk(codebook, layout, trials, seed):
+    """Each chunk's per-draw family max ratios, drawn as pf_family_mc did
+    before the gamma grid shared one draw."""
+    masks = mask_matrix(codebook, layout)[:, np.asarray(layout.band_wide)]
+    masks = masks.astype(np.float64)
+    chunk = analysis._MC_CHUNK
+    for chunk_index, lo in enumerate(range(0, trials, chunk)):
+        m = min(chunk, trials - lo)
+        rng = np.random.default_rng([seed, chunk_index])
+        draws = rng.chisquare(2 * layout.thin_per_wide, size=(m, 2 * layout.groups))
+        in_mask = draws @ masks.T
+        total = draws.sum(axis=1)
+        yield (in_mask / (total[:, None] - in_mask)).max(axis=1)
+
+
+def _pf_family_by_gamma(gamma, codebook, layout, trials, seed):
+    """Oracle: the per-gamma chunk loop, redrawing every chunk."""
+    t = gamma / (1.0 - gamma)
+    hits = sum(
+        int(np.count_nonzero(ratios > t))
+        for ratios in _max_ratios_by_chunk(codebook, layout, trials, seed)
+    )
+    ci = stats.binomtest(hits, trials).proportion_ci(
+        confidence_level=0.95, method="wilson"
+    )
+    return hits / trials, (float(ci.low), float(ci.high))
+
+
+def _tie_gamma(codebook, layout, trials, seed):
+    """A gamma whose threshold t equals one of the drawn ratios exactly."""
+    for ratio in next(_max_ratios_by_chunk(codebook, layout, trials, seed)):
+        gamma = ratio / (1.0 + ratio)
+        if gamma / (1.0 - gamma) == ratio:
+            return float(gamma)
+    raise AssertionError("no drawn ratio round-trips through gamma")
+
+
+# 32 wide carriers of 8 thin bins: 12 two-carrier groups and 8 nulls
+SMALL = CarrierLayout(
+    fft_size=256,
+    wide_total=32,
+    groups=12,
+    null_wide=frozenset({0, 1, 2, 16, 28, 29, 30, 31}),
+)
+SMALL_BOOK = Codebook(
+    "small-12", 12, 1,
+    tuple(format(w, "012b") for w in (0, 0xFFF, 0xA5A, 0x3C3, 0x0F0, 0x555)),
+)
+
+
+@pytest.mark.parametrize(
+    "layout, trials, seed",
+    [
+        (LAY, 5_000, 81),  # one partial chunk
+        (LAY, 70_001, 82),  # two full chunks and a one-draw tail
+        (SMALL, 40_000, 83),
+    ],
+    ids=["below-chunk", "ragged", "32-wide"],
+)
+def test_roc_monte_carlo_matches_the_per_gamma_loop(codebook, layout, trials, seed):
+    book = codebook if layout is LAY else SMALL_BOOK
+    tie = _tie_gamma(book, layout, trials, seed)
+    gammas = sorted([0.45, 0.5, 0.55, 0.58, 0.62, tie])
+    model = AnalysisModel(layout=layout, snr_db=0.0)
+    curve = build_roc(model, gammas, codebook=book, trials=trials, seed=seed)
+    assert analysis._family_max_ratios.cache_info().currsize == 0
+    assert [pt.gamma for pt in curve.points] == gammas
+    for pt in curve.points:
+        want_pf, want_ci = _pf_family_by_gamma(pt.gamma, book, layout, trials, seed)
+        assert pt.pf == want_pf
+        assert pt.pf_ci95 == want_ci
+    # the draw at the tie does not clear its own threshold
+    by_gamma = {pt.gamma: pt for pt in curve.points}
+    just_below = float(np.nextafter(tie, 0.0))
+    assert by_gamma[tie].pf < _pf_family_by_gamma(just_below, book, layout, trials, seed)[0]
+
+
+def test_roc_frees_its_draws_when_a_grid_point_fails(codebook):
+    model = AnalysisModel(snr_db=0.0)
+    with pytest.raises(ValueError):
+        build_roc(model, [0.55, 1.5], codebook=codebook, trials=1_000, seed=84)
+    assert analysis._family_max_ratios.cache_info().currsize == 0
 
 
 def test_roc_curve_rejects_non_monotone_points():

@@ -372,3 +372,16 @@ def test_committed_tables_regenerate_byte_identical(tmp_path, name, argv):
     out = tmp_path / name
     assert cli_main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == (RESULTS / name).read_bytes()
+
+
+def test_curves_regenerate_the_committed_rows(tmp_path):
+    out = tmp_path / "curves.txt"
+    argv = ["curves", "--snr=0,1", "--gamma=0.5,0.55,0.58,0.6,0.62,0.64,0.66,0.7",
+            "--fading", "wideband", "--trials", "200000", "--seed", "20260819",
+            "--out", str(out)]
+    assert cli_main(argv) == 0
+    committed = (RESULTS / "curves-wideband.txt").read_text().splitlines(keepends=True)
+    want = [row for row in committed
+            if row.startswith("#") or row.split()[1] in ("0", "1")]
+    assert len(want) == 9 + 16
+    assert out.read_bytes() == "".join(want).encode()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tagspot.carriers import REFERENCE_LAYOUT
+from tagspot.carriers import CarrierLayout, REFERENCE_LAYOUT
 from tagspot.codebook import codeword_to_mask
 from tagspot.detector import fold_spectrum
 from tagspot.waveform import (
@@ -13,6 +13,7 @@ from tagspot.waveform import (
     TagSpectrum,
     active_thin_bins,
     build_tag_spectrum,
+    interference_frame_len,
     interference_occupied_carriers,
     mean_power,
     papr,
@@ -167,3 +168,40 @@ def test_random_codewords_give_112_distinct_tone_bins(word_int):
     assert np.unique(bins).size == 112
     wides = {LAY.wide_of_thin(int(b)) for b in bins}
     assert wides == set(mask.active)
+
+
+def _interference_by_frame(layout, n_frames, total_power, rng):
+    """Frame-by-frame oracle for synthesize_data_interference."""
+    body_len = layout.wide_total
+    cp = interference_frame_len(layout) - body_len
+    occupied = np.asarray(interference_occupied_carriers(layout))
+    amplitude = np.sqrt(total_power / occupied.size)
+    frames = []
+    for _ in range(n_frames):
+        phases = rng.integers(0, 4, occupied.size) * (np.pi / 2) + np.pi / 4
+        spectrum = np.zeros(body_len, dtype=np.complex128)
+        spectrum[occupied] = amplitude * np.exp(1j * phases)
+        body = np.fft.ifft(np.fft.ifftshift(spectrum)) * np.sqrt(body_len)
+        frames.append(np.concatenate([body[-cp:], body]))
+    return np.concatenate(frames)
+
+
+# 32 wide carriers of 8 thin bins: 12 two-carrier groups and 8 nulls
+SMALL = CarrierLayout(
+    fft_size=256,
+    wide_total=32,
+    groups=12,
+    null_wide=frozenset({0, 1, 2, 16, 28, 29, 30, 31}),
+)
+
+
+@pytest.mark.parametrize("layout", [LAY, SMALL], ids=["reference", "32-wide"])
+@pytest.mark.parametrize("n_frames", [1, 33])
+def test_interference_matches_the_frame_by_frame_loop(layout, n_frames):
+    got_rng, want_rng = np.random.default_rng(71), np.random.default_rng(71)
+    got = synthesize_data_interference(layout, n_frames, 2.5, got_rng)
+    want = _interference_by_frame(layout, n_frames, 2.5, want_rng)
+    assert len(got) == n_frames * interference_frame_len(layout)
+    assert np.array_equal(got.samples, want)
+    # the generator is left where the loop leaves it
+    assert got_rng.integers(0, 2**62) == want_rng.integers(0, 2**62)
