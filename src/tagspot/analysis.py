@@ -30,6 +30,10 @@ All Monte Carlo estimators draw with numpy's seeded Generator in fixed-size
 chunks whose seeds derive from (seed, chunk index); results are therefore
 reproducible and independent of how the chunks would be scheduled. Binomial
 uncertainties are 95% Wilson intervals.
+
+scipy is imported by the functions that use it, on their first call, so
+importing this module (and the CLI, whose spot and calculator commands
+never need scipy) does not pay scipy's start-up time and memory.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy import special, stats
 
 from .carriers import CarrierLayout, REFERENCE_LAYOUT
 from .codebook import Codebook, mask_matrix
@@ -178,6 +181,8 @@ def pf_single(
     """
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie strictly between 0 and 1")
+    from scipy import special
+
     dof_num = 2 * layout.thin_per_wide * layout.groups
     dof_den = _denominator_dof(layout, include_null_noise) - dof_num
     return float(special.betaincc(dof_num / 2, dof_den / 2, gamma))
@@ -198,6 +203,8 @@ def _numerator_mixture(
     positive and sum to 1, so truncating at cumulative mass 1 - 2e-16
     bounds the error at machine level.
     """
+    from scipy import stats
+
     r = model.p_over_n
     base = float(dof_x + dof_y)
     if r == 0:
@@ -231,6 +238,8 @@ def pd_single(
     """
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie strictly between 0 and 1")
+    from scipy import special
+
     lay = model.layout
     dof_x = 2 * lay.active_thin_per_wide * lay.groups
     dof_y = 2 * (lay.thin_per_wide - lay.active_thin_per_wide) * lay.groups
@@ -293,6 +302,8 @@ def _mc_chunks(trials: int, seed: int) -> _Chunks:
 
 def _wilson(hits: int, trials: int) -> "tuple[float, tuple[float, float]]":
     """Hit fraction and its 95% Wilson interval."""
+    from scipy import stats
+
     ci = stats.binomtest(hits, trials).proportion_ci(
         confidence_level=0.95, method="wilson"
     )
@@ -319,9 +330,11 @@ def _family_max_ratios(
     """Each noise-only draw's largest in-mask/out-of-mask ratio over the
     family, sorted ascending and read-only.
 
-    The ratios depend on neither gamma nor SNR, so every point of a gamma
-    grid thresholds the same array; build_roc clears this one-entry memo
-    when it returns, so draws never outlive one curve.
+    The ratios depend on neither gamma nor SNR, so every point of every
+    curve of one `tagspot curves` command thresholds the same array; the
+    command clears this one-entry memo when it ends, so draws never outlive
+    it. Outside the CLI the memo keeps the last draws until a call with
+    other arguments replaces them or the caller clears it.
     """
     masks = _band_mask_matrix(codebook, layout)
     dof_wide = 2 * layout.thin_per_wide
@@ -456,6 +469,8 @@ def sweep_active_carriers(
     """
     if n_carriers < 2:
         raise ValueError("need at least two carriers")
+    from scipy import stats
+
     r = 10.0 ** (snr_db / 10.0)
     points = []
     for q in range(1, n_carriers):
@@ -563,23 +578,21 @@ def build_roc(
     """Detection curve on a gamma grid: closed-form pd for the transmitted
     codeword plus either closed-form single-codeword pf or, with a codebook
     and trials, the family false alarm Monte Carlo. Every grid point's
-    pf_family_mc call thresholds the same draws, made once per curve and
-    freed before returning, so the Monte Carlo pf is monotone by
-    construction."""
+    pf_family_mc call thresholds the same memoized draws, so the Monte
+    Carlo pf is monotone by construction. The draws stay in the memo for
+    the next curve with the same codebook, layout, trials and seed; the
+    caller frees them with _family_max_ratios.cache_clear()."""
     points = []
-    try:
-        for gamma in sorted(gammas):
-            pd = pd_single(gamma, model, include_null_noise=include_null_noise)
-            if codebook is not None and trials > 0:
-                pf, ci = pf_family_mc(gamma, codebook, model.layout, trials, seed)
-            else:
-                pf = pf_single(gamma, model.layout, include_null_noise)
-                ci = (pf, pf)
-            # an all-miss Monte Carlo point (pf = 0, CI reaching above it) is
-            # unresolved and flags too; exact points have zero width and never do
-            half_width = (ci[1] - ci[0]) / 2.0
-            flagged = half_width > 0.2 * pf
-            points.append(RocPoint(gamma, pd, pf, ci, flagged))
-    finally:
-        _family_max_ratios.cache_clear()
+    for gamma in sorted(gammas):
+        pd = pd_single(gamma, model, include_null_noise=include_null_noise)
+        if codebook is not None and trials > 0:
+            pf, ci = pf_family_mc(gamma, codebook, model.layout, trials, seed)
+        else:
+            pf = pf_single(gamma, model.layout, include_null_noise)
+            ci = (pf, pf)
+        # an all-miss Monte Carlo point (pf = 0, CI reaching above it) is
+        # unresolved and flags too; exact points have zero width and never do
+        half_width = (ci[1] - ci[0]) / 2.0
+        flagged = half_width > 0.2 * pf
+        points.append(RocPoint(gamma, pd, pf, ci, flagged))
     return RocCurve(tuple(points), trials, seed)

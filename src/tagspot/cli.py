@@ -25,6 +25,7 @@ import numpy as np
 from .analysis import (
     AnalysisModel,
     FADING_ANALYSIS_MODELS,
+    _family_max_ratios,
     build_roc,
     expected_offset_leak,
     leakage_block,
@@ -363,25 +364,29 @@ def _cmd_curves(args: argparse.Namespace) -> int:
         seed = _require_seed(seed, "Monte Carlo columns are requested")
 
     rows = []
-    for snr_db in snr_grid:
-        model = AnalysisModel(layout=layout, snr_db=float(snr_db), fading=args.fading)
-        curve = build_roc(
-            model,
-            gamma_grid,
-            codebook=codebook if trials > 0 else None,
-            trials=trials,
-            seed=seed if trials > 0 else 0,
-            include_null_noise=include_null,
-        )
-        if trials > 0:
-            pm = pm_mc(float(snr_db), codebook, layout, args.fading, trials, seed)[0]
-        else:
-            pm = float("nan")
-        for pt in curve.points:
-            rows.append(
-                (pt.gamma, float(snr_db), pt.pd, pt.pf, pm, trials,
-                 pt.pf_ci95[0], pt.pf_ci95[1], pt.flagged)
+    try:
+        for snr_db in snr_grid:
+            model = AnalysisModel(layout=layout, snr_db=float(snr_db), fading=args.fading)
+            curve = build_roc(
+                model,
+                gamma_grid,
+                codebook=codebook if trials > 0 else None,
+                trials=trials,
+                seed=seed if trials > 0 else 0,
+                include_null_noise=include_null,
             )
+            if trials > 0:
+                pm = pm_mc(float(snr_db), codebook, layout, args.fading, trials, seed)[0]
+            else:
+                pm = float("nan")
+            for pt in curve.points:
+                rows.append(
+                    (pt.gamma, float(snr_db), pt.pd, pt.pf, pm, trials,
+                     pt.pf_ci95[0], pt.pf_ci95[1], pt.flagged)
+                )
+    finally:
+        # every SNR point thresholded the same family draws; free them once
+        _family_max_ratios.cache_clear()
 
     fields = [
         ("model", args.fading),

@@ -33,6 +33,7 @@ candidates instead of comparing every pair.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,14 @@ class DetectorConfig:
         if self.com_limit is not None:
             return self.com_limit
         return self.layout.wide_total / 8.0
+
+    @functools.cached_property
+    def masks(self) -> np.ndarray:
+        """The codebook's (codewords, wide carriers) masks as floats, built
+        on first use and shared, read-only, by every run with this config."""
+        masks = mask_matrix(self.codebook, self.layout).astype(np.float64)
+        masks.flags.writeable = False
+        return masks
 
 
 @dataclass(frozen=True)
@@ -200,8 +209,13 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
     if len(samples) < n:
         raise ValueError(f"need at least {n} samples, got {len(samples)}")
     stream = samples.samples
-    masks = mask_matrix(config.codebook, layout).astype(np.float64)
+    masks = config.masks
     band = np.asarray(layout.band_wide)
+    band_only = config.denominator == "band"
+    gamma = config.gamma
+    com_bound = config.com_bound
+    gate_db = config.carrier_sense_snr_db
+    smoothing = config.noise_smoothing
     root_n = np.sqrt(n)
     windows_total = (len(stream) - n) // hop + 1
 
@@ -212,10 +226,9 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
         count = min(_CHUNK_WINDOWS, windows_total - first)
         lo = first * hop
         views = sliding_window_view(stream[lo : lo + (count - 1) * hop + n], n)[::hop]
-        powers = np.mean(np.abs(views) ** 2, axis=1)
+        powers = np.mean(np.abs(views) ** 2, axis=1).tolist()
         spectra = np.fft.fft(views, axis=1) / root_n
-        for k in range(count):
-            power = float(powers[k])
+        for k, power in enumerate(powers):
             if noise_estimate is None or noise_estimate == 0:
                 # no floor yet, or a floor seeded by pure silence
                 snr_estimate_db = np.inf
@@ -224,27 +237,23 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
             else:
                 # carrier-sense SNR estimate: interval power over tracked floor
                 snr_estimate_db = 10.0 * np.log10(power / noise_estimate)
-            if snr_estimate_db <= config.carrier_sense_snr_db or power == 0:
+            if snr_estimate_db <= gate_db or power == 0:
                 windows_gated += 1
-                noise_estimate = noise_tracker_update(
-                    noise_estimate, power, config.noise_smoothing
-                )
+                noise_estimate = noise_tracker_update(noise_estimate, power, smoothing)
                 continue
             wide = fold_spectrum(spectra[k], layout)
             numerators = masks @ wide
-            denominator = wide.sum() if config.denominator == "all" else wide[band].sum()
+            denominator = wide[band].sum() if band_only else wide.sum()
             best = int(np.argmax(numerators))
             strength = float(numerators[best] / denominator)
             position, com_ok = center_of_mass(wide, layout)
-            com_ok = abs(position) <= config.com_bound
-            if strength > config.gamma and com_ok:
+            com_ok = abs(position) <= com_bound
+            if strength > gamma and com_ok:
                 candidates.append(
                     (lo + k * hop, best, strength, position, snr_estimate_db)
                 )
             else:
-                noise_estimate = noise_tracker_update(
-                    noise_estimate, power, config.noise_smoothing
-                )
+                noise_estimate = noise_tracker_update(noise_estimate, power, smoothing)
 
     events = tuple(
         DetectionEvent(

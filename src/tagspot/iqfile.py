@@ -3,8 +3,9 @@
 Format: headerless little-endian 32-bit floats, interleaved I then Q per
 sample. Metadata travels in a JSON sidecar at ``<path>.json`` holding the
 sample rate, optionally the carrier layout, and any extra fields the writer
-supplies. Reading a file and writing it back reproduces the bytes exactly;
-note the float32 quantization happens once, on the first write.
+supplies. Reading a file and writing it back reproduces the bytes exactly,
+signed zeros included; note the float32 quantization happens once, on the
+first write.
 """
 
 from __future__ import annotations
@@ -58,10 +59,9 @@ def read_iq(path: "str | Path") -> "tuple[IqFrame, dict]":
         )
     if len(raw) == 0:
         raise ValueError(f"{path}: empty IQ file")
-    interleaved = np.frombuffer(raw, dtype="<f4")
-    samples = interleaved[0::2].astype(np.float64) + 1j * interleaved[1::2].astype(
-        np.float64
-    )
+    # interleaved I/Q float64 pairs are complex128's memory layout: one
+    # upcast copy, no arithmetic, so every value (and -0.0) is kept
+    samples = np.frombuffer(raw, dtype="<f4").astype(np.float64).view(np.complex128)
     meta: dict = {}
     side = sidecar_path(path)
     if side.exists():

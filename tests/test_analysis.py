@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from tagspot import analysis
+from tagspot import analysis, cli
 from tagspot.analysis import (
     AnalysisModel,
     RocCurve,
@@ -398,8 +398,15 @@ def test_roc_monte_carlo_matches_the_per_gamma_loop(codebook, layout, trials, se
     tie = _tie_gamma(book, layout, trials, seed)
     gammas = sorted([0.45, 0.5, 0.55, 0.58, 0.62, tie])
     model = AnalysisModel(layout=layout, snr_db=0.0)
+    memo = analysis._family_max_ratios
+    memo.cache_clear()
     curve = build_roc(model, gammas, codebook=book, trials=trials, seed=seed)
-    assert analysis._family_max_ratios.cache_info().currsize == 0
+    # one draw for the whole grid, kept for the caller's next curve
+    info = memo.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, len(gammas) - 1, 1)
+    memo(book, layout, trials, seed)
+    assert memo.cache_info().misses == 1
+    memo.cache_clear()
     assert [pt.gamma for pt in curve.points] == gammas
     for pt in curve.points:
         want_pf, want_ci = _pf_family_by_gamma(pt.gamma, book, layout, trials, seed)
@@ -411,11 +418,30 @@ def test_roc_monte_carlo_matches_the_per_gamma_loop(codebook, layout, trials, se
     assert by_gamma[tie].pf < _pf_family_by_gamma(just_below, book, layout, trials, seed)[0]
 
 
-def test_roc_frees_its_draws_when_a_grid_point_fails(codebook):
-    model = AnalysisModel(snr_db=0.0)
-    with pytest.raises(ValueError):
-        build_roc(model, [0.55, 1.5], codebook=codebook, trials=1_000, seed=84)
-    assert analysis._family_max_ratios.cache_info().currsize == 0
+@pytest.mark.parametrize(
+    "gammas, code",
+    [("0.55,0.62", 0), ("0.55,1.5", 1)],
+    ids=["returns", "bad-gamma"],
+)
+def test_curves_draws_the_family_once_and_frees_it(tmp_path, monkeypatch, gammas, code):
+    memo = analysis._family_max_ratios
+    memo.cache_clear()
+    seen = []
+
+    def observed(gamma, *key):
+        result = pf_family_mc(gamma, *key)
+        seen.append(memo(*key))  # a hit returns the very array drawn
+        return result
+
+    monkeypatch.setattr(analysis, "pf_family_mc", observed)
+    argv = ["curves", "--snr=0,1,2", f"--gamma={gammas}", "--trials", "1000",
+            "--seed", "84", "--out", str(tmp_path / "curves.txt")]
+    assert cli.main(argv) == code
+    # the draw made at the first grid point serves every SNR point
+    calls = 3 * 2 if code == 0 else 1
+    assert len(seen) == calls
+    assert all(ratios is seen[0] for ratios in seen)
+    assert memo.cache_info().currsize == 0
 
 
 def test_roc_curve_rejects_non_monotone_points():

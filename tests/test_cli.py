@@ -1,11 +1,15 @@
 """Command-line interface: workflows, config documents, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tagspot
 from tagspot.analysis import AnalysisModel, pd_single, pf_single
 from tagspot.carriers import REFERENCE_LAYOUT
 from tagspot.channel import noise_power_for_snr
@@ -385,3 +389,48 @@ def test_curves_regenerate_the_committed_rows(tmp_path):
             if row.startswith("#") or row.split()[1] in ("0", "1")]
     assert len(want) == 9 + 16
     assert out.read_bytes() == "".join(want).encode()
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+import tagspot.cli as cli
+
+def run(*argv):
+    code = cli.main(list(argv))
+    return code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+workdir = sys.argv[1]
+tag, noisy = workdir + "/tag.iq", workdir + "/noisy.iq"
+steps = [
+    run("modulate", "--word", "4", "--seed", "9", "--out", tag),
+    run("impair", "--in", tag, "--snr", "3", "--seed", "10", "--out", noisy),
+    run("spot", "--in", noisy, "--out", workdir + "/events.txt"),
+    run("range", "--out", workdir + "/range.txt"),
+    run("overhead", "--out", workdir + "/overhead.txt"),
+    run("codebook-verify"),
+    run("curves", "--snr", "0", "--gamma", "0.55,0.62", "--trials", "500",
+        "--seed", "13", "--out", workdir + "/curves.txt"),
+]
+print(json.dumps(steps))
+"""
+
+
+def test_spot_and_calculator_commands_do_not_load_scipy(tmp_path):
+    """spot and the commands that need no statistics start without scipy,
+    and curves loads it on first use with unchanged rows."""
+    src = str(Path(tagspot.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    assert [code for code, _ in steps] == [0] * 7
+    assert all(loaded == [] for _, loaded in steps[:-1])
+    assert "scipy.stats" in steps[-1][1]
+    # the same bytes as the same curves command run in this process
+    out = tmp_path / "curves-here.txt"
+    assert cli_main(["curves", "--snr", "0", "--gamma", "0.55,0.62", "--trials",
+                     "500", "--seed", "13", "--out", str(out)]) == 0
+    assert (tmp_path / "curves.txt").read_bytes() == out.read_bytes()
+    assert parse_events((tmp_path / "events.txt").read_text())[0].codeword_index == 4

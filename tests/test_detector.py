@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from tagspot import detector
 from tagspot.carriers import REFERENCE_LAYOUT, WideCarrierMask
 from tagspot.channel import apply_awgn, mix, noise_power_for_snr
-from tagspot.codebook import codeword_to_mask, generate_fallback_family
+from tagspot.codebook import codeword_to_mask, generate_fallback_family, mask_matrix
 from tagspot.detector import (
     DetectionEvent,
     DetectorConfig,
@@ -166,6 +167,25 @@ def test_band_denominator_reads_higher_than_all(codebook):
     assert len(banded) == 1 and len(allwide) == 1
     # null carriers only ever add noise to the denominator
     assert banded[0].strength > allwide[0].strength
+
+
+def test_config_builds_its_masks_once(codebook, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mask_matrix(*args)
+
+    monkeypatch.setattr(detector, "mask_matrix", counted)
+    cfg = DetectorConfig(layout=LAY, codebook=codebook)
+    stream = _stream_with_tag(codebook, 7, 300, 6.0, seed=8)
+    first = spot(stream, cfg)
+    assert spot(stream, cfg) == first
+    assert len(calls) == 1
+    assert cfg.masks is cfg.masks and not cfg.masks.flags.writeable
+    assert np.array_equal(cfg.masks, mask_matrix(codebook, LAY))
+    with pytest.raises(ValueError):
+        cfg.masks[0, 0] = 1.0
 
 
 def test_spot_rejects_short_streams(codebook):

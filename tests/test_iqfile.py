@@ -71,3 +71,36 @@ def test_read_rejects_ragged_or_empty_files(tmp_path):
     empty.write_bytes(b"")
     with pytest.raises(ValueError):
         read_iq(empty)
+
+
+# signed zeros, float32 subnormals and values near the float32 limit
+_EDGE_PAIRS = [
+    (-0.0, 1.5), (2.0, -0.0), (-0.0, -0.0), (0.0, 0.0),
+    (1e-45, -1e-45), (-1.2e-38, 3e-39), (3e38, -3e38), (-3e38, 3e38),
+]
+
+
+def _write_raw(path, pairs):
+    path.write_bytes(np.asarray(pairs, dtype="<f4").tobytes())
+
+
+def test_read_matches_the_componentwise_sum(tmp_path):
+    path = tmp_path / "edge.iq"
+    _write_raw(path, _EDGE_PAIRS)
+    interleaved = np.frombuffer(path.read_bytes(), dtype="<f4")
+    # oracle: how read_iq assembled the samples before, up to signed zeros
+    expected = interleaved[0::2].astype(np.float64) + 1j * interleaved[1::2].astype(
+        np.float64
+    )
+    back, _ = read_iq(path)
+    assert back.samples.dtype == np.complex128
+    assert np.array_equal(back.samples, expected)
+
+
+def test_rewrite_keeps_signed_zeros_and_extremes(tmp_path):
+    first, second = tmp_path / "a.iq", tmp_path / "b.iq"
+    _write_raw(first, _EDGE_PAIRS)
+    back, _ = read_iq(first)
+    write_iq(second, back)
+    assert second.read_bytes() == first.read_bytes()
+    assert np.signbit(back.samples.real[0]) and np.signbit(back.samples.imag[1])
