@@ -17,11 +17,11 @@ so with r = p/n (per-tone signal power over per-bin noise power),
     sum(R) ~ chi2(2 alpha c)
 
 and a detection fires when (P+Q)/(P+Q+R) exceeds gamma, equivalently
-(P+Q)/R > gamma/(1-gamma). The "include_null_noise" switches add the null
+(P+Q)/R > gamma/(1-gamma). The `denominator` argument names the strength
+convention as DetectorConfig does (see carriers): "all" adds the null
 carriers' noise (chi2 with 2*alpha*len(null_wide) degrees of freedom) to
-the denominator, modeling the strength convention that divides by all wide
-carriers rather than band-only ones; both conventions are exposed so their
-gap is measured rather than assumed away.
+R, "band" leaves it out. Both conventions are modeled, so their gap is
+measured rather than assumed away.
 
 SNR follows the channel convention SNR = beta p / (alpha n), so
 r = (alpha/beta) * 10^(snr_db/10).
@@ -158,17 +158,14 @@ def expected_offset_leak(
 # single-tag closed forms
 
 
-def _denominator_dof(layout: CarrierLayout, include_null_noise: bool) -> int:
-    dof = 2 * layout.thin_per_wide * 2 * layout.groups
-    if include_null_noise:
-        dof += 2 * layout.thin_per_wide * len(layout.null_wide)
-    return dof
+def _denominator_dof(layout: CarrierLayout, denominator: str) -> int:
+    return 2 * layout.thin_per_wide * len(layout.denominator_wide(denominator))
 
 
 def pf_single(
     gamma: float,
     layout: CarrierLayout = REFERENCE_LAYOUT,
-    include_null_noise: bool = False,
+    denominator: str = "band",
 ) -> float:
     """Per-interval false alarm probability for one codeword.
 
@@ -184,7 +181,7 @@ def pf_single(
     from scipy import special
 
     dof_num = 2 * layout.thin_per_wide * layout.groups
-    dof_den = _denominator_dof(layout, include_null_noise) - dof_num
+    dof_den = _denominator_dof(layout, denominator) - dof_num
     return float(special.betaincc(dof_num / 2, dof_den / 2, gamma))
 
 
@@ -224,7 +221,7 @@ def _numerator_mixture(
 def pd_single(
     gamma: float,
     model: AnalysisModel,
-    include_null_noise: bool = False,
+    denominator: str = "band",
 ) -> float:
     """Per-interval detection probability for the transmitted codeword.
 
@@ -243,7 +240,7 @@ def pd_single(
     lay = model.layout
     dof_x = 2 * lay.active_thin_per_wide * lay.groups
     dof_y = 2 * (lay.thin_per_wide - lay.active_thin_per_wide) * lay.groups
-    dof_z = _denominator_dof(lay, include_null_noise) - dof_x - dof_y
+    dof_z = _denominator_dof(lay, denominator) - dof_x - dof_y
     weights, dofs = _numerator_mixture(model, dof_x, dof_y)
     tails = special.betaincc(dofs / 2.0, dof_z / 2.0, gamma)
     # rounding in the mixture can overshoot 1 by a few ulp-scale terms
@@ -253,23 +250,23 @@ def pd_single(
 def gamma_equivalent_snr_db(
     gamma: float,
     layout: CarrierLayout = REFERENCE_LAYOUT,
-    include_null_noise: bool = True,
+    denominator: str = "all",
 ) -> float:
     """SNR at which the expected tag strength equals gamma, treating every
     bin as carrying its mean power (the naive equal-noise-per-bin balance):
 
         gamma = (beta c r + alpha c) / (beta c r + D)
 
-    where D counts the denominator's noise bins (all fft_size bins for the
-    all-carrier strength convention, the in-band ones otherwise). Solved
-    for r = p/n and converted through SNR = beta p / (alpha n).
+    where D counts the thin bins of the denominator carriers (all fft_size
+    bins under "all", the in-band ones under "band"). Solved for r = p/n
+    and converted through SNR = beta p / (alpha n).
     """
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie strictly between 0 and 1")
     lay = layout
     beta_c = lay.active_thin_per_wide * lay.groups
     alpha_c = lay.thin_per_wide * lay.groups
-    d_bins = lay.fft_size if include_null_noise else 2 * alpha_c
+    d_bins = lay.thin_per_wide * len(lay.denominator_wide(denominator))
     r = (gamma * d_bins - alpha_c) / (beta_c * (1.0 - gamma))
     if r <= 0:
         raise ValueError(
@@ -325,10 +322,13 @@ def _mc_estimate(
 
 @functools.lru_cache(maxsize=1)
 def _family_max_ratios(
-    codebook: Codebook, layout: CarrierLayout, trials: int, seed: int
+    codebook: Codebook, layout: CarrierLayout, trials: int, seed: int, denominator: str
 ) -> np.ndarray:
     """Each noise-only draw's largest in-mask/out-of-mask ratio over the
     family, sorted ascending and read-only.
+
+    Under "all" each chunk adds the null carriers' summed power, one more
+    chi-square drawn after the band's, so "band" keeps the same draws.
 
     The ratios depend on neither gamma nor SNR, so every point of every
     curve of one `tagspot curves` command thresholds the same array; the
@@ -336,14 +336,17 @@ def _family_max_ratios(
     it. Outside the CLI the memo keeps the last draws until a call with
     other arguments replaces them or the caller clears it.
     """
-    masks = _band_mask_matrix(codebook, layout)
     dof_wide = 2 * layout.thin_per_wide
+    dof_extra = dof_wide * (len(layout.denominator_wide(denominator)) - 2 * layout.groups)
+    masks = _band_mask_matrix(codebook, layout)
     out = np.empty(trials)
     lo = 0
     for rng, m in _mc_chunks(trials, seed):
         draws = rng.chisquare(dof_wide, size=(m, 2 * layout.groups))
         in_mask = draws @ masks.T
         total = draws.sum(axis=1)
+        if dof_extra:
+            total += rng.chisquare(dof_extra, size=m)
         out[lo : lo + m] = (in_mask / (total[:, None] - in_mask)).max(axis=1)
         lo += m
     out.sort()
@@ -357,17 +360,18 @@ def pf_family_mc(
     layout: CarrierLayout,
     trials: int,
     seed: int,
+    denominator: str = "band",
 ) -> "tuple[float, tuple[float, float]]":
     """Noise-only false alarm probability of the whole family.
 
-    Per draw the in-band wide-carrier powers are independent chi2(2 alpha)
-    and the detector fires when any codeword's in-mask/out-of-mask ratio
-    clears gamma/(1-gamma). Returns (estimate, 95% Wilson interval).
-    Consecutive calls with the same codebook, layout, trials and seed
+    Per draw the wide-carrier powers are independent chi2(2 alpha) and the
+    detector fires when any codeword's in-mask/out-of-mask ratio under the
+    convention clears gamma/(1-gamma). Returns (estimate, 95% Wilson
+    interval). Consecutive calls with the same arguments but gamma
     threshold one memoized set of draws (see _family_max_ratios).
     """
     t = gamma / (1.0 - gamma)
-    ratios = _family_max_ratios(codebook, layout, trials, seed)
+    ratios = _family_max_ratios(codebook, layout, trials, seed, denominator)
     hits = trials - int(np.searchsorted(ratios, t, side="right"))
     return _wilson(hits, trials)
 
@@ -381,7 +385,8 @@ def pf_pairs_bound(
     """False alarm probability of the full exponential-size code: per group
     take the stronger carrier into the numerator and the weaker into the
     denominator. Upper-bounds pf_family_mc for every codebook, draw by draw
-    when run with the same seed and trial count (the draws coincide)."""
+    when run with the same seed and trial count (the draws coincide). Only
+    the "band" convention is modeled; no caller needs "all"."""
     t = gamma / (1.0 - gamma)
     dof_wide = 2 * layout.thin_per_wide
 
@@ -573,7 +578,7 @@ def build_roc(
     codebook: "Codebook | None" = None,
     trials: int = 0,
     seed: int = 0,
-    include_null_noise: bool = False,
+    denominator: str = "band",
 ) -> RocCurve:
     """Detection curve on a gamma grid: closed-form pd for the transmitted
     codeword plus either closed-form single-codeword pf or, with a codebook
@@ -584,11 +589,11 @@ def build_roc(
     caller frees them with _family_max_ratios.cache_clear()."""
     points = []
     for gamma in sorted(gammas):
-        pd = pd_single(gamma, model, include_null_noise=include_null_noise)
+        pd = pd_single(gamma, model, denominator)
         if codebook is not None and trials > 0:
-            pf, ci = pf_family_mc(gamma, codebook, model.layout, trials, seed)
+            pf, ci = pf_family_mc(gamma, codebook, model.layout, trials, seed, denominator)
         else:
-            pf = pf_single(gamma, model.layout, include_null_noise)
+            pf = pf_single(gamma, model.layout, denominator)
             ci = (pf, pf)
         # an all-miss Monte Carlo point (pf = 0, CI reaching above it) is
         # unresolved and flags too; exact points have zero width and never do

@@ -11,11 +11,17 @@ permanently silent (the DC carrier plus guard bands at both spectrum edges,
 mirroring common OFDM practice); the remaining ones are paired into groups
 of two adjacent carriers, and a transmitted tag activates exactly one
 carrier of every group.
+
+A strength convention names the carriers that divide a tag strength: "band"
+the non-null ones, "all" every wide carrier. Only
+CarrierLayout.denominator_wide maps a name to its carriers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+STRENGTH_DENOMINATORS = ("band", "all")
 
 
 @dataclass(frozen=True)
@@ -83,6 +89,17 @@ class CarrierLayout:
     def band_wide(self) -> tuple[int, ...]:
         """Non-null wide carrier indices in ascending frequency order."""
         return tuple(w for w in range(self.wide_total) if w not in self.null_wide)
+
+    def denominator_wide(self, denominator: str) -> tuple[int, ...]:
+        """Wide carriers whose power divides a tag strength under the named
+        convention; both conventions contain the whole band."""
+        if denominator == "band":
+            return self.band_wide
+        if denominator == "all":
+            return tuple(range(self.wide_total))
+        raise ValueError(
+            f"denominator must be one of {STRENGTH_DENOMINATORS}, got {denominator!r}"
+        )
 
     @property
     def group_map(self) -> tuple[tuple[int, int], ...]:

@@ -37,10 +37,10 @@ from .analysis import (
     sweep_active_carriers,
     sweep_argmin,
 )
-from .carriers import CarrierLayout, REFERENCE_LAYOUT, layout_from_dict
+from .carriers import CarrierLayout, REFERENCE_LAYOUT, STRENGTH_DENOMINATORS, layout_from_dict
 from .channel import FADING_MODELS, apply_awgn, apply_cfo, apply_fading, gain_for_sir, mix, noise_power_for_snr
 from .codebook import Codebook, CodebookError, builtin_codebook, codeword_to_mask, load_codebook, verify_min_distance
-from .detector import DetectorConfig, STRENGTH_DENOMINATORS, serialize_events, spot_report
+from .detector import DetectorConfig, serialize_events, spot_report
 from .iqfile import layout_from_metadata, read_iq, write_iq
 from .waveform import (
     IqFrame,
@@ -358,7 +358,8 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     snr_grid = _parse_grid(args.snr, "snr")
     gamma_grid = sorted(_parse_grid(args.gamma, "gamma"))
     trials = int(args.trials)
-    include_null = bool(args.include_null_noise)
+    # --include-null-noise is this command's spelling of denominator="all"
+    denominator = "all" if args.include_null_noise else "band"
     seed = args.seed
     if trials > 0:
         seed = _require_seed(seed, "Monte Carlo columns are requested")
@@ -373,7 +374,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
                 codebook=codebook if trials > 0 else None,
                 trials=trials,
                 seed=seed if trials > 0 else 0,
-                include_null_noise=include_null,
+                denominator=denominator,
             )
             if trials > 0:
                 pm = pm_mc(float(snr_db), codebook, layout, args.fading, trials, seed)[0]
@@ -392,7 +393,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
         ("model", args.fading),
         ("codebook", codebook.name),
         ("layout", _layout_summary(layout)),
-        ("include_null_noise", include_null),
+        ("include_null_noise", denominator == "all"),
         ("trials", trials),
         ("seed", "none" if seed is None else seed),
     ]

@@ -13,12 +13,11 @@ a valid center of mass. A candidate becomes an event only when no
 overlapping interval produced a candidate of strictly larger strength
 (ties resolve to the earliest interval, then the lowest codeword index).
 
-Two denominator conventions exist for the strength ratio and both are
-implemented: "all" divides by the power in all wide carriers, "band"
-divides by the non-null carriers only. The null carriers contribute pure
-noise to the ratio, so "band" reaches a given detection probability at a
-lower SNR; it is the operational default. The analysis module quantifies
-the gap between the two conventions.
+DetectorConfig.denominator names the strength convention (see carriers):
+"band" divides in-mask power by the non-null carriers' power, "all" by
+every wide carrier's. The null carriers contribute pure noise to the ratio,
+so "band" reaches a given detection probability at a lower SNR; it is the
+operational default. The analysis module models both under the same name.
 
 Cost is linear in the stream. The front end takes the windows in chunks of
 _CHUNK_WINDOWS: one strided view, one vectorized power pass and one batched
@@ -39,11 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .carriers import CarrierLayout, WideCarrierMask
+from .carriers import CarrierLayout
 from .codebook import Codebook, mask_matrix
 from .waveform import IqFrame
-
-STRENGTH_DENOMINATORS = ("band", "all")
 
 #: Windows per batched power and FFT pass in spot_report. It bounds the
 #: working set to _CHUNK_WINDOWS * fft_size complex samples whatever the
@@ -66,13 +63,9 @@ class DetectorConfig:
             raise ValueError("gamma must lie strictly between 0 and 1")
         if not 0 < self.noise_smoothing <= 1:
             raise ValueError("noise_smoothing must lie in (0, 1]")
-        if self.denominator not in STRENGTH_DENOMINATORS:
-            raise ValueError(
-                f"denominator must be one of {STRENGTH_DENOMINATORS}, "
-                f"got {self.denominator!r}"
-            )
         if self.codebook.word_length != self.layout.groups:
             raise ValueError("codebook word length does not match layout groups")
+        self.layout.denominator_wide(self.denominator)  # rejects unknown names
 
     @property
     def com_bound(self) -> float:
@@ -87,6 +80,13 @@ class DetectorConfig:
         masks = mask_matrix(self.codebook, self.layout).astype(np.float64)
         masks.flags.writeable = False
         return masks
+
+    @functools.cached_property
+    def denominator_wide(self) -> np.ndarray:
+        """The denominator carriers of this config's convention, read-only."""
+        carriers = np.asarray(self.layout.denominator_wide(self.denominator))
+        carriers.flags.writeable = False
+        return carriers
 
 
 @dataclass(frozen=True)
@@ -134,45 +134,24 @@ def fold_spectrum(fft_bins: np.ndarray, layout: CarrierLayout) -> np.ndarray:
     return ascending.reshape(layout.wide_total, layout.thin_per_wide).sum(axis=1)
 
 
-def tag_strength(wide_powers: np.ndarray, mask: WideCarrierMask) -> float:
-    """In-mask power over total power across ALL wide carriers."""
-    powers = np.asarray(wide_powers, dtype=np.float64)
-    if np.any(powers < 0):
-        raise ValueError("powers must be nonnegative")
-    total = powers.sum()
-    if total == 0:
-        raise ValueError("tag strength undefined for all-zero powers")
-    return float(powers[list(mask.sorted_indices())].sum() / total)
+def strengths(wide: np.ndarray, config: DetectorConfig) -> np.ndarray:
+    """Every codeword's tag strength for one window's wide-carrier powers
+    under the config's convention. Masks lie in the band, so a window with
+    no power in the denominator carriers scores 0 for every codeword."""
+    numerators = config.masks @ wide
+    denominator = wide[config.denominator_wide].sum()
+    return numerators / denominator if denominator > 0 else numerators
 
 
-def tag_strength_banded(
-    wide_powers: np.ndarray, mask: WideCarrierMask, layout: CarrierLayout
-) -> float:
-    """In-mask power over the power in non-null carriers only."""
-    powers = np.asarray(wide_powers, dtype=np.float64)
-    if np.any(powers < 0):
-        raise ValueError("powers must be nonnegative")
-    total = powers[list(layout.band_wide)].sum()
-    if total == 0:
-        raise ValueError("tag strength undefined for all-zero powers")
-    return float(powers[list(mask.sorted_indices())].sum() / total)
-
-
-def center_of_mass(
-    wide_powers: np.ndarray, layout: CarrierLayout
-) -> "tuple[float, bool]":
+def center_of_mass(wide_powers: np.ndarray, layout: CarrierLayout) -> float:
     """Power-weighted mean carrier position, centered on the band midpoint.
-
-    Valid when the position lies in the central quarter of the band,
-    |position| <= wide_total / 8.
-    """
+    The spotter accepts a candidate only within DetectorConfig.com_bound."""
     powers = np.asarray(wide_powers, dtype=np.float64)
     total = powers.sum()
     if total == 0:
         raise ValueError("center of mass undefined for all-zero powers")
     centered = np.arange(layout.wide_total) - (layout.wide_total - 1) / 2.0
-    position = float((centered * powers).sum() / total)
-    return position, abs(position) <= layout.wide_total / 8.0
+    return float((centered * powers).sum() / total)
 
 
 def noise_tracker_update(
@@ -209,9 +188,6 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
     if len(samples) < n:
         raise ValueError(f"need at least {n} samples, got {len(samples)}")
     stream = samples.samples
-    masks = config.masks
-    band = np.asarray(layout.band_wide)
-    band_only = config.denominator == "band"
     gamma = config.gamma
     com_bound = config.com_bound
     gate_db = config.carrier_sense_snr_db
@@ -242,13 +218,11 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
                 noise_estimate = noise_tracker_update(noise_estimate, power, smoothing)
                 continue
             wide = fold_spectrum(spectra[k], layout)
-            numerators = masks @ wide
-            denominator = wide[band].sum() if band_only else wide.sum()
-            best = int(np.argmax(numerators))
-            strength = float(numerators[best] / denominator)
-            position, com_ok = center_of_mass(wide, layout)
-            com_ok = abs(position) <= com_bound
-            if strength > gamma and com_ok:
+            scores = strengths(wide, config)
+            best = int(np.argmax(scores))
+            strength = float(scores[best])
+            position = center_of_mass(wide, layout)
+            if strength > gamma and abs(position) <= com_bound:
                 candidates.append(
                     (lo + k * hop, best, strength, position, snr_estimate_db)
                 )

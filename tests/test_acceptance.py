@@ -32,7 +32,7 @@ from tagspot.carriers import REFERENCE_LAYOUT
 from tagspot.channel import apply_awgn, apply_cfo, apply_fading, mix, noise_power_for_snr
 from tagspot.cli import main as cli_main
 from tagspot.codebook import Codebook, codeword_to_mask
-from tagspot.detector import DetectorConfig, fold_spectrum, spot, tag_strength
+from tagspot.detector import DetectorConfig, fold_spectrum, spot, strengths
 from tagspot.waveform import (
     IqFrame,
     build_tag_spectrum,
@@ -224,7 +224,8 @@ def test_criterion_10_property_suite(tmp_path, codebook):
 
     # tag strength is exactly invariant under power-of-two scaling
     powers = np.random.default_rng(90).chisquare(16, size=LAY.wide_total)
-    assert tag_strength(4.0 * powers, mask) == tag_strength(powers, mask)
+    config = DetectorConfig(layout=LAY, codebook=codebook, denominator="all")
+    assert np.array_equal(strengths(4.0 * powers, config), strengths(powers, config))
 
     # folding conserves power
     bins = rng.normal(size=LAY.fft_size) + 1j * rng.normal(size=LAY.fft_size)

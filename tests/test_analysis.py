@@ -36,7 +36,7 @@ from tagspot.analysis import (
 from tagspot.carriers import CarrierLayout, REFERENCE_LAYOUT
 from tagspot.channel import apply_awgn, apply_fading, noise_power_for_snr
 from tagspot.codebook import Codebook, codeword_to_mask, mask_matrix
-from tagspot.detector import fold_spectrum, tag_strength_banded
+from tagspot.detector import DetectorConfig, fold_spectrum, strengths
 from tagspot.waveform import IqFrame, build_tag_spectrum, synthesize_tag
 
 LAY = REFERENCE_LAYOUT
@@ -97,7 +97,7 @@ def test_pf_single_pins():
     # the band statistic is Beta(224, 224), symmetric about one half
     assert pf_single(0.5) == 0.5
     # null-carrier noise only ever dilutes the ratio
-    assert pf_single(0.55, include_null_noise=True) < pf_single(0.55)
+    assert pf_single(0.55, denominator="all") < pf_single(0.55)
     with pytest.raises(ValueError):
         pf_single(0.0)
 
@@ -107,7 +107,7 @@ def test_pd_single_pins():
     wide0 = AnalysisModel(snr_db=0.0, fading="wideband")
     narrow0 = AnalysisModel(snr_db=0.0, fading="narrowband")
     assert pd_single(0.62, wide1) == pytest.approx(0.9992694989, abs=1e-9)
-    assert pd_single(0.62, wide1, include_null_noise=True) == pytest.approx(
+    assert pd_single(0.62, wide1, denominator="all") == pytest.approx(
         0.7748949290, abs=1e-9
     )
     assert pd_single(0.62, wide0) == pytest.approx(0.9784062051, abs=1e-9)
@@ -120,8 +120,8 @@ def test_pd_reduces_to_pf_without_signal():
         assert model.p_over_n == 0.0
         for gamma in (0.45, 0.5, 0.55, 0.62):
             assert pd_single(gamma, model) == pf_single(gamma)
-            assert pd_single(gamma, model, include_null_noise=True) == pf_single(
-                gamma, include_null_noise=True
+            assert pd_single(gamma, model, denominator="all") == pf_single(
+                gamma, denominator="all"
             )
 
 
@@ -149,7 +149,7 @@ def test_gamma_equivalent_snr_pin_and_baseline_guard():
     with pytest.raises(ValueError):
         gamma_equivalent_snr_db(0.4375)
     with pytest.raises(ValueError):
-        gamma_equivalent_snr_db(0.5, include_null_noise=False)
+        gamma_equivalent_snr_db(0.5, denominator="band")
 
 
 def test_analysis_model_validation():
@@ -164,11 +164,13 @@ def test_analysis_model_validation():
 # closed forms against the waveform chain
 
 _CHANNEL_FADING = {"wideband": "wideband-rayleigh", "narrowband": "narrowband"}
+_WORD = "01" * 14
+_WORD_CONFIG = DetectorConfig(layout=LAY, codebook=Codebook("one-word", 28, 13, (_WORD,)))
 
 
 def _window_strength_sim(snr_db, fading, trials, seed):
     """Single aligned-window banded strengths through the full waveform path."""
-    mask = codeword_to_mask("01" * 14, LAY)
+    mask = codeword_to_mask(_WORD, LAY)
     power = float(LAY.active_thin_per_wide * LAY.groups)  # per-tone power 1
     n = noise_power_for_snr(snr_db, 1.0, LAY)
     root = np.sqrt(LAY.fft_size)
@@ -182,12 +184,11 @@ def _window_strength_sim(snr_db, fading, trials, seed):
         noisy = apply_awgn(frame, n, rng)
         body = noisy.samples[LAY.cp_len :]
         wide = fold_spectrum(np.fft.fft(body) / root, LAY)
-        out[i] = tag_strength_banded(wide, mask, LAY)
+        out[i] = strengths(wide, _WORD_CONFIG)[0]
     return out
 
 
 def _noise_strength_sim(trials, seed):
-    mask = codeword_to_mask("01" * 14, LAY)
     root = np.sqrt(LAY.fft_size)
     rng = np.random.default_rng(seed)
     out = np.empty(trials)
@@ -195,7 +196,7 @@ def _noise_strength_sim(trials, seed):
         noise = rng.normal(scale=np.sqrt(0.5), size=(LAY.fft_size, 2))
         window = noise[:, 0] + 1j * noise[:, 1]
         wide = fold_spectrum(np.fft.fft(window) / root, LAY)
-        out[i] = tag_strength_banded(wide, mask, LAY)
+        out[i] = strengths(wide, _WORD_CONFIG)[0]
     return out
 
 
@@ -230,6 +231,40 @@ def test_single_word_family_matches_closed_form(codebook):
     sigma = math.sqrt(closed * (1 - closed) / trials)
     assert abs(estimate - closed) <= 3 * sigma
     assert ci[0] <= estimate <= ci[1]
+
+
+def test_single_word_family_matches_closed_form_under_all(codebook):
+    single = _single_word_family(codebook)
+    trials = 200_000
+    for gamma in (0.45, 0.48, 0.5):
+        estimate, _ = pf_family_mc(gamma, single, LAY, trials, 69, "all")
+        closed = pf_single(gamma, denominator="all")
+        sigma = math.sqrt(closed * (1 - closed) / trials)
+        assert abs(estimate - closed) <= 3 * sigma, (gamma, estimate, closed)
+    # "all" adds the null carriers' power to the same band draws, which
+    # only lowers each draw's ratio
+    band = analysis._family_max_ratios(single, LAY, trials, 69, "band")
+    assert np.all(band >= analysis._family_max_ratios(single, LAY, trials, 69, "all"))
+    analysis._family_max_ratios.cache_clear()
+
+
+@pytest.mark.parametrize("name", ["Band", "mask"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda book, name: DetectorConfig(layout=LAY, codebook=book, denominator=name),
+        lambda book, name: pf_single(0.55, LAY, name),
+        lambda book, name: pd_single(0.55, AnalysisModel(), name),
+        lambda book, name: gamma_equivalent_snr_db(0.62, LAY, name),
+        lambda book, name: build_roc(AnalysisModel(), [0.55], denominator=name),
+        lambda book, name: pf_family_mc(0.55, book, LAY, 100, 0, name),
+    ],
+    ids=["DetectorConfig", "pf_single", "pd_single", "gamma_equivalent_snr_db",
+         "build_roc", "pf_family_mc"],
+)
+def test_unknown_strength_convention_is_rejected(codebook, call, name):
+    with pytest.raises(ValueError, match="denominator must be one of"):
+        call(codebook, name)
 
 
 def test_family_pf_grows_with_size_and_pairs_bound_dominates(codebook):
@@ -404,7 +439,7 @@ def test_roc_monte_carlo_matches_the_per_gamma_loop(codebook, layout, trials, se
     # one draw for the whole grid, kept for the caller's next curve
     info = memo.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, len(gammas) - 1, 1)
-    memo(book, layout, trials, seed)
+    memo(book, layout, trials, seed, "band")
     assert memo.cache_info().misses == 1
     memo.cache_clear()
     assert [pt.gamma for pt in curve.points] == gammas

@@ -212,6 +212,27 @@ def test_curves_monte_carlo_rerun_is_byte_identical(tmp_path):
     assert "# seed: 13" in first.read_text()
 
 
+def test_curves_include_null_noise_draws_the_all_carrier_monte_carlo(tmp_path):
+    book = tmp_path / "one-word.txt"
+    book.write_text("name: one-word\nword_length: 28\nmin_distance: 13\n" + "01" * 14 + "\n")
+    out = tmp_path / "curves.txt"
+    trials = 20_000
+    assert cli_main(["curves", "--include-null-noise", "--gamma", "0.45,0.48",
+                     "--trials", str(trials), "--seed", "3", "--codebook", str(book),
+                     "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "# include_null_noise: 1" in text
+    rows = _table_rows(text)
+    assert len(rows) == 2
+    model = AnalysisModel(snr_db=0.0, fading="wideband")
+    for gamma_s, _, pd_s, pf_s, *_ in rows:
+        pd = pd_single(float(gamma_s), model, denominator="all")
+        assert float(pd_s) == pytest.approx(pd, rel=1e-8)
+        closed = pf_single(float(gamma_s), LAY, denominator="all")
+        sigma = (closed * (1.0 - closed) / trials) ** 0.5
+        assert abs(float(pf_s) - closed) <= 3.0 * sigma, (gamma_s, pf_s, closed)
+
+
 def test_leakage_table_matches_the_closed_forms(tmp_path):
     out = tmp_path / "leak.txt"
     assert cli_main(["leakage", "--max-offset", "3", "--out", str(out)]) == 0

@@ -1,10 +1,12 @@
 """Spotter pipeline: folding, strength, gating, suppression, serialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from tagspot import detector
-from tagspot.carriers import REFERENCE_LAYOUT, WideCarrierMask
+from tagspot.carriers import REFERENCE_LAYOUT
 from tagspot.channel import apply_awgn, mix, noise_power_for_snr
 from tagspot.codebook import codeword_to_mask, generate_fallback_family, mask_matrix
 from tagspot.detector import (
@@ -17,8 +19,7 @@ from tagspot.detector import (
     serialize_events,
     spot,
     spot_report,
-    tag_strength,
-    tag_strength_banded,
+    strengths,
 )
 from tagspot.waveform import IqFrame, build_tag_spectrum, synthesize_tag
 
@@ -48,50 +49,63 @@ def test_fold_conserves_power():
         fold_spectrum(bins[:100], LAY)
 
 
-def test_flat_spectrum_strength_is_the_mask_fraction():
+def _config(codebook, denominator):
+    return DetectorConfig(layout=LAY, codebook=codebook, denominator=denominator)
+
+
+def test_flat_spectrum_strength_is_the_mask_fraction(codebook):
     powers = np.ones(64)
-    mask = codeword_to_mask("0" * 28, LAY)
-    assert tag_strength(powers, mask) == 28 / 64
-    assert tag_strength_banded(powers, mask, LAY) == 0.5
+    assert np.all(strengths(powers, _config(codebook, "all")) == 28 / 64)
+    assert np.all(strengths(powers, _config(codebook, "band")) == 0.5)
 
 
-def test_strength_scale_invariance_is_exact():
+def test_strength_scale_invariance_is_exact(codebook):
     rng = np.random.default_rng(41)
     powers = rng.chisquare(16, size=64)
-    mask = codeword_to_mask("10" * 14, LAY)
     # power-of-two scaling is lossless in floating point
-    assert tag_strength(4.0 * powers, mask) == tag_strength(powers, mask)
-    assert tag_strength_banded(0.25 * powers, mask, LAY) == tag_strength_banded(
-        powers, mask, LAY
-    )
+    for denominator, scale in (("all", 4.0), ("band", 0.25)):
+        config = _config(codebook, denominator)
+        assert np.array_equal(strengths(scale * powers, config), strengths(powers, config))
 
 
-def test_strength_input_validation():
-    mask = codeword_to_mask("0" * 28, LAY)
-    with pytest.raises(ValueError):
-        tag_strength(np.full(64, -1.0), mask)
-    with pytest.raises(ValueError):
-        tag_strength(np.zeros(64), mask)
-    with pytest.raises(ValueError):
-        tag_strength_banded(np.zeros(64), mask, LAY)
+def test_strength_input_validation(codebook):
+    # no power in the denominator carriers scores 0, not 0/0
+    nulls_only = np.zeros(64)
+    nulls_only[sorted(LAY.null_wide)] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.any(strengths(np.zeros(64), _config(codebook, "all")))
+        assert not np.any(strengths(nulls_only, _config(codebook, "band")))
 
 
-def test_center_of_mass_positions():
+def test_silent_band_windows_score_zero_without_warnings(codebook):
+    # a pure DC stream has all its power on a null carrier
+    stream = IqFrame(np.ones(LAY.fft_size * 20, dtype=complex))
+    config = DetectorConfig(layout=LAY, codebook=codebook)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = spot_report(stream, config)
+    assert report.events == ()
+    assert report.windows_gated == 0
+    assert report.windows_total == (len(stream) - LAY.fft_size) // LAY.cp_len + 1
+
+
+def test_center_of_mass_positions(codebook):
+    bound = DetectorConfig(layout=LAY, codebook=codebook).com_bound
     delta = np.zeros(64)
     delta[40] = 2.0
-    position, ok = center_of_mass(delta, LAY)
+    position = center_of_mass(delta, LAY)
     assert position == LAY.centered_wide_index(40) == 8.5
-    assert not ok  # outside the central quarter
+    assert abs(position) > bound  # outside the central quarter
 
     delta = np.zeros(64)
     delta[39] = 1.0
-    position, ok = center_of_mass(delta, LAY)
-    assert position == 7.5 and ok
+    position = center_of_mass(delta, LAY)
+    assert position == 7.5 and abs(position) <= bound
 
     symmetric = np.zeros(64)
     symmetric[10] = symmetric[53] = 3.0
-    position, ok = center_of_mass(symmetric, LAY)
-    assert position == 0.0 and ok
+    assert center_of_mass(symmetric, LAY) == 0.0
     with pytest.raises(ValueError):
         center_of_mass(np.zeros(64), LAY)
 

@@ -92,7 +92,7 @@ def _reference_spot_report(samples, config):
         denominator = wide.sum() if config.denominator == "all" else wide[band].sum()
         best = int(np.argmax(numerators))
         strength = float(numerators[best] / denominator)
-        position, _ = center_of_mass(wide, layout)
+        position = center_of_mass(wide, layout)
         if strength > config.gamma and abs(position) <= config.com_bound:
             candidates.append((start, best, strength, position, snr_estimate_db))
         else:
