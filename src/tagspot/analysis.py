@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -402,40 +402,60 @@ def pf_pairs_bound(
 
 
 def pm_mc(
-    snr_db: float,
+    snr_dbs: "Sequence[float]",
     codebook: Codebook,
     layout: CarrierLayout,
     fading: str,
     trials: int,
     seed: int,
-) -> "tuple[float, tuple[float, float]]":
-    """Misclassification probability: transmit a uniformly random codeword,
-    decode by argmax strength over the family with no threshold, count
-    wrong argmax. Noise units as in the module docstring."""
-    r = AnalysisModel(layout=layout, snr_db=snr_db, fading=fading).p_over_n
+) -> "list[tuple[float, tuple[float, float]]]":
+    """Misclassification probability at each SNR of the grid, in input
+    order: transmit a uniformly random codeword, decode by argmax strength
+    over the family with no threshold, count wrong argmax. Noise units as
+    in the module docstring. Returns one (estimate, 95% Wilson interval)
+    per SNR.
+
+    The grid shares one draw: each chunk draws the words, tone noise and
+    guard noise once and scores every SNR from them. Narrowband draws each
+    SNR's noncentral tones from the generator state that follows the
+    shared draws, so every SNR sees the stream a single-SNR run would.
+    """
+    if fading not in FADING_ANALYSIS_MODELS:
+        raise ValueError(
+            f"fading must be one of {FADING_ANALYSIS_MODELS}, got {fading!r}"
+        )
+    if len(snr_dbs) == 0:
+        raise ValueError("the SNR grid must not be empty")
+    rs = [
+        AnalysisModel(layout=layout, snr_db=snr_db, fading=fading).p_over_n
+        for snr_db in snr_dbs
+    ]
     masks = _band_mask_matrix(codebook, layout).astype(bool)
     beta2 = 2 * layout.active_thin_per_wide
     guard2 = 2 * (layout.thin_per_wide - layout.active_thin_per_wide)
     wides = 2 * layout.groups
 
-    def count(chunks: _Chunks) -> "Iterator[int]":
-        for rng, m in chunks:
-            sent = rng.integers(0, codebook.size, size=m)
-            tone_noise = rng.chisquare(beta2, size=(m, wides))
-            guard = (
-                rng.chisquare(guard2, size=(m, wides)) if guard2 > 0 else 0.0
-            )
+    def chunk_misses(rng: np.random.Generator, m: int) -> "list[int]":
+        sent = rng.integers(0, codebook.size, size=m)
+        tone_noise = rng.chisquare(beta2, size=(m, wides))
+        guard = rng.chisquare(guard2, size=(m, wides)) if guard2 > 0 else 0.0
+        active_rows = masks[sent]
+        shared_end = rng.bit_generator.state
+
+        def misses(r: float) -> int:
             if fading == "wideband":
                 tone_active = (1.0 + r) * tone_noise
             else:
+                rng.bit_generator.state = shared_end
                 tone_active = rng.noncentral_chisquare(beta2, beta2 * r, size=(m, wides))
-            active_rows = masks[sent]
             powers = np.where(active_rows, tone_active, tone_noise) + guard
-            scores = powers @ masks.T
-            decoded = np.argmax(scores, axis=1)
-            yield int(np.count_nonzero(decoded != sent))
+            decoded = np.argmax(powers @ masks.T, axis=1)
+            return int(np.count_nonzero(decoded != sent))
 
-    return _mc_estimate(trials, seed, count)
+        return [misses(r) for r in rs]
+
+    per_chunk = [chunk_misses(rng, m) for rng, m in _mc_chunks(trials, seed)]
+    return [_wilson(sum(hits), trials) for hits in zip(*per_chunk)]
 
 
 # ---------------------------------------------------------------------------

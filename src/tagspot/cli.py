@@ -361,13 +361,17 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     # --include-null-noise is this command's spelling of denominator="all"
     denominator = "all" if args.include_null_noise else "band"
     seed = args.seed
+    pms = [float("nan")] * len(snr_grid)
     if trials > 0:
         seed = _require_seed(seed, "Monte Carlo columns are requested")
+        # one misclassification draw for the whole grid, made before the
+        # family draws so the two are never in memory together
+        pms = [pm for pm, _ in pm_mc(snr_grid, codebook, layout, args.fading, trials, seed)]
 
     rows = []
     try:
-        for snr_db in snr_grid:
-            model = AnalysisModel(layout=layout, snr_db=float(snr_db), fading=args.fading)
+        for snr_db, pm in zip(snr_grid, pms):
+            model = AnalysisModel(layout=layout, snr_db=snr_db, fading=args.fading)
             curve = build_roc(
                 model,
                 gamma_grid,
@@ -376,13 +380,9 @@ def _cmd_curves(args: argparse.Namespace) -> int:
                 seed=seed if trials > 0 else 0,
                 denominator=denominator,
             )
-            if trials > 0:
-                pm = pm_mc(float(snr_db), codebook, layout, args.fading, trials, seed)[0]
-            else:
-                pm = float("nan")
             for pt in curve.points:
                 rows.append(
-                    (pt.gamma, float(snr_db), pt.pd, pt.pf, pm, trials,
+                    (pt.gamma, snr_db, pt.pd, pt.pf, pm, trials,
                      pt.pf_ci95[0], pt.pf_ci95[1], pt.flagged)
                 )
     finally:

@@ -143,6 +143,14 @@ def strengths(wide: np.ndarray, config: DetectorConfig) -> np.ndarray:
     return numerators / denominator if denominator > 0 else numerators
 
 
+@functools.cache
+def _centered_positions(wide_total: int) -> np.ndarray:
+    """Wide-carrier positions relative to the band midpoint, read-only."""
+    centered = np.arange(wide_total) - (wide_total - 1) / 2.0
+    centered.flags.writeable = False
+    return centered
+
+
 def center_of_mass(wide_powers: np.ndarray, layout: CarrierLayout) -> float:
     """Power-weighted mean carrier position, centered on the band midpoint.
     The spotter accepts a candidate only within DetectorConfig.com_bound."""
@@ -150,7 +158,7 @@ def center_of_mass(wide_powers: np.ndarray, layout: CarrierLayout) -> float:
     total = powers.sum()
     if total == 0:
         raise ValueError("center of mass undefined for all-zero powers")
-    centered = np.arange(layout.wide_total) - (layout.wide_total - 1) / 2.0
+    centered = _centered_positions(layout.wide_total)
     return float((centered * powers).sum() / total)
 
 

@@ -137,7 +137,7 @@ def test_criterion_04_end_to_end_detection_at_one_db(codebook):
 
 
 def test_criterion_05_misclassification_floor(codebook):
-    estimate, _ = pm_mc(0.0, codebook, LAY, "wideband", trials=10_000, seed=84)
+    [(estimate, _)] = pm_mc([0.0], codebook, LAY, "wideband", trials=10_000, seed=84)
     assert estimate < 1e-3
 
 

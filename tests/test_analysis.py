@@ -285,9 +285,14 @@ def test_mc_estimators_validate_inputs(codebook):
     with pytest.raises(ValueError):
         pf_pairs_bound(0.5, LAY, -5, seed=0)
     with pytest.raises(ValueError):
-        pm_mc(0.0, codebook, LAY, "rician", 10, seed=0)
+        pm_mc([0.0], codebook, LAY, "rician", 10, seed=0)
     with pytest.raises(ValueError):
-        pm_mc(0.0, codebook, LAY, "wideband", 0, seed=0)
+        pm_mc([0.0], codebook, LAY, "wideband", 0, seed=0)
+    with pytest.raises(ValueError, match="empty"):
+        pm_mc([], codebook, LAY, "wideband", 10, seed=0)
+    # the fading check does not wait for a grid point to build a model
+    with pytest.raises(ValueError, match="fading"):
+        pm_mc([], codebook, LAY, "rician", 10, seed=0)
 
 
 def test_mc_results_are_seed_reproducible(codebook):
@@ -299,7 +304,7 @@ def test_mc_results_are_seed_reproducible(codebook):
 
 
 def test_pm_mc_vanishes_at_high_snr(codebook):
-    estimate, ci = pm_mc(10.0, codebook, LAY, "wideband", 20_000, seed=66)
+    [(estimate, ci)] = pm_mc([10.0], codebook, LAY, "wideband", 20_000, seed=66)
     assert estimate == 0.0
     assert ci[0] == 0.0 and ci[1] < 1e-3
 
@@ -391,6 +396,10 @@ def _pf_family_by_gamma(gamma, codebook, layout, trials, seed):
         int(np.count_nonzero(ratios > t))
         for ratios in _max_ratios_by_chunk(codebook, layout, trials, seed)
     )
+    return _wilson_oracle(hits, trials)
+
+
+def _wilson_oracle(hits, trials):
     ci = stats.binomtest(hits, trials).proportion_ci(
         confidence_level=0.95, method="wilson"
     )
@@ -477,6 +486,54 @@ def test_curves_draws_the_family_once_and_frees_it(tmp_path, monkeypatch, gammas
     assert len(seen) == calls
     assert all(ratios is seen[0] for ratios in seen)
     assert memo.cache_info().currsize == 0
+
+
+def _pm_mc_one_snr(snr_db, codebook, layout, fading, trials, seed):
+    """Oracle: the single-SNR misclassification loop, which drew every
+    chunk afresh for its one SNR before the grid shared one draw."""
+    r = AnalysisModel(layout=layout, snr_db=snr_db, fading=fading).p_over_n
+    masks = mask_matrix(codebook, layout)[:, np.asarray(layout.band_wide)].astype(bool)
+    beta2 = 2 * layout.active_thin_per_wide
+    guard2 = 2 * (layout.thin_per_wide - layout.active_thin_per_wide)
+    wides = 2 * layout.groups
+    chunk = analysis._MC_CHUNK
+    hits = 0
+    for chunk_index, lo in enumerate(range(0, trials, chunk)):
+        m = min(chunk, trials - lo)
+        rng = np.random.default_rng([seed, chunk_index])
+        sent = rng.integers(0, codebook.size, size=m)
+        tone_noise = rng.chisquare(beta2, size=(m, wides))
+        guard = rng.chisquare(guard2, size=(m, wides)) if guard2 > 0 else 0.0
+        if fading == "wideband":
+            tone_active = (1.0 + r) * tone_noise
+        else:
+            tone_active = rng.noncentral_chisquare(beta2, beta2 * r, size=(m, wides))
+        powers = np.where(masks[sent], tone_active, tone_noise) + guard
+        decoded = np.argmax(powers @ masks.T, axis=1)
+        hits += int(np.count_nonzero(decoded != sent))
+    return _wilson_oracle(hits, trials)
+
+
+# every thin carrier of an active wide carrier carries a tone: no guard bins
+FULL_ACTIVE = CarrierLayout(active_thin_per_wide=8)
+
+
+@pytest.mark.parametrize("fading", ["wideband", "narrowband"])
+@pytest.mark.parametrize(
+    "layout, snr_dbs, trials, seed",
+    [
+        (LAY, [-2.0, -6.0, -4.0, -2.0], 5_000, 85),  # unsorted, -2 dB twice
+        (LAY, [-3.0], 5_000, 86),
+        (LAY, [-2.0, -4.0], 70_001, 87),  # two full chunks and a one-draw tail
+        (FULL_ACTIVE, [-4.0, -7.0], 5_000, 88),
+    ],
+    ids=["unsorted-duplicate", "single-point", "ragged", "full-active"],
+)
+def test_pm_mc_grid_matches_the_per_snr_loop(codebook, layout, snr_dbs, trials, seed, fading):
+    got = pm_mc(snr_dbs, codebook, layout, fading, trials, seed)
+    want = [_pm_mc_one_snr(s, codebook, layout, fading, trials, seed) for s in snr_dbs]
+    assert got == want
+    assert all(estimate > 0 for estimate, _ in got)  # every point resolves a miss
 
 
 def test_roc_curve_rejects_non_monotone_points():
