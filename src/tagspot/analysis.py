@@ -62,7 +62,6 @@ class AnalysisModel:
     layout: CarrierLayout = REFERENCE_LAYOUT
     snr_db: float = 0.0
     fading: str = "wideband"
-    gamma: float = 0.62
 
     def __post_init__(self) -> None:
         if self.fading not in FADING_ANALYSIS_MODELS:
@@ -70,8 +69,6 @@ class AnalysisModel:
                 f"fading must be one of {FADING_ANALYSIS_MODELS}, "
                 f"got {self.fading!r}"
             )
-        if not 0 < self.gamma < 1:
-            raise ValueError("gamma must lie strictly between 0 and 1")
 
     @property
     def p_over_n(self) -> float:
@@ -111,9 +108,7 @@ def leakage_block(k: int) -> float:
 
 
 def expected_offset_leak(
-    max_offset: float,
-    layout: CarrierLayout = REFERENCE_LAYOUT,
-    offset_nodes: int = 64,
+    max_offset: float, layout: CarrierLayout = REFERENCE_LAYOUT
 ) -> float:
     """Expected fraction of tag power landing outside the tag's own active
     carriers, for a frequency offset uniform on (0, max_offset] thin widths.
@@ -124,11 +119,12 @@ def expected_offset_leak(
     per source carrier: own span 1, group partner 0, other groups' spans
     1/2, null carriers and off-grid bins 0. The per-tone leak concentrates
     in the source carrier's immediate neighborhood, so this tag-level figure
-    sits well below the single-tone out-of-carrier leak.
+    sits well below the single-tone out-of-carrier leak. The offset
+    expectation is a 64-node Gauss-Legendre rule.
     """
     if not max_offset > 0:
         raise ValueError("max_offset must be positive")
-    u, wu = _unit_gauss_nodes(offset_nodes)
+    u, wu = _unit_gauss_nodes(64)
     deltas = max_offset * u
     partner: "dict[int, int]" = {}
     for a, b in layout.group_map:
@@ -137,7 +133,7 @@ def expected_offset_leak(
     k_grid = np.arange(layout.fft_size, dtype=np.float64)
     offsets = np.asarray(layout.active_thin_offsets, dtype=np.float64)
     alpha = layout.thin_per_wide
-    retained = np.zeros(offset_nodes)
+    retained = np.zeros(u.size)
     for w in layout.band_wide:
         weights = np.zeros(layout.fft_size)
         for v in layout.band_wide:
@@ -476,15 +472,15 @@ def sweep_active_carriers(
     snr_db: float,
     trials: int = 0,
     seed: int = 0,
-    thin_per_wide: int = 8,
 ) -> "list[SweepPoint]":
     """How many of n_carriers wide carriers should a tag activate?
 
-    Simplified fully-active model (every thin carrier of an active wide
-    carrier carries a tone, so beta = alpha = thin_per_wide and p/n is the
-    SNR directly). For each split q the threshold gamma0(q) is set so the
-    wideband detection probability is exactly 1/2 at snr_db; the figure of
-    merit is the false alarm probability at that threshold,
+    Simplified fully-active model with the reference layout's thin
+    carriers per wide carrier (every thin carrier of an active wide carrier
+    carries a tone, so beta = alpha = REFERENCE_LAYOUT.thin_per_wide and
+    p/n is the SNR directly). For each split q the threshold gamma0(q) is
+    set so the wideband detection probability is exactly 1/2 at snr_db;
+    the figure of merit is the false alarm probability at that threshold,
 
         pf(q) = P(F' > (1 + p/n) median(F')),  F' ~ F(2 a q, 2 a (n-q)).
 
@@ -494,13 +490,16 @@ def sweep_active_carriers(
     """
     if n_carriers < 2:
         raise ValueError("need at least two carriers")
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     from scipy import stats
 
+    alpha = REFERENCE_LAYOUT.thin_per_wide
     r = 10.0 ** (snr_db / 10.0)
     points = []
     for q in range(1, n_carriers):
-        dfn = 2 * thin_per_wide * q
-        dfd = 2 * thin_per_wide * (n_carriers - q)
+        dfn = 2 * alpha * q
+        dfd = 2 * alpha * (n_carriers - q)
         median = stats.f.ppf(0.5, dfn, dfd)
         t0 = (1.0 + r) * median
         gamma0 = t0 / (1.0 + t0)
@@ -540,21 +539,20 @@ def payload_frames(payload_bytes: int) -> int:
     return math.ceil(payload_bytes / 12)
 
 
-def overhead(
-    payload_bytes: int,
-    frames_for_payload: "Callable[[int], int]" = payload_frames,
-    sync_frames: int = 6,
-    tag_frames: int = 8,
-) -> float:
+def overhead(payload_bytes: int, sync_frames: int = 6, tag_frames: int = 8) -> float:
     """Airtime fraction a tag adds to a packet.
 
-    Default frame accounting: one data frame carries 12 payload bytes, six
-    synchronization frames precede the payload, and a tag spans the
-    equivalent of eight data frames.
+    Frame accounting: one data frame carries 12 payload bytes (see
+    payload_frames); by default six synchronization frames precede the
+    payload, and a tag spans the equivalent of eight data frames.
     """
     if payload_bytes <= 0:
         raise ValueError("payload must be positive")
-    return tag_frames / (int(frames_for_payload(payload_bytes)) + sync_frames)
+    if sync_frames < 0:
+        raise ValueError("sync frames must be nonnegative")
+    if tag_frames < 1:
+        raise ValueError("a tag spans at least one frame")
+    return tag_frames / (payload_frames(payload_bytes) + sync_frames)
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +605,8 @@ def build_roc(
     Carlo pf is monotone by construction. The draws stay in the memo for
     the next curve with the same codebook, layout, trials and seed; the
     caller frees them with _family_max_ratios.cache_clear()."""
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     points = []
     for gamma in sorted(gammas):
         pd = pd_single(gamma, model, denominator)

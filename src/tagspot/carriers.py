@@ -19,6 +19,7 @@ CarrierLayout.denominator_wide maps a name to its carriers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 STRENGTH_DENOMINATORS = ("band", "all")
@@ -116,17 +117,6 @@ class CarrierLayout:
         start = (self.thin_per_wide - self.active_thin_per_wide) // 2
         return tuple(range(start, start + self.active_thin_per_wide))
 
-    def wide_of_thin(self, thin_index: int) -> int:
-        return thin_index // self.thin_per_wide
-
-    def thin_bins_of_wide(self, wide_index: int) -> range:
-        lo = wide_index * self.thin_per_wide
-        return range(lo, lo + self.thin_per_wide)
-
-    def centered_wide_index(self, wide_index: int) -> float:
-        """Wide carrier index re-centered so the band midpoint is zero."""
-        return wide_index - (self.wide_total - 1) / 2.0
-
 
 @dataclass(frozen=True)
 class WideCarrierMask:
@@ -179,20 +169,24 @@ def layout_to_dict(layout: CarrierLayout) -> dict:
     }
 
 
-def layout_from_dict(data: dict) -> CarrierLayout:
-    known = {
-        "thin_per_wide",
-        "active_thin_per_wide",
-        "groups",
-        "wide_total",
-        "null_wide",
-        "fft_size",
-        "cp_fraction",
-    }
-    unknown = set(data) - known
+def layout_from_dict(data: object) -> CarrierLayout:
+    """The layout a config document or IQ sidecar describes. Every field's
+    type is checked here (JSON types: bools are not counts), so malformed
+    outside data raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"layout must be an object, got {type(data).__name__}")
+    unknown = set(data) - set(layout_to_dict(REFERENCE_LAYOUT))
     if unknown:
         raise ValueError(f"unknown layout fields: {sorted(unknown)}")
     kwargs = dict(data)
-    if "null_wide" in kwargs:
-        kwargs["null_wide"] = frozenset(int(w) for w in kwargs["null_wide"])
+    for key, value in data.items():
+        if key == "null_wide":
+            if not isinstance(value, list) or not all(type(w) is int for w in value):
+                raise ValueError(f"null_wide must be a list of integers, got {value!r}")
+            kwargs[key] = frozenset(value)
+        elif key == "cp_fraction":
+            if not (type(value) in (int, float) and math.isfinite(value)):
+                raise ValueError(f"cp_fraction must be a finite number, got {value!r}")
+        elif type(value) is not int:
+            raise ValueError(f"{key} must be an integer, got {value!r}")
     return CarrierLayout(**kwargs)

@@ -15,68 +15,12 @@ carrier.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 import numpy as np
 
 from .carriers import CarrierLayout, REFERENCE_LAYOUT
-from .waveform import IqFrame, TagSpectrum
+from .waveform import IqFrame, TagSpectrum, spectrum_of_body, synthesize_tag
 
 FADING_MODELS = ("none", "narrowband", "wideband-rayleigh")
-
-
-@dataclass(frozen=True)
-class InterferenceSpec:
-    """Additive interference riding on top of the signal.
-
-    sir_db is measured over the overlapping time support only. kind names
-    the interference source; only "data" (payload-like frames) is built in.
-    """
-
-    kind: str = "data"
-    sir_db: float = 0.0
-    offset_samples: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind != "data":
-            raise ValueError(f"unknown interference kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    """One channel condition: SNR, frequency offset, fading, interference.
-
-    cfo is in thin-carrier widths. The detector tolerates offsets up to two
-    thin carriers; cfo_limit exists so configs reject accidental units
-    errors, not as a physical bound.
-    """
-
-    snr_db: float = 0.0
-    cfo: float = 0.0
-    fading: str = "none"
-    interference: "InterferenceSpec | None" = None
-    cfo_limit: float = 16.0
-
-    def __post_init__(self) -> None:
-        if self.fading not in FADING_MODELS:
-            raise ValueError(
-                f"fading must be one of {FADING_MODELS}, got {self.fading!r}"
-            )
-        if not np.isfinite(self.cfo) or abs(self.cfo) > self.cfo_limit:
-            raise ValueError(f"cfo {self.cfo} outside +-{self.cfo_limit}")
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        if self.interference is None:
-            del out["interference"]
-        return out
-
-    @staticmethod
-    def from_dict(data: dict) -> "ChannelSpec":
-        kwargs = dict(data)
-        if "interference" in kwargs and kwargs["interference"] is not None:
-            kwargs["interference"] = InterferenceSpec(**kwargs["interference"])
-        return ChannelSpec(**kwargs)
 
 
 def noise_power_for_snr(
@@ -158,12 +102,9 @@ def apply_fading(
             f"frame length {len(x)} != one tag frame ({layout.frame_len}); "
             "wideband fading is defined per tag frame"
         )
-    body = x.samples[layout.cp_len :]
-    spectrum = np.fft.fftshift(np.fft.fft(body)) / np.sqrt(layout.fft_size)
-    spectrum = spectrum * _fading_gains(model, layout, rng)
-    faded = np.fft.ifft(np.fft.ifftshift(spectrum)) * np.sqrt(layout.fft_size)
-    samples = np.concatenate([faded[-layout.cp_len :], faded])
-    return IqFrame(samples, x.sample_rate)
+    spectrum = spectrum_of_body(x.samples[layout.cp_len :], layout)
+    faded = synthesize_tag(TagSpectrum(spectrum * _fading_gains(model, layout, rng)), layout)
+    return IqFrame(faded.samples, x.sample_rate)
 
 
 def mix(frames: "list[tuple[IqFrame, int, complex]]") -> IqFrame:

@@ -114,7 +114,7 @@ def _config_layout(args: argparse.Namespace) -> CarrierLayout:
         return REFERENCE_LAYOUT
     try:
         return layout_from_dict(args.layout)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(1, f"bad layout in config: {exc}") from exc
 
 

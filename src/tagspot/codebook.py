@@ -24,6 +24,7 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -78,25 +79,25 @@ class Codebook:
     def size(self) -> int:
         return len(self.words)
 
-    def bits(self) -> np.ndarray:
-        """Words as a (size, word_length) uint8 array."""
-        return np.array([[int(c) for c in w] for w in self.words], dtype=np.uint8)
+
+def _word_bits(words: "Sequence[str]") -> np.ndarray:
+    """Equal-length words of '0' and '1' characters as a (words, length)
+    uint8 array of bits."""
+    if len({len(w) for w in words}) > 1:
+        raise CodebookError("words differ in length")
+    # bytes below '0' wrap around, so one comparison catches every non-bit
+    bits = np.frombuffer("".join(words).encode(), dtype=np.uint8) - ord("0")
+    if np.any(bits > 1):
+        raise CodebookError("words contain non-binary characters")
+    return bits.reshape(len(words), -1)
 
 
-def _closest_pair(
-    words: "tuple[str, ...] | list[str] | np.ndarray",
-) -> "tuple[int, int, int]":
+def _closest_pair(words: "Sequence[str]") -> "tuple[int, int, int]":
     """Minimum pairwise Hamming distance and the indices (i, j) of a pair
     of words at that distance, brute forced over all pairs."""
-    if isinstance(words, np.ndarray):
-        bits = words.astype(np.int64)
-    else:
-        if len(words) > 0 and isinstance(words[0], str):
-            bits = np.array([[int(c) for c in w] for w in words], dtype=np.int64)
-        else:
-            bits = np.asarray(words, dtype=np.int64)
-    if bits.ndim != 2 or bits.shape[0] < 2:
+    if len(words) < 2:
         raise CodebookError("need at least two words to measure a distance")
+    bits = _word_bits(words).astype(np.int64)
     weights = bits.sum(axis=1)
     gram = bits @ bits.T
     dist = weights[:, None] + weights[None, :] - 2 * gram
@@ -105,7 +106,7 @@ def _closest_pair(
     return int(dist[i, j]), int(i), int(j)
 
 
-def verify_min_distance(words: "tuple[str, ...] | list[str] | np.ndarray") -> int:
+def verify_min_distance(words: "Sequence[str]") -> int:
     """Minimum pairwise Hamming distance, brute forced over all pairs."""
     return _closest_pair(words)[0]
 
@@ -143,7 +144,7 @@ def parse_codebook(text: str) -> Codebook:
         words=tuple(words),
     )
     if cb.size >= 2:
-        distance, i, j = _closest_pair(cb.bits())
+        distance, i, j = _closest_pair(cb.words)
         if distance < cb.min_distance:
             raise CodebookError(
                 f"declared min_distance {cb.min_distance} violated by words "
@@ -208,8 +209,7 @@ def mask_matrix(cb: Codebook, layout: CarrierLayout) -> np.ndarray:
             f"codebook word length {cb.word_length} != layout groups "
             f"{layout.groups}"
         )
-    bits = np.frombuffer("".join(cb.words).encode("ascii"), dtype=np.uint8) - ord("0")
-    bits = bits.reshape(cb.size, cb.word_length)
+    bits = _word_bits(cb.words)
     pairs = np.array(layout.group_map)
     out = np.zeros((cb.size, layout.wide_total), dtype=bool)
     out[np.arange(cb.size)[:, None], pairs[np.arange(layout.groups), bits]] = True
@@ -221,7 +221,6 @@ def generate_fallback_family(
     target_distance: int,
     rng_seed: int,
     max_words: int = 64,
-    max_candidates: int = 200_000,
 ) -> Codebook:
     """Greedy random code family with verified distance >= target_distance.
 
@@ -229,8 +228,9 @@ def generate_fallback_family(
     are drawn from a seeded generator (complements of accepted words are
     tried first, which handles the extreme target_distance == word_length
     case); a candidate is kept when it clears the target distance against
-    every accepted word. The resulting size depends on the target and seed
-    and is reported honestly in the name; it may be far below max_words.
+    every accepted word, and the search stops after 200,000 candidates. The
+    resulting size depends on the target and seed and is reported honestly
+    in the name; it may be far below max_words.
     """
     if word_length <= 0:
         raise CodebookError("word_length must be positive")
@@ -242,7 +242,7 @@ def generate_fallback_family(
     accepted: list[np.ndarray] = [rng.integers(0, 2, word_length, dtype=np.uint8)]
     pending_complements = [1 - accepted[0]]
     tried = 0
-    while len(accepted) < max_words and tried < max_candidates:
+    while len(accepted) < max_words and tried < 200_000:
         if pending_complements:
             cand = pending_complements.pop(0)
         else:

@@ -47,6 +47,9 @@ from .waveform import IqFrame
 #: stream length; 64 and 256 ran equally fast.
 _CHUNK_WINDOWS = 64
 
+#: Weight of each new interval power in the noise floor's moving average.
+_NOISE_SMOOTHING = 0.05
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -54,23 +57,18 @@ class DetectorConfig:
     codebook: Codebook
     gamma: float = 0.62
     carrier_sense_snr_db: float = -1.0
-    com_limit: "float | None" = None  # defaults to wide_total / 8
-    noise_smoothing: float = 0.05
     denominator: str = "band"
 
     def __post_init__(self) -> None:
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie strictly between 0 and 1")
-        if not 0 < self.noise_smoothing <= 1:
-            raise ValueError("noise_smoothing must lie in (0, 1]")
         if self.codebook.word_length != self.layout.groups:
             raise ValueError("codebook word length does not match layout groups")
         self.layout.denominator_wide(self.denominator)  # rejects unknown names
 
     @property
     def com_bound(self) -> float:
-        if self.com_limit is not None:
-            return self.com_limit
+        """Largest accepted |center of mass|: the central quarter of the band."""
         return self.layout.wide_total / 8.0
 
     @functools.cached_property
@@ -162,15 +160,11 @@ def center_of_mass(wide_powers: np.ndarray, layout: CarrierLayout) -> float:
     return float((centered * powers).sum() / total)
 
 
-def noise_tracker_update(
-    current_estimate: "float | None", interval_power: float, smoothing: float
-) -> float:
+def noise_tracker_update(current_estimate: "float | None", interval_power: float) -> float:
     """Exponential moving average of interval power; None seeds directly."""
-    if not 0 < smoothing <= 1:
-        raise ValueError("smoothing must lie in (0, 1]")
     if current_estimate is None:
         return interval_power
-    return (1.0 - smoothing) * current_estimate + smoothing * interval_power
+    return (1.0 - _NOISE_SMOOTHING) * current_estimate + _NOISE_SMOOTHING * interval_power
 
 
 @dataclass(frozen=True)
@@ -199,7 +193,6 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
     gamma = config.gamma
     com_bound = config.com_bound
     gate_db = config.carrier_sense_snr_db
-    smoothing = config.noise_smoothing
     root_n = np.sqrt(n)
     windows_total = (len(stream) - n) // hop + 1
 
@@ -223,7 +216,7 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
                 snr_estimate_db = 10.0 * np.log10(power / noise_estimate)
             if snr_estimate_db <= gate_db or power == 0:
                 windows_gated += 1
-                noise_estimate = noise_tracker_update(noise_estimate, power, smoothing)
+                noise_estimate = noise_tracker_update(noise_estimate, power)
                 continue
             wide = fold_spectrum(spectra[k], layout)
             scores = strengths(wide, config)
@@ -235,7 +228,7 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
                     (lo + k * hop, best, strength, position, snr_estimate_db)
                 )
             else:
-                noise_estimate = noise_tracker_update(noise_estimate, power, smoothing)
+                noise_estimate = noise_tracker_update(noise_estimate, power)
 
     events = tuple(
         DetectionEvent(
@@ -279,11 +272,6 @@ def _suppress(
             else:
                 dropped[j] = True
     return [c for c, gone in zip(candidates, dropped) if not gone]
-
-
-def spot(samples: IqFrame, config: DetectorConfig) -> "list[DetectionEvent]":
-    """Events from spot_report, for callers without accounting needs."""
-    return list(spot_report(samples, config).events)
 
 
 def serialize_events(events: "list[DetectionEvent]") -> str:

@@ -66,8 +66,12 @@ def read_iq(path: "str | Path") -> "tuple[IqFrame, dict]":
     side = sidecar_path(path)
     if side.exists():
         meta = json.loads(side.read_text())
-    frame = IqFrame(samples, sample_rate=float(meta.get("sample_rate", 1.0)))
-    return frame, meta
+        if not isinstance(meta, dict):
+            raise ValueError(f"{side}: metadata must be a JSON object")
+    rate = meta.get("sample_rate", 1.0)
+    if type(rate) not in (int, float):
+        raise ValueError(f"{side}: sample_rate must be a number, got {rate!r}")
+    return IqFrame(samples, sample_rate=float(rate)), meta
 
 
 def layout_from_metadata(meta: dict) -> "CarrierLayout | None":

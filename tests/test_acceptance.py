@@ -32,7 +32,7 @@ from tagspot.carriers import REFERENCE_LAYOUT
 from tagspot.channel import apply_awgn, apply_cfo, apply_fading, mix, noise_power_for_snr
 from tagspot.cli import main as cli_main
 from tagspot.codebook import Codebook, codeword_to_mask
-from tagspot.detector import DetectorConfig, fold_spectrum, spot, strengths
+from tagspot.detector import DetectorConfig, fold_spectrum, spot_report, strengths
 from tagspot.waveform import (
     IqFrame,
     build_tag_spectrum,
@@ -67,7 +67,7 @@ def _detection_trial(codebook, config, rng, noise, fading=None, cfo_limit=0.0,
         interferer = synthesize_data_interference(LAY, 32, interferer_power, rng)
         parts.append((interferer, 0, 1.0))
     stream = apply_awgn(mix(parts), noise, rng)
-    events = spot(stream, config)
+    events = spot_report(stream, config).events
     return any(e.codeword_index == word for e in events)
 
 

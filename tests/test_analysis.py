@@ -156,8 +156,6 @@ def test_analysis_model_validation():
     assert AnalysisModel(snr_db=0.0).p_over_n == 2.0
     with pytest.raises(ValueError):
         AnalysisModel(fading="rician")
-    with pytest.raises(ValueError):
-        AnalysisModel(gamma=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +329,8 @@ def test_sweep_monte_carlo_cross_check():
         assert pt.pf_mc_ci95[0] <= pt.pf_mc <= pt.pf_mc_ci95[1]
     with pytest.raises(ValueError):
         sweep_active_carriers(1, 0.0)
+    with pytest.raises(ValueError):
+        sweep_active_carriers(8, 0.0, trials=-3)
 
 
 def test_range_gain_pins():
@@ -344,9 +344,13 @@ def test_range_gain_pins():
 def test_overhead_pins():
     assert overhead(1500) == 8 / 131
     assert overhead(750) == 8 / 69  # 62.5 data frames round up to 63
-    assert overhead(100, frames_for_payload=lambda b: 10) == 0.5
+    assert overhead(120, sync_frames=0, tag_frames=5) == 0.5  # 10 data frames
     with pytest.raises(ValueError):
         overhead(0)
+    with pytest.raises(ValueError):
+        overhead(1500, sync_frames=-6)
+    with pytest.raises(ValueError):
+        overhead(1500, tag_frames=0)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +367,8 @@ def test_roc_closed_form_curve():
         assert pt.pf == pf_single(pt.gamma)
         assert pt.pf_ci95 == (pt.pf, pt.pf)
         assert not pt.flagged
+    with pytest.raises(ValueError):
+        build_roc(model, [0.62], trials=-5)
 
 
 def test_roc_flags_unresolved_monte_carlo_points(codebook):

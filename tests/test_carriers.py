@@ -1,8 +1,6 @@
 """Carrier grid geometry, mask validation, and layout serialization."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from tagspot.carriers import (
     REFERENCE_LAYOUT,
@@ -11,6 +9,7 @@ from tagspot.carriers import (
     layout_from_dict,
     layout_to_dict,
 )
+from tagspot.detector import _centered_positions
 
 
 def test_reference_layout_shape():
@@ -28,7 +27,7 @@ def test_reference_layout_shape():
 def test_dc_wide_carrier_is_null():
     # index 256 is DC under the ascending-frequency convention, wide 32
     lay = REFERENCE_LAYOUT
-    assert lay.wide_of_thin(lay.fft_size // 2) == lay.wide_total // 2
+    assert (lay.fft_size // 2) // lay.thin_per_wide == lay.wide_total // 2
     assert lay.wide_total // 2 in lay.null_wide
 
 
@@ -55,19 +54,11 @@ def test_active_thin_offsets_are_the_central_block():
     assert REFERENCE_LAYOUT.active_thin_offsets == (2, 3, 4, 5)
 
 
-@given(st.integers(min_value=0, max_value=511))
-def test_thin_wide_roundtrip(thin):
-    lay = REFERENCE_LAYOUT
-    wide = lay.wide_of_thin(thin)
-    assert 0 <= wide < lay.wide_total
-    assert thin in lay.thin_bins_of_wide(wide)
-
-
 def test_centered_wide_index_is_symmetric():
-    lay = REFERENCE_LAYOUT
-    assert lay.centered_wide_index(0) == -31.5
-    assert lay.centered_wide_index(63) == 31.5
-    assert lay.centered_wide_index(31) + lay.centered_wide_index(32) == 0.0
+    centered = _centered_positions(REFERENCE_LAYOUT.wide_total)
+    assert centered[0] == -31.5
+    assert centered[63] == 31.5
+    assert centered[31] + centered[32] == 0.0
 
 
 def test_layout_rejects_inconsistent_geometry():
@@ -112,3 +103,8 @@ def test_layout_dict_roundtrip():
     assert layout_from_dict(data) == lay
     with pytest.raises(ValueError):
         layout_from_dict({"fft_size": 512, "bogus": 1})
+    for bad in (None, [512], {"fft_size": "512"}, {"groups": True},
+                {"cp_fraction": float("inf")}, {"null_wide": 3},
+                {"null_wide": [0, 1, 2, 32, 60, 61, 62, 63.7]}):
+        with pytest.raises(ValueError):
+            layout_from_dict(bad)

@@ -1,12 +1,10 @@
-"""Channel impairments: calibration, invariants, and ChannelSpec plumbing."""
+"""Channel impairments: calibration and invariants."""
 
 import numpy as np
 import pytest
 
 from tagspot.carriers import REFERENCE_LAYOUT
 from tagspot.channel import (
-    ChannelSpec,
-    InterferenceSpec,
     apply_awgn,
     apply_cfo,
     apply_fading,
@@ -159,21 +157,3 @@ def test_gain_for_sir_hits_the_target_over_the_overlap():
     with pytest.raises(ValueError):
         gain_for_sir(signal, interference, 5000, 7.0)  # no overlap
 
-
-def test_channel_spec_validation_and_roundtrip():
-    spec = ChannelSpec(
-        snr_db=1.0,
-        cfo=0.5,
-        fading="wideband-rayleigh",
-        interference=InterferenceSpec(sir_db=3.0, offset_samples=40),
-    )
-    assert ChannelSpec.from_dict(spec.to_dict()) == spec
-    plain = ChannelSpec(snr_db=0.0)
-    assert "interference" not in plain.to_dict()
-    assert ChannelSpec.from_dict(plain.to_dict()) == plain
-    with pytest.raises(ValueError):
-        ChannelSpec(fading="flat")
-    with pytest.raises(ValueError):
-        ChannelSpec(cfo=17.0)  # beyond the units-error guard
-    with pytest.raises(ValueError):
-        InterferenceSpec(kind="chirp")

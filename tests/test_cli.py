@@ -369,6 +369,39 @@ def test_impair_interference_covers_the_signal_on_a_small_layout(tmp_path):
     assert np.all(per_frame > 0.1 * added.mean())
 
 
+def _fails_with_one_line(argv, capsys):
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_malformed_layout_and_sidecar_exit_with_code_1(tmp_path, capsys):
+    source = _modulate(tmp_path)
+    side = sidecar_path(source)
+    good = json.loads(side.read_text())
+    bad_metadata = [
+        {"layout": None},
+        {"layout": {**good["layout"], "fft_size": "512"}},
+        {"sample_rate": None},
+    ]
+    for change in bad_metadata:
+        side.write_text(json.dumps({**good, **change}))
+        _fails_with_one_line(["spot", "--in", str(source)], capsys)
+        _fails_with_one_line(["impair", "--in", str(source), "--out",
+                              str(tmp_path / "o.iq")], capsys)
+
+    layout = {**SMALL_LAYOUT, "null_wide": [0, 1, 2, 16, 28, 29, 30, 31.7]}
+    config = tmp_path / "frac.json"
+    config.write_text(json.dumps({"config_version": 1, "layout": layout}))
+    _fails_with_one_line(["leakage", "--max-offset", "1", "--config", str(config)], capsys)
+
+
+def test_negative_counts_exit_with_code_1(capsys):
+    _fails_with_one_line(["curves", "--trials", "-5"], capsys)
+    _fails_with_one_line(["sweep", "--carriers", "4", "--trials", "-3"], capsys)
+    _fails_with_one_line(["overhead", "--sync-frames", "-6", "--tag-frames", "-1"], capsys)
+
+
 def test_io_errors_exit_with_code_2(tmp_path):
     assert cli_main(["impair", "--in", str(tmp_path / "absent.iq"),
                      "--out", str(tmp_path / "o.iq")]) == 2

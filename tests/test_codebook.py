@@ -65,6 +65,10 @@ def test_parser_rejects_malformed_input():
 def test_verify_min_distance_requires_two_words():
     with pytest.raises(CodebookError):
         verify_min_distance(("0000",))
+    with pytest.raises(CodebookError):  # non-binary character
+        verify_min_distance(("0000", "0021"))
+    with pytest.raises(CodebookError):  # words of unequal length
+        verify_min_distance(("0000", "001"))
 
 
 def test_codeword_bit_selects_group_carrier():

@@ -83,9 +83,7 @@ def _reference_spot_report(samples, config):
             snr_estimate_db = 10.0 * np.log10(power / noise_estimate)
         if snr_estimate_db <= config.carrier_sense_snr_db or power == 0:
             windows_gated += 1
-            noise_estimate = noise_tracker_update(
-                noise_estimate, power, config.noise_smoothing
-            )
+            noise_estimate = noise_tracker_update(noise_estimate, power)
             continue
         wide = _reference_fold(np.fft.fft(window) / root_n, layout)
         numerators = masks @ wide
@@ -96,9 +94,7 @@ def _reference_spot_report(samples, config):
         if strength > config.gamma and abs(position) <= config.com_bound:
             candidates.append((start, best, strength, position, snr_estimate_db))
         else:
-            noise_estimate = noise_tracker_update(
-                noise_estimate, power, config.noise_smoothing
-            )
+            noise_estimate = noise_tracker_update(noise_estimate, power)
     events = tuple(
         DetectionEvent(start, idx, strength, position, True, snr_db)
         for start, idx, strength, position, snr_db in _reference_suppress(candidates, n)
