@@ -29,7 +29,11 @@ r = (alpha/beta) * 10^(snr_db/10).
 All Monte Carlo estimators draw with numpy's seeded Generator in fixed-size
 chunks whose seeds derive from (seed, chunk index); results are therefore
 reproducible and independent of how the chunks would be scheduled. Binomial
-uncertainties are 95% Wilson intervals.
+uncertainties are 95% Wilson intervals. The family, pairs-bound and
+misclassification estimators walk each chunk in row blocks of _MC_BLOCK
+draws (see _row_blocks), so a (draws, carriers) temporary spans one block,
+about 1.8 MB on the reference layout, rather than the chunk's 14.7 MB; the
+blocks draw and score exactly what one whole-chunk pass would.
 
 scipy is imported by the functions that use it, on their first call, so
 importing this module (and the CLI, whose spot and calculator commands
@@ -51,6 +55,12 @@ from .codebook import Codebook, mask_matrix
 FADING_ANALYSIS_MODELS = ("wideband", "narrowband")
 
 _MC_CHUNK = 1 << 15
+#: Rows per block within a Monte Carlo chunk. Consecutive draws from one
+#: Generator equal one large draw, and with numpy's OpenBLAS matrix products
+#: over blocks of 64 rows or more equalled the whole-chunk product bit for
+#: bit (1- and 7-row blocks did not), so blocking changes no result; the
+#: whole-chunk oracles in tests/test_analysis.py check this.
+_MC_BLOCK = 1 << 12
 # (generator, draw count) per Monte Carlo chunk; see _mc_chunks
 _Chunks = Iterator[tuple[np.random.Generator, int]]
 
@@ -293,6 +303,14 @@ def _mc_chunks(trials: int, seed: int) -> _Chunks:
     )
 
 
+def _row_blocks(m: int) -> "list[slice]":
+    """Consecutive slices covering range(m), _MC_BLOCK rows each, with the
+    remainder folded into the last one: a block is shorter than _MC_BLOCK
+    only when the whole chunk is, and then the chunk is one block."""
+    bounds = list(range(0, m - _MC_BLOCK + 1, _MC_BLOCK)) or [0]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:] + [m])]
+
+
 def _wilson(hits: int, trials: int) -> "tuple[float, tuple[float, float]]":
     """Hit fraction and its 95% Wilson interval."""
     from scipy import stats
@@ -309,9 +327,9 @@ def _mc_estimate(
     count_hits: "Callable[[_Chunks], Iterator[int]]",
 ) -> "tuple[float, tuple[float, float]]":
     """_wilson of the sum of what count_hits yields over _mc_chunks.
-    count_hits iterates the chunks itself, so a chunk's arrays live until
-    the next chunk replaces them and the allocator reuses their pages
-    instead of faulting fresh ones in."""
+    count_hits iterates the chunks itself, so a chunk's (or row block's)
+    arrays live until the next one replaces them and the allocator reuses
+    their pages instead of faulting fresh ones in."""
     chunks = _mc_chunks(trials, seed)
     return _wilson(sum(count_hits(chunks)), trials)
 
@@ -325,6 +343,9 @@ def _family_max_ratios(
 
     Under "all" each chunk adds the null carriers' summed power, one more
     chi-square drawn after the band's, so "band" keeps the same draws.
+    Each row block keeps only every draw's largest in-mask sum and its
+    total, and the chunk divides once: x / (T - x) never decreases in x,
+    even rounded, so the ratio of the largest sum is the largest ratio.
 
     The ratios depend on neither gamma nor SNR, so every point of every
     curve of one `tagspot curves` command thresholds the same array; the
@@ -338,12 +359,15 @@ def _family_max_ratios(
     out = np.empty(trials)
     lo = 0
     for rng, m in _mc_chunks(trials, seed):
-        draws = rng.chisquare(dof_wide, size=(m, 2 * layout.groups))
-        in_mask = draws @ masks.T
-        total = draws.sum(axis=1)
+        best = out[lo : lo + m]
+        total = np.empty(m)
+        for block in _row_blocks(m):
+            draws = rng.chisquare(dof_wide, size=(block.stop - block.start, 2 * layout.groups))
+            np.max(draws @ masks.T, axis=1, out=best[block])
+            np.sum(draws, axis=1, out=total[block])
         if dof_extra:
             total += rng.chisquare(dof_extra, size=m)
-        out[lo : lo + m] = (in_mask / (total[:, None] - in_mask)).max(axis=1)
+        best /= total - best
         lo += m
     out.sort()
     out.flags.writeable = False
@@ -388,11 +412,12 @@ def pf_pairs_bound(
 
     def count(chunks: _Chunks) -> "Iterator[int]":
         for rng, m in chunks:
-            draws = rng.chisquare(dof_wide, size=(m, 2 * layout.groups))
-            pairs = draws.reshape(m, layout.groups, 2)
-            numerator = pairs.max(axis=2).sum(axis=1)
-            denominator = pairs.min(axis=2).sum(axis=1)
-            yield int(np.count_nonzero(numerator / denominator > t))
+            for block in _row_blocks(m):
+                draws = rng.chisquare(dof_wide, size=(block.stop - block.start, 2 * layout.groups))
+                pairs = draws.reshape(-1, layout.groups, 2)
+                numerator = pairs.max(axis=2).sum(axis=1)
+                denominator = pairs.min(axis=2).sum(axis=1)
+                yield int(np.count_nonzero(numerator / denominator > t))
 
     return _mc_estimate(trials, seed, count)
 
@@ -415,6 +440,10 @@ def pm_mc(
     guard noise once and scores every SNR from them. Narrowband draws each
     SNR's noncentral tones from the generator state that follows the
     shared draws, so every SNR sees the stream a single-SNR run would.
+    Each row block scores every SNR; wideband draws the block's guard
+    noise there (every guard draw follows every tone draw), narrowband
+    draws the chunk's guard up front and resumes each SNR's tone stream
+    where its previous block left it.
     """
     if fading not in FADING_ANALYSIS_MODELS:
         raise ValueError(
@@ -434,21 +463,32 @@ def pm_mc(
     def chunk_misses(rng: np.random.Generator, m: int) -> "list[int]":
         sent = rng.integers(0, codebook.size, size=m)
         tone_noise = rng.chisquare(beta2, size=(m, wides))
-        guard = rng.chisquare(guard2, size=(m, wides)) if guard2 > 0 else 0.0
-        active_rows = masks[sent]
-        shared_end = rng.bit_generator.state
-
-        def misses(r: float) -> int:
-            if fading == "wideband":
-                tone_active = (1.0 + r) * tone_noise
-            else:
-                rng.bit_generator.state = shared_end
-                tone_active = rng.noncentral_chisquare(beta2, beta2 * r, size=(m, wides))
-            powers = np.where(active_rows, tone_active, tone_noise) + guard
-            decoded = np.argmax(powers @ masks.T, axis=1)
-            return int(np.count_nonzero(decoded != sent))
-
-        return [misses(r) for r in rs]
+        chunk_guard = None
+        if fading == "narrowband" and guard2 > 0:
+            chunk_guard = rng.chisquare(guard2, size=(m, wides))
+        tone_states = [rng.bit_generator.state] * len(rs)
+        misses = [0] * len(rs)
+        for block in _row_blocks(m):
+            noise = tone_noise[block]
+            idle = ~masks[sent[block]]
+            guard = 0.0
+            if chunk_guard is not None:
+                guard = chunk_guard[block]
+            elif guard2 > 0:
+                guard = rng.chisquare(guard2, size=noise.shape)
+            powers = np.empty(noise.shape)
+            for i, r in enumerate(rs):
+                if fading == "wideband":
+                    np.multiply(noise, 1.0 + r, out=powers)
+                else:
+                    rng.bit_generator.state = tone_states[i]
+                    powers = rng.noncentral_chisquare(beta2, beta2 * r, size=noise.shape)
+                    tone_states[i] = rng.bit_generator.state
+                np.copyto(powers, noise, where=idle)
+                powers += guard
+                decoded = np.argmax(powers @ masks.T, axis=1)
+                misses[i] += int(np.count_nonzero(decoded != sent[block]))
+        return misses
 
     per_chunk = [chunk_misses(rng, m) for rng, m in _mc_chunks(trials, seed)]
     return [_wilson(sum(hits), trials) for hits in zip(*per_chunk)]

@@ -125,7 +125,17 @@ def _parse_grid(text: str, name: str) -> "list[float]":
         raise CliError(1, f"bad {name} grid {text!r}: {exc}") from exc
     if not values:
         raise CliError(1, f"{name} grid is empty")
+    if not all(math.isfinite(value) for value in values):
+        raise CliError(1, f"bad {name} grid {text!r}: values must be finite")
     return values
+
+
+def _finite(value, option: str) -> float:
+    """A scalar float option's value, from a flag or a config field, which
+    must be a finite number: argparse's float() accepts "inf" and "nan"."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise CliError(1, f"{option} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _require_seed(seed: "int | None", why: str) -> int:
@@ -201,8 +211,8 @@ def _cmd_modulate(args: argparse.Namespace) -> int:
     layout = _config_layout(args)
     codebook = _get_codebook(args.codebook)
     seed = _require_seed(args.seed, "tone phases are random")
-    power = float(args.power)
-    papr_cap = args.papr_cap
+    power = _finite(args.power, "--power")
+    papr_cap = None if args.papr_cap is None else _finite(args.papr_cap, "--papr-cap")
     if args.out is None:
         raise CliError(1, "--out is required")
 
@@ -221,12 +231,12 @@ def _cmd_modulate(args: argparse.Namespace) -> int:
     mask = codeword_to_mask(codebook.words[word_index], layout)
     if papr_cap is not None:
         limited = synthesize_tag_papr_limited(
-            mask, layout, power, float(papr_cap), rng, int(args.max_attempts)
+            mask, layout, power, papr_cap, rng, int(args.max_attempts)
         )
         frame = limited.frame
     else:
         frame = synthesize_tag(build_tag_spectrum(mask, layout, power, rng), layout)
-    sample_rate = float(args.sample_rate)
+    sample_rate = _finite(args.sample_rate, "--sample-rate")
     if sample_rate != 1.0:
         frame = IqFrame(frame.samples, sample_rate)
 
@@ -239,7 +249,7 @@ def _cmd_modulate(args: argparse.Namespace) -> int:
         "papr_db": round(papr(frame), 9),
     }
     if papr_cap is not None:
-        extra["papr_cap_db"] = float(papr_cap)
+        extra["papr_cap_db"] = papr_cap
         extra["papr_cap_met"] = bool(limited.met_cap)
         extra["attempts"] = limited.attempts
     _write_iq_output(args.out, frame, layout, extra)
@@ -259,11 +269,12 @@ def _cmd_impair(args: argparse.Namespace) -> int:
         raise CliError(1, "--in is required")
     if args.out is None:
         raise CliError(1, "--out is required")
+    snr_db = None if args.snr is None else _finite(args.snr, "--snr")
+    sir_db = None if args.sir is None else _finite(args.sir, "--sir")
+    fading = args.fading
+    cfo = _finite(args.cfo, "--cfo")
     frame, meta = _read_iq_input(args.in_path)
     layout = layout_from_metadata(meta) or _config_layout(args)
-
-    snr_db, sir_db, fading = args.snr, args.sir, args.fading
-    cfo = float(args.cfo)
     intf_offset = int(args.interference_offset)
     if intf_offset < 0:
         raise CliError(1, "interference offset must be nonnegative")
@@ -284,19 +295,19 @@ def _cmd_impair(args: argparse.Namespace) -> int:
         span = max(len(frame) - intf_offset, 1)
         n_frames = math.ceil(span / interference_frame_len(layout))
         interference = synthesize_data_interference(layout, n_frames, 1.0, rng)
-        gain = gain_for_sir(frame, interference, intf_offset, float(sir_db))
+        gain = gain_for_sir(frame, interference, intf_offset, sir_db)
         frame = mix([(frame, 0, 1.0), (interference, intf_offset, gain)])
     if snr_db is not None:
         tones = layout.active_thin_per_wide * layout.groups
         p_tone = tag_power * layout.fft_size / tones
-        frame = apply_awgn(frame, noise_power_for_snr(float(snr_db), p_tone, layout), rng)
+        frame = apply_awgn(frame, noise_power_for_snr(snr_db, p_tone, layout), rng)
 
     extra = {
         "command": "impair",
-        "snr_db": None if snr_db is None else float(snr_db),
+        "snr_db": snr_db,
         "cfo": cfo,
         "fading": fading,
-        "sir_db": None if sir_db is None else float(sir_db),
+        "sir_db": sir_db,
         "interference_offset": intf_offset,
         "seed": seed,
         "source": str(args.in_path),
@@ -315,11 +326,11 @@ def _cmd_impair(args: argparse.Namespace) -> int:
 def _cmd_spot(args: argparse.Namespace) -> int:
     if args.in_path is None:
         raise CliError(1, "--in is required")
+    gamma = _finite(args.gamma, "--gamma")
+    carrier_sense = _finite(args.carrier_sense, "--carrier-sense")
     frame, meta = _read_iq_input(args.in_path)
     layout = layout_from_metadata(meta) or _config_layout(args)
     codebook = _get_codebook(args.codebook)
-    gamma = float(args.gamma)
-    carrier_sense = float(args.carrier_sense)
     detector = DetectorConfig(
         layout=layout,
         codebook=codebook,
@@ -424,7 +435,7 @@ def _cmd_leakage(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     carriers = int(args.carriers)
-    snr_db = float(args.snr)
+    snr_db = _finite(args.snr, "--snr")
     trials = int(args.trials)
     seed = args.seed
     if trials > 0:
@@ -452,7 +463,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_range(args: argparse.Namespace) -> int:
-    snr_gap = float(args.snr_gap)
+    snr_gap = _finite(args.snr_gap, "--snr-gap")
     rows = [(d, range_gain(snr_gap, d)) for d in _parse_grid(args.exponents, "exponents")]
     columns = "path_loss_exponent range_gain"
     _emit_table(args.out, "range", [("snr_gap_db", snr_gap)], columns, rows)

@@ -6,6 +6,7 @@ reflect the pin precision, not the implementation's.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -380,27 +381,32 @@ def test_roc_flags_unresolved_monte_carlo_points(codebook):
     assert by_gamma[0.62].flagged  # pf ~ 1e-7 cannot resolve in 2000 trials
 
 
-def _max_ratios_by_chunk(codebook, layout, trials, seed):
+def _max_ratios_by_chunk(codebook, layout, trials, seed, denominator="band"):
     """Each chunk's per-draw family max ratios, drawn as pf_family_mc did
-    before the gamma grid shared one draw."""
+    before the gamma grid shared one draw and before chunks were walked in
+    row blocks: whole-chunk draws and products, every codeword's ratio."""
     masks = mask_matrix(codebook, layout)[:, np.asarray(layout.band_wide)]
     masks = masks.astype(np.float64)
+    dof_wide = 2 * layout.thin_per_wide
+    extra = len(layout.denominator_wide(denominator)) - 2 * layout.groups
     chunk = analysis._MC_CHUNK
     for chunk_index, lo in enumerate(range(0, trials, chunk)):
         m = min(chunk, trials - lo)
         rng = np.random.default_rng([seed, chunk_index])
-        draws = rng.chisquare(2 * layout.thin_per_wide, size=(m, 2 * layout.groups))
+        draws = rng.chisquare(dof_wide, size=(m, 2 * layout.groups))
         in_mask = draws @ masks.T
         total = draws.sum(axis=1)
+        if extra:
+            total += rng.chisquare(dof_wide * extra, size=m)
         yield (in_mask / (total[:, None] - in_mask)).max(axis=1)
 
 
-def _pf_family_by_gamma(gamma, codebook, layout, trials, seed):
+def _pf_family_by_gamma(gamma, codebook, layout, trials, seed, denominator="band"):
     """Oracle: the per-gamma chunk loop, redrawing every chunk."""
     t = gamma / (1.0 - gamma)
     hits = sum(
         int(np.count_nonzero(ratios > t))
-        for ratios in _max_ratios_by_chunk(codebook, layout, trials, seed)
+        for ratios in _max_ratios_by_chunk(codebook, layout, trials, seed, denominator)
     )
     return _wilson_oracle(hits, trials)
 
@@ -412,9 +418,9 @@ def _wilson_oracle(hits, trials):
     return hits / trials, (float(ci.low), float(ci.high))
 
 
-def _tie_gamma(codebook, layout, trials, seed):
+def _tie_gamma(codebook, layout, trials, seed, denominator):
     """A gamma whose threshold t equals one of the drawn ratios exactly."""
-    for ratio in next(_max_ratios_by_chunk(codebook, layout, trials, seed)):
+    for ratio in next(_max_ratios_by_chunk(codebook, layout, trials, seed, denominator)):
         gamma = ratio / (1.0 + ratio)
         if gamma / (1.0 - gamma) == ratio:
             return float(gamma)
@@ -434,38 +440,53 @@ SMALL_BOOK = Codebook(
 )
 
 
+_BLOCK = analysis._MC_BLOCK
+_CHUNK = analysis._MC_CHUNK
+# trial counts whose chunks end one row short of a block, one row past a
+# full chunk's eight blocks, and in a block of 2 * _BLOCK - 1 rows
+_BLOCK_EDGES = [_BLOCK - 1, _CHUNK + _BLOCK + 1, 3 * _BLOCK - 1]
+_BLOCK_EDGE_IDS = ["short-block", "chunk-then-block-plus-one", "ragged-last-block"]
+
+
 @pytest.mark.parametrize(
-    "layout, trials, seed",
+    "layout, trials, seed, denominator",
     [
-        (LAY, 5_000, 81),  # one partial chunk
-        (LAY, 70_001, 82),  # two full chunks and a one-draw tail
-        (SMALL, 40_000, 83),
+        (LAY, 5_000, 81, "band"),  # one partial chunk
+        (LAY, 70_001, 82, "band"),  # two full chunks and a one-draw tail
+        (SMALL, 40_000, 83, "band"),
+        *[(LAY, trials, 89, name) for trials in _BLOCK_EDGES for name in ("band", "all")],
     ],
-    ids=["below-chunk", "ragged", "32-wide"],
+    ids=["below-chunk", "ragged", "32-wide",
+         *[f"{edge}-{name}" for edge in _BLOCK_EDGE_IDS for name in ("band", "all")]],
 )
-def test_roc_monte_carlo_matches_the_per_gamma_loop(codebook, layout, trials, seed):
+def test_roc_monte_carlo_matches_the_per_gamma_loop(codebook, layout, trials, seed, denominator):
     book = codebook if layout is LAY else SMALL_BOOK
-    tie = _tie_gamma(book, layout, trials, seed)
+    tie = _tie_gamma(book, layout, trials, seed, denominator)
     gammas = sorted([0.45, 0.5, 0.55, 0.58, 0.62, tie])
     model = AnalysisModel(layout=layout, snr_db=0.0)
     memo = analysis._family_max_ratios
     memo.cache_clear()
-    curve = build_roc(model, gammas, codebook=book, trials=trials, seed=seed)
+    curve = build_roc(model, gammas, codebook=book, trials=trials, seed=seed,
+                      denominator=denominator)
     # one draw for the whole grid, kept for the caller's next curve
     info = memo.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, len(gammas) - 1, 1)
-    memo(book, layout, trials, seed, "band")
+    ratios = memo(book, layout, trials, seed, denominator)
     assert memo.cache_info().misses == 1
     memo.cache_clear()
+    # the row blocks give every draw the ratio the whole-chunk loop gave it
+    oracle = np.concatenate(list(_max_ratios_by_chunk(book, layout, trials, seed, denominator)))
+    assert np.array_equal(ratios, np.sort(oracle))
     assert [pt.gamma for pt in curve.points] == gammas
     for pt in curve.points:
-        want_pf, want_ci = _pf_family_by_gamma(pt.gamma, book, layout, trials, seed)
+        want_pf, want_ci = _pf_family_by_gamma(pt.gamma, book, layout, trials, seed, denominator)
         assert pt.pf == want_pf
         assert pt.pf_ci95 == want_ci
     # the draw at the tie does not clear its own threshold
     by_gamma = {pt.gamma: pt for pt in curve.points}
     just_below = float(np.nextafter(tie, 0.0))
-    assert by_gamma[tie].pf < _pf_family_by_gamma(just_below, book, layout, trials, seed)[0]
+    below = _pf_family_by_gamma(just_below, book, layout, trials, seed, denominator)
+    assert by_gamma[tie].pf < below[0]
 
 
 @pytest.mark.parametrize(
@@ -532,14 +553,90 @@ FULL_ACTIVE = CarrierLayout(active_thin_per_wide=8)
         (LAY, [-3.0], 5_000, 86),
         (LAY, [-2.0, -4.0], 70_001, 87),  # two full chunks and a one-draw tail
         (FULL_ACTIVE, [-4.0, -7.0], 5_000, 88),
+        *[(LAY, [-2.0, -4.0], trials, 90) for trials in _BLOCK_EDGES],
+        (FULL_ACTIVE, [-4.0, -7.0], _CHUNK + _BLOCK + 1, 91),
     ],
-    ids=["unsorted-duplicate", "single-point", "ragged", "full-active"],
+    ids=["unsorted-duplicate", "single-point", "ragged", "full-active",
+         *_BLOCK_EDGE_IDS, "full-active-chunk-then-block-plus-one"],
 )
 def test_pm_mc_grid_matches_the_per_snr_loop(codebook, layout, snr_dbs, trials, seed, fading):
     got = pm_mc(snr_dbs, codebook, layout, fading, trials, seed)
     want = [_pm_mc_one_snr(s, codebook, layout, fading, trials, seed) for s in snr_dbs]
     assert got == want
     assert all(estimate > 0 for estimate, _ in got)  # every point resolves a miss
+
+
+def _pf_pairs_by_chunk(gamma, layout, trials, seed):
+    """Oracle: pf_pairs_bound's loop before chunks were walked in row
+    blocks, one whole-chunk draw per chunk."""
+    t = gamma / (1.0 - gamma)
+    hits = 0
+    for chunk_index, lo in enumerate(range(0, trials, _CHUNK)):
+        m = min(_CHUNK, trials - lo)
+        rng = np.random.default_rng([seed, chunk_index])
+        draws = rng.chisquare(2 * layout.thin_per_wide, size=(m, 2 * layout.groups))
+        pairs = draws.reshape(m, layout.groups, 2)
+        ratio = pairs.max(axis=2).sum(axis=1) / pairs.min(axis=2).sum(axis=1)
+        hits += int(np.count_nonzero(ratio > t))
+    return _wilson_oracle(hits, trials)
+
+
+@pytest.mark.parametrize("trials", _BLOCK_EDGES, ids=_BLOCK_EDGE_IDS)
+def test_pf_pairs_bound_matches_the_whole_chunk_loop(trials):
+    for gamma in (0.58, 0.6):
+        got = pf_pairs_bound(gamma, LAY, trials, 92)
+        assert got == _pf_pairs_by_chunk(gamma, LAY, trials, 92)
+        assert got[0] > 0  # the threshold resolves hits
+
+
+@settings(max_examples=100)
+@given(
+    st.one_of(
+        st.integers(min_value=1, max_value=_CHUNK),
+        st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK]),
+    )
+)
+def test_row_blocks_tile_the_chunk(m):
+    blocks = analysis._row_blocks(m)
+    assert blocks[0].start == 0 and blocks[-1].stop == m
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    sizes = [b.stop - b.start for b in blocks]
+    assert all(b.step is None for b in blocks)
+    if m < _BLOCK:
+        assert sizes == [m]
+    else:
+        assert all(_BLOCK <= size < 2 * _BLOCK for size in sizes)
+
+
+def _traced_peak_mib(run):
+    """tracemalloc's peak for run(), after one small warm-up call has
+    loaded scipy and filled the codebook's caches."""
+    run(1)
+    analysis._family_max_ratios.cache_clear()
+    tracemalloc.start()
+    try:
+        run(2 * _CHUNK)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+        analysis._family_max_ratios.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "run, bound_mib",
+    [
+        (lambda book, trials: analysis._family_max_ratios(book, LAY, trials, 93, "band"), 8),
+        (lambda book, trials: analysis._family_max_ratios(book, LAY, trials, 93, "all"), 8),
+        (lambda book, trials: pf_pairs_bound(0.55, LAY, trials, 93), 8),
+        (lambda book, trials: pm_mc([0.0, -2.0], book, LAY, "wideband", trials, 93), 24),
+        (lambda book, trials: pm_mc([0.0, -2.0], book, LAY, "narrowband", trials, 93), 36),
+    ],
+    ids=["family-band", "family-all", "pairs-bound", "pm-wideband", "pm-narrowband"],
+)
+def test_monte_carlo_working_set_is_bounded_by_the_block(codebook, run, bound_mib):
+    # a whole-chunk pass holds several (32768, 56) float64 temporaries of
+    # 14 MiB each; a block's are an eighth of that
+    assert _traced_peak_mib(lambda trials: run(codebook, trials)) <= bound_mib
 
 
 def test_roc_curve_rejects_non_monotone_points():

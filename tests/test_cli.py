@@ -402,6 +402,41 @@ def test_negative_counts_exit_with_code_1(capsys):
     _fails_with_one_line(["overhead", "--sync-frames", "-6", "--tag-frames", "-1"], capsys)
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["sweep", "--carriers", "3", "--snr=inf"], "--snr"),
+        (["curves", "--snr=nan"], "snr grid"),
+        (["curves", "--snr=0,inf", "--trials", "100", "--seed", "1"], "snr grid"),
+        (["curves", "--gamma=0.5,nan"], "gamma grid"),
+        (["range", "--snr-gap=nan"], "--snr-gap"),
+        (["range", "--exponents=3,inf"], "exponents grid"),
+        (["modulate", "--seed", "1", "--power=inf", "--out", "{out}"], "--power"),
+        (["modulate", "--seed", "1", "--papr-cap=nan", "--out", "{out}"], "--papr-cap"),
+        (["modulate", "--seed", "1", "--sample-rate=inf", "--out", "{out}"], "--sample-rate"),
+        (["impair", "--in", "{tag}", "--seed", "1", "--snr=-inf", "--out", "{out}"], "--snr"),
+        (["impair", "--in", "{tag}", "--seed", "1", "--sir=nan", "--out", "{out}"], "--sir"),
+        (["impair", "--in", "{tag}", "--cfo=inf", "--out", "{out}"], "--cfo"),
+        (["spot", "--in", "{tag}", "--gamma=nan"], "--gamma"),
+        (["spot", "--in", "{tag}", "--carrier-sense=-inf"], "--carrier-sense"),
+        (["sweep", "--carriers", "3", "--config", "{config}"], "--snr"),
+    ],
+    ids=["sweep-snr", "curves-snr-nan", "curves-snr-inf", "curves-gamma", "range-snr-gap",
+         "range-exponents", "modulate-power", "modulate-papr-cap", "modulate-sample-rate",
+         "impair-snr", "impair-sir", "impair-cfo", "spot-gamma", "spot-carrier-sense",
+         "sweep-config-snr"],
+)
+def test_non_finite_numbers_exit_with_code_1(tmp_path, capsys, argv, named):
+    config = tmp_path / "inf.json"
+    config.write_text(json.dumps({"config_version": 1, "snr": float("inf")}))
+    paths = {"tag": _modulate(tmp_path), "out": tmp_path / "o.iq", "config": config}
+    capsys.readouterr()
+    assert cli_main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and named in err
+    assert not paths["out"].exists()
+
+
 def test_io_errors_exit_with_code_2(tmp_path):
     assert cli_main(["impair", "--in", str(tmp_path / "absent.iq"),
                      "--out", str(tmp_path / "o.iq")]) == 2
