@@ -451,6 +451,8 @@ def pm_mc(
         )
     if len(snr_dbs) == 0:
         raise ValueError("the SNR grid must not be empty")
+    if not all(math.isfinite(snr_db) for snr_db in snr_dbs):
+        raise ValueError(f"every SNR must be finite, got {list(snr_dbs)}")
     rs = [
         AnalysisModel(layout=layout, snr_db=snr_db, fading=fading).p_over_n
         for snr_db in snr_dbs
@@ -470,7 +472,7 @@ def pm_mc(
         misses = [0] * len(rs)
         for block in _row_blocks(m):
             noise = tone_noise[block]
-            idle = ~masks[sent[block]]
+            active = masks[sent[block]]
             guard = 0.0
             if chunk_guard is not None:
                 guard = chunk_guard[block]
@@ -479,12 +481,16 @@ def pm_mc(
             powers = np.empty(noise.shape)
             for i, r in enumerate(rs):
                 if fading == "wideband":
-                    np.multiply(noise, 1.0 + r, out=powers)
+                    # gain 1 + r on the sent carriers and 1 elsewhere, built
+                    # in place: r * 1.0 == r and noise * 1.0 == noise exactly
+                    np.multiply(active, r, out=powers)
+                    powers += 1.0
+                    powers *= noise
                 else:
                     rng.bit_generator.state = tone_states[i]
                     powers = rng.noncentral_chisquare(beta2, beta2 * r, size=noise.shape)
                     tone_states[i] = rng.bit_generator.state
-                np.copyto(powers, noise, where=idle)
+                    np.copyto(powers, noise, where=~active)
                 powers += guard
                 decoded = np.argmax(powers @ masks.T, axis=1)
                 misses[i] += int(np.count_nonzero(decoded != sent[block]))

@@ -19,6 +19,7 @@ CarrierLayout.denominator_wide maps a name to its carriers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -37,6 +38,10 @@ class CarrierLayout:
     null_wide: wide carrier indices that are never activated.
     fft_size: transform length in thin-carrier bins.
     cp_fraction: cyclic prefix length as a fraction of fft_size.
+
+    The derived carrier tuples (band_wide, group_map, active_thin_offsets)
+    are built on first access and cached on the instance. They are
+    immutable, and equality and hashing read only the fields above.
     """
 
     thin_per_wide: int = 8
@@ -86,7 +91,7 @@ class CarrierLayout:
         """Samples in one tag frame (prefix plus transform body)."""
         return self.fft_size + self.cp_len
 
-    @property
+    @functools.cached_property
     def band_wide(self) -> tuple[int, ...]:
         """Non-null wide carrier indices in ascending frequency order."""
         return tuple(w for w in range(self.wide_total) if w not in self.null_wide)
@@ -102,7 +107,7 @@ class CarrierLayout:
             f"denominator must be one of {STRENGTH_DENOMINATORS}, got {denominator!r}"
         )
 
-    @property
+    @functools.cached_property
     def group_map(self) -> tuple[tuple[int, int], ...]:
         """Two-carrier groups: consecutive non-null carriers, paired in
         ascending frequency order. Group g holds (first, second); a codeword
@@ -110,7 +115,7 @@ class CarrierLayout:
         band = self.band_wide
         return tuple((band[2 * g], band[2 * g + 1]) for g in range(self.groups))
 
-    @property
+    @functools.cached_property
     def active_thin_offsets(self) -> tuple[int, ...]:
         """Offsets of the active (central) thin carriers inside a wide
         carrier's span of thin_per_wide bins."""

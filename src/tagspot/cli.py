@@ -138,10 +138,21 @@ def _finite(value, option: str) -> float:
     return float(value)
 
 
+def _integer(value, option: str) -> int:
+    """An integer option's value, from a flag or a config field. argparse
+    converts flags and string fields, but other JSON values arrive as they
+    are: bools, fractional numbers and null are rejected, not truncated."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise CliError(1, f"{option} must be an integer, got {value!r}")
+
+
 def _require_seed(seed: "int | None", why: str) -> int:
     if seed is None:
         raise CliError(1, f"--seed is required: {why}")
-    return int(seed)
+    return _integer(seed, "--seed")
 
 
 def _get_codebook(path: "str | None") -> Codebook:
@@ -213,11 +224,12 @@ def _cmd_modulate(args: argparse.Namespace) -> int:
     seed = _require_seed(args.seed, "tone phases are random")
     power = _finite(args.power, "--power")
     papr_cap = None if args.papr_cap is None else _finite(args.papr_cap, "--papr-cap")
+    max_attempts = _integer(args.max_attempts, "--max-attempts")
     if args.out is None:
         raise CliError(1, "--out is required")
 
     rng = np.random.default_rng(seed)
-    word_index = args.word
+    word_index = None if args.word is None else _integer(args.word, "--word")
     if args.random:
         if word_index is not None:
             raise CliError(1, "--word and --random are mutually exclusive")
@@ -231,7 +243,7 @@ def _cmd_modulate(args: argparse.Namespace) -> int:
     mask = codeword_to_mask(codebook.words[word_index], layout)
     if papr_cap is not None:
         limited = synthesize_tag_papr_limited(
-            mask, layout, power, papr_cap, rng, int(args.max_attempts)
+            mask, layout, power, papr_cap, rng, max_attempts
         )
         frame = limited.frame
     else:
@@ -275,10 +287,10 @@ def _cmd_impair(args: argparse.Namespace) -> int:
     cfo = _finite(args.cfo, "--cfo")
     frame, meta = _read_iq_input(args.in_path)
     layout = layout_from_metadata(meta) or _config_layout(args)
-    intf_offset = int(args.interference_offset)
+    intf_offset = _integer(args.interference_offset, "--interference-offset")
     if intf_offset < 0:
         raise CliError(1, "interference offset must be nonnegative")
-    seed = args.seed
+    seed = None if args.seed is None else _integer(args.seed, "--seed")
     if snr_db is not None or sir_db is not None or fading != "none":
         seed = _require_seed(seed, "noise, fading and interference draw randomness")
     rng = np.random.default_rng(seed if seed is not None else 0)
@@ -368,10 +380,10 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     codebook = _get_codebook(args.codebook)
     snr_grid = _parse_grid(args.snr, "snr")
     gamma_grid = sorted(_parse_grid(args.gamma, "gamma"))
-    trials = int(args.trials)
+    trials = _integer(args.trials, "--trials")
     # --include-null-noise is this command's spelling of denominator="all"
     denominator = "all" if args.include_null_noise else "band"
-    seed = args.seed
+    seed = None if args.seed is None else _integer(args.seed, "--seed")
     pms = [float("nan")] * len(snr_grid)
     if trials > 0:
         seed = _require_seed(seed, "Monte Carlo columns are requested")
@@ -415,7 +427,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
 def _cmd_leakage(args: argparse.Namespace) -> int:
     layout = _config_layout(args)
-    max_offset = int(args.max_offset)
+    max_offset = _integer(args.max_offset, "--max-offset")
     if max_offset < 1:
         raise CliError(1, "max offset must be at least 1")
     fields = [
@@ -434,10 +446,10 @@ def _cmd_leakage(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    carriers = int(args.carriers)
+    carriers = _integer(args.carriers, "--carriers")
     snr_db = _finite(args.snr, "--snr")
-    trials = int(args.trials)
-    seed = args.seed
+    trials = _integer(args.trials, "--trials")
+    seed = None if args.seed is None else _integer(args.seed, "--seed")
     if trials > 0:
         seed = _require_seed(seed, "Monte Carlo columns are requested")
     points = sweep_active_carriers(
@@ -471,9 +483,9 @@ def _cmd_range(args: argparse.Namespace) -> int:
 
 
 def _cmd_overhead(args: argparse.Namespace) -> int:
-    payload = int(args.payload_bytes)
-    sync_frames = int(args.sync_frames)
-    tag_frames = int(args.tag_frames)
+    payload = _integer(args.payload_bytes, "--payload-bytes")
+    sync_frames = _integer(args.sync_frames, "--sync-frames")
+    tag_frames = _integer(args.tag_frames, "--tag-frames")
     fraction = overhead(payload, sync_frames=sync_frames, tag_frames=tag_frames)
     row = (payload, payload_frames(payload), sync_frames, tag_frames, fraction)
     columns = "payload_bytes payload_frames sync_frames tag_frames overhead"

@@ -9,7 +9,9 @@ identical power spectrum).
 Per interval the pipeline is: carrier-sense gate on total power against a
 tracked noise floor, unitary FFT, fold to wide-carrier powers, tag strength
 for every codeword, then a candidate requires max strength above gamma and
-a valid center of mass. A candidate becomes an event only when no
+a valid center of mass. Most windows of a monitoring capture hold only
+noise and stop at gamma, so the center of mass is computed only for the
+windows above it. A candidate becomes an event only when no
 overlapping interval produced a candidate of strictly larger strength
 (ties resolve to the earliest interval, then the lowest codeword index).
 
@@ -182,7 +184,10 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
     The noise tracker seeds on the first interval and is updated by every
     interval that fails the candidate test (including carrier-sense-gated
     ones, whose power is already in hand); candidate intervals leave it
-    frozen so tag power is not absorbed into the floor.
+    frozen so tag power is not absorbed into the floor. Each window that
+    passes the gate is folded and scored once; its center of mass is
+    computed only when its best strength is above gamma, since a window
+    at or below gamma fails the candidate test whatever its position.
     """
     layout = config.layout
     n = layout.fft_size
@@ -220,15 +225,16 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
                 continue
             wide = fold_spectrum(spectra[k], layout)
             scores = strengths(wide, config)
-            best = int(np.argmax(scores))
+            best = int(scores.argmax())
             strength = float(scores[best])
-            position = center_of_mass(wide, layout)
-            if strength > gamma and abs(position) <= com_bound:
-                candidates.append(
-                    (lo + k * hop, best, strength, position, snr_estimate_db)
-                )
-            else:
-                noise_estimate = noise_tracker_update(noise_estimate, power)
+            if strength > gamma:
+                position = center_of_mass(wide, layout)
+                if abs(position) <= com_bound:
+                    candidates.append(
+                        (lo + k * hop, best, strength, position, snr_estimate_db)
+                    )
+                    continue
+            noise_estimate = noise_tracker_update(noise_estimate, power)
 
     events = tuple(
         DetectionEvent(

@@ -289,6 +289,9 @@ def test_mc_estimators_validate_inputs(codebook):
         pm_mc([0.0], codebook, LAY, "wideband", 0, seed=0)
     with pytest.raises(ValueError, match="empty"):
         pm_mc([], codebook, LAY, "wideband", 10, seed=0)
+    # an infinite gain would turn the idle carriers' 0 * r into nan
+    with pytest.raises(ValueError, match="finite"):
+        pm_mc([0.0, float("inf")], codebook, LAY, "wideband", 10, seed=0)
     # the fading check does not wait for a grid point to build a model
     with pytest.raises(ValueError, match="fading"):
         pm_mc([], codebook, LAY, "rician", 10, seed=0)

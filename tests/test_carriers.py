@@ -1,6 +1,10 @@
 """Carrier grid geometry, mask validation, and layout serialization."""
 
+import dataclasses
+
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from tagspot.carriers import (
     REFERENCE_LAYOUT,
@@ -52,6 +56,71 @@ def test_group_map_pairs_adjacent_band_carriers():
 
 def test_active_thin_offsets_are_the_central_block():
     assert REFERENCE_LAYOUT.active_thin_offsets == (2, 3, 4, 5)
+
+
+DERIVED = ("band_wide", "group_map", "active_thin_offsets")
+
+# odd fft_size: 21 wide carriers of 5 thin bins, a 21-sample prefix
+ODD = CarrierLayout(
+    thin_per_wide=5,
+    active_thin_per_wide=3,
+    groups=9,
+    wide_total=21,
+    null_wide=frozenset({0, 10, 20}),
+    fft_size=105,
+    cp_fraction=0.2,
+)
+
+
+@st.composite
+def _drawn_layouts(draw):
+    thin = draw(st.integers(min_value=1, max_value=8))
+    groups = draw(st.integers(min_value=1, max_value=12))
+    wide_total = 2 * groups + draw(st.integers(min_value=0, max_value=6))
+    nulls = draw(st.sets(st.integers(min_value=0, max_value=wide_total - 1),
+                         min_size=wide_total - 2 * groups,
+                         max_size=wide_total - 2 * groups))
+    fft_size = wide_total * thin
+    cp_len = draw(st.integers(min_value=1, max_value=fft_size))
+    assume(fft_size * (cp_len / fft_size) == cp_len)
+    return CarrierLayout(
+        thin_per_wide=thin,
+        active_thin_per_wide=draw(st.integers(min_value=1, max_value=thin)),
+        groups=groups,
+        wide_total=wide_total,
+        null_wide=frozenset(nulls),
+        fft_size=fft_size,
+        cp_fraction=cp_len / fft_size,
+    )
+
+
+VALID_LAYOUTS = st.one_of(st.just(REFERENCE_LAYOUT), st.just(ODD), _drawn_layouts())
+
+
+def test_derived_geometry_is_built_once():
+    lay = CarrierLayout()
+    for name in DERIVED:
+        assert getattr(lay, name) is getattr(lay, name)
+
+
+@given(VALID_LAYOUTS)
+def test_group_map_pairs_the_band_on_any_valid_layout(lay):
+    band = lay.band_wide
+    assert list(band) == sorted(set(range(lay.wide_total)) - lay.null_wide)
+    # consecutive band carriers pair up, and each lands in exactly one group
+    assert len(lay.group_map) == lay.groups
+    assert [w for pair in lay.group_map for w in pair] == list(band)
+
+
+@given(VALID_LAYOUTS)
+def test_equal_layouts_compare_and_hash_equal_whatever_their_cache(lay):
+    # replace() builds a new instance from the fields, so its cache is empty
+    empty, filled = dataclasses.replace(lay), dataclasses.replace(lay)
+    for name in DERIVED:
+        getattr(filled, name)
+    for a, b in ((empty, filled), (lay, empty), (lay, filled)):
+        assert a == b and hash(a) == hash(b)
+    assert {filled: "found"}[empty] == "found"
 
 
 def test_centered_wide_index_is_symmetric():

@@ -437,6 +437,38 @@ def test_non_finite_numbers_exit_with_code_1(tmp_path, capsys, argv, named):
     assert not paths["out"].exists()
 
 
+@pytest.mark.parametrize(
+    "argv, fields, named",
+    [
+        (["curves"], {"trials": 2.5, "seed": 1}, "--trials"),
+        (["curves"], {"trials": True, "seed": 1}, "--trials"),
+        (["curves", "--trials", "10"], {"seed": 1.7}, "--seed"),
+        (["modulate", "--seed", "1", "--papr-cap", "6", "--out", "{out}"],
+         {"max_attempts": None}, "--max-attempts"),
+        (["sweep"], {"carriers": None}, "--carriers"),
+    ],
+    ids=["curves-fractional-trials", "curves-bool-trials", "curves-fractional-seed",
+         "modulate-null-max-attempts", "sweep-null-carriers"],
+)
+def test_non_integer_config_values_exit_with_code_1(tmp_path, capsys, argv, fields, named):
+    config = tmp_path / "ints.json"
+    config.write_text(json.dumps({"config_version": 1, **fields}))
+    out = tmp_path / "o.iq"
+    assert cli_main([arg.format(out=out) for arg in argv] + ["--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and named in err
+    assert not out.exists()
+
+
+def test_integral_config_numbers_are_integers(tmp_path):
+    config = tmp_path / "ints.json"
+    config.write_text(json.dumps({"config_version": 1, "trials": 20.0, "seed": 3.0}))
+    from_config, from_flags = tmp_path / "config.txt", tmp_path / "flags.txt"
+    assert cli_main(["curves", "--config", str(config), "--out", str(from_config)]) == 0
+    assert cli_main(["curves", "--trials", "20", "--seed", "3", "--out", str(from_flags)]) == 0
+    assert from_config.read_bytes() == from_flags.read_bytes()
+
+
 def test_io_errors_exit_with_code_2(tmp_path):
     assert cli_main(["impair", "--in", str(tmp_path / "absent.iq"),
                      "--out", str(tmp_path / "o.iq")]) == 2

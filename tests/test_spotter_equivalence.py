@@ -60,7 +60,8 @@ def _reference_suppress(candidates, n):
 
 
 def _reference_spot_report(samples, config):
-    """Events, windows_total and windows_gated of the per-window loop."""
+    """Events, windows_total and windows_gated of the per-window loop, and
+    the number of windows above gamma that failed the center-of-mass test."""
     layout = config.layout
     n = layout.fft_size
     stream = samples.samples
@@ -71,6 +72,7 @@ def _reference_spot_report(samples, config):
     noise_estimate = None
     windows_total = 0
     windows_gated = 0
+    com_rejects = 0
     for start in range(0, len(stream) - n + 1, layout.cp_len):
         windows_total += 1
         window = stream[start : start + n]
@@ -94,17 +96,18 @@ def _reference_spot_report(samples, config):
         if strength > config.gamma and abs(position) <= config.com_bound:
             candidates.append((start, best, strength, position, snr_estimate_db))
         else:
+            com_rejects += strength > config.gamma
             noise_estimate = noise_tracker_update(noise_estimate, power)
     events = tuple(
         DetectionEvent(start, idx, strength, position, True, snr_db)
         for start, idx, strength, position, snr_db in _reference_suppress(candidates, n)
     )
-    return events, windows_total, windows_gated
+    return events, windows_total, windows_gated, com_rejects
 
 
 def _assert_same_as_reference(stream, config):
     report = spot_report(stream, config)
-    events, total, gated = _reference_spot_report(stream, config)
+    events, total, gated, _ = _reference_spot_report(stream, config)
     assert report.windows_total == total
     assert report.windows_gated == gated
     assert report.events == events  # dataclass equality: floats bit for bit
@@ -174,6 +177,30 @@ def test_back_to_back_tags(codebook):
             stream = _tagged_stream(LAY, codebook, count * frame, tags, snr_db, seed)
             report = _assert_same_as_reference(stream, config)
             assert len(report.events) > count // 2
+
+
+def test_center_of_mass_rejects_update_the_noise_floor(codebook):
+    # a burst of one strong tone on the lowest band carrier, a band edge:
+    # every codeword holding that carrier scores near 1, far above gamma,
+    # while the center of mass sits near -28.5, beyond com_bound = 8
+    config = DetectorConfig(layout=LAY, codebook=codebook)
+    total = _length_for_windows(LAY, 2 * _CHUNK_WINDOWS + 40)
+    tags = [(o, (o // 640) % codebook.size) for o in (900, 14000, 17000, 21000)]
+    stream = _tagged_stream(LAY, codebook, total, tags, 2.0, seed=75)
+    edge = LAY.band_wide[0] * LAY.thin_per_wide + LAY.active_thin_offsets[0]
+    lo, hi = 3000, 9000
+    t = np.arange(hi - lo)
+    tone = 3.0 * np.exp(2j * np.pi * (edge - LAY.fft_size // 2) * t / LAY.fft_size)
+    samples = stream.samples.copy()
+    samples[lo:hi] += tone
+    stream = IqFrame(samples)
+
+    report = _assert_same_as_reference(stream, config)
+    *_, com_rejects = _reference_spot_report(stream, config)
+    assert com_rejects > 10
+    # the tone raised the floor, so windows after it are gated while it decays
+    assert report.windows_gated > 10
+    assert any(event.interval_start > hi for event in report.events)
 
 
 def test_odd_fft_size_layout():
