@@ -45,7 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -61,8 +61,6 @@ _MC_CHUNK = 1 << 15
 #: bit (1- and 7-row blocks did not), so blocking changes no result; the
 #: whole-chunk oracles in tests/test_analysis.py check this.
 _MC_BLOCK = 1 << 12
-# (generator, draw count) per Monte Carlo chunk; see _mc_chunks
-_Chunks = Iterator[tuple[np.random.Generator, int]]
 
 
 @dataclass(frozen=True)
@@ -292,7 +290,7 @@ def _band_mask_matrix(codebook: Codebook, layout: CarrierLayout) -> np.ndarray:
     return masks[:, band].astype(np.float64)
 
 
-def _mc_chunks(trials: int, seed: int) -> _Chunks:
+def _mc_chunks(trials: int, seed: int) -> "Iterator[tuple[np.random.Generator, int]]":
     """Chunks of at most _MC_CHUNK draws, each with a generator seeded by
     (seed, chunk index)."""
     if trials < 1:
@@ -319,19 +317,6 @@ def _wilson(hits: int, trials: int) -> "tuple[float, tuple[float, float]]":
         confidence_level=0.95, method="wilson"
     )
     return hits / trials, (float(ci.low), float(ci.high))
-
-
-def _mc_estimate(
-    trials: int,
-    seed: int,
-    count_hits: "Callable[[_Chunks], Iterator[int]]",
-) -> "tuple[float, tuple[float, float]]":
-    """_wilson of the sum of what count_hits yields over _mc_chunks.
-    count_hits iterates the chunks itself, so a chunk's (or row block's)
-    arrays live until the next one replaces them and the allocator reuses
-    their pages instead of faulting fresh ones in."""
-    chunks = _mc_chunks(trials, seed)
-    return _wilson(sum(count_hits(chunks)), trials)
 
 
 @functools.lru_cache(maxsize=1)
@@ -409,17 +394,15 @@ def pf_pairs_bound(
     the "band" convention is modeled; no caller needs "all"."""
     t = gamma / (1.0 - gamma)
     dof_wide = 2 * layout.thin_per_wide
-
-    def count(chunks: _Chunks) -> "Iterator[int]":
-        for rng, m in chunks:
-            for block in _row_blocks(m):
-                draws = rng.chisquare(dof_wide, size=(block.stop - block.start, 2 * layout.groups))
-                pairs = draws.reshape(-1, layout.groups, 2)
-                numerator = pairs.max(axis=2).sum(axis=1)
-                denominator = pairs.min(axis=2).sum(axis=1)
-                yield int(np.count_nonzero(numerator / denominator > t))
-
-    return _mc_estimate(trials, seed, count)
+    hits = 0
+    for rng, m in _mc_chunks(trials, seed):
+        for block in _row_blocks(m):
+            draws = rng.chisquare(dof_wide, size=(block.stop - block.start, 2 * layout.groups))
+            pairs = draws.reshape(-1, layout.groups, 2)
+            numerator = pairs.max(axis=2).sum(axis=1)
+            denominator = pairs.min(axis=2).sum(axis=1)
+            hits += int(np.count_nonzero(numerator / denominator > t))
+    return _wilson(hits, trials)
 
 
 def pm_mc(
@@ -552,14 +535,12 @@ def sweep_active_carriers(
         pf = float(stats.f.sf(t0, dfn, dfd))
         pf_mc = ci = None
         if trials > 0:
-
-            def count(chunks: _Chunks) -> "Iterator[int]":
-                for rng, m in chunks:
-                    num = rng.chisquare(dfn, size=m) / dfn
-                    den = rng.chisquare(dfd, size=m) / dfd
-                    yield int(np.count_nonzero(num / den > t0))
-
-            pf_mc, ci = _mc_estimate(trials, seed + q, count)
+            hits = 0
+            for rng, m in _mc_chunks(trials, seed + q):
+                num = rng.chisquare(dfn, size=m) / dfn
+                den = rng.chisquare(dfd, size=m) / dfd
+                hits += int(np.count_nonzero(num / den > t0))
+            pf_mc, ci = _wilson(hits, trials)
         points.append(SweepPoint(q, float(gamma0), pf, pf_mc, ci))
     return points
 

@@ -9,6 +9,12 @@ command does not take is rejected. Stochastic commands demand an explicit
 output: tables carry no timestamps and every float is formatted with a
 fixed precision.
 
+Before a command starts, each option value, from a flag or a config field,
+is checked by how its option is declared: a float option takes a finite
+number, an integer option an integer (20.0 counts), an on/off flag true or
+false, any other option (paths, comma-separated grids) a string, an option
+with choices one of them; null is never a value.
+
 Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
 
@@ -85,11 +91,7 @@ def _config_fields(args: argparse.Namespace) -> dict:
     """The --config document's parameter fields, checked against the
     command: every field must name one of its parameters."""
     try:
-        raw = Path(args.config).read_text()
-    except OSError as exc:
-        raise CliError(2, f"cannot read config: {exc}") from exc
-    try:
-        doc = json.loads(raw)
+        doc = json.loads(Path(args.config).read_text())
     except json.JSONDecodeError as exc:
         raise CliError(1, f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -120,7 +122,7 @@ def _config_layout(args: argparse.Namespace) -> CarrierLayout:
 
 def _parse_grid(text: str, name: str) -> "list[float]":
     try:
-        values = [float(part) for part in str(text).split(",") if part.strip()]
+        values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise CliError(1, f"bad {name} grid {text!r}: {exc}") from exc
     if not values:
@@ -131,17 +133,15 @@ def _parse_grid(text: str, name: str) -> "list[float]":
 
 
 def _finite(value, option: str) -> float:
-    """A scalar float option's value, from a flag or a config field, which
-    must be a finite number: argparse's float() accepts "inf" and "nan"."""
+    """A float option's value, which must be finite (float() parses "inf" and "nan")."""
     if type(value) not in (int, float) or not math.isfinite(value):
         raise CliError(1, f"{option} must be a finite number, got {value!r}")
     return float(value)
 
 
 def _integer(value, option: str) -> int:
-    """An integer option's value, from a flag or a config field. argparse
-    converts flags and string fields, but other JSON values arrive as they
-    are: bools, fractional numbers and null are rejected, not truncated."""
+    """An integer option's value. argparse converts flags and string fields,
+    but bools, fractional numbers and null from JSON are rejected, not truncated."""
     if type(value) is int:
         return value
     if type(value) is float and value.is_integer():
@@ -149,10 +149,34 @@ def _integer(value, option: str) -> int:
     raise CliError(1, f"{option} must be an integer, got {value!r}")
 
 
+def _check_options(sub: argparse.ArgumentParser, args: argparse.Namespace, fields: dict) -> None:
+    """Checks and normalizes each option value by its declaration (see the
+    module docstring); a None that no config field set is an unset option."""
+    for action in sub._actions:
+        value = getattr(args, action.dest, None)  # None for --help
+        if value is None and action.dest not in fields:
+            continue
+        option = action.option_strings[0]
+        if action.type is float:
+            value = _finite(value, option)
+        elif action.type is int:
+            value = _integer(value, option)
+        elif isinstance(action, argparse._StoreTrueAction):
+            if type(value) is not bool:
+                raise CliError(1, f"{option} must be true or false, got {value!r}")
+        elif type(value) is not str:
+            raise CliError(1, f"{option} must be a string, got {value!r}")
+        if action.choices is not None and value not in action.choices:
+            raise CliError(
+                1, f"{option} must be one of {', '.join(action.choices)}, got {value!r}"
+            )
+        setattr(args, action.dest, value)
+
+
 def _require_seed(seed: "int | None", why: str) -> int:
     if seed is None:
         raise CliError(1, f"--seed is required: {why}")
-    return _integer(seed, "--seed")
+    return seed
 
 
 def _get_codebook(path: "str | None") -> Codebook:
@@ -160,24 +184,8 @@ def _get_codebook(path: "str | None") -> Codebook:
         return builtin_codebook()
     try:
         return load_codebook(path)
-    except OSError as exc:
-        raise CliError(2, f"cannot read codebook: {exc}") from exc
     except CodebookError as exc:
         raise CliError(1, f"bad codebook: {exc}") from exc
-
-
-def _read_iq_input(path: str) -> "tuple[IqFrame, dict]":
-    try:
-        return read_iq(path)
-    except OSError as exc:
-        raise CliError(2, f"cannot read IQ input: {exc}") from exc
-
-
-def _write_iq_output(out: str, frame: IqFrame, layout: CarrierLayout, extra: dict) -> None:
-    try:
-        write_iq(out, frame, layout=layout, extra=extra)
-    except OSError as exc:
-        raise CliError(2, f"cannot write IQ output: {exc}") from exc
 
 
 def _header_lines(command: str, fields: "list[tuple[str, object]]") -> "list[str]":
@@ -200,11 +208,8 @@ def _layout_summary(layout: CarrierLayout) -> str:
 def _emit(out: "str | None", text: str) -> None:
     if out is None:
         sys.stdout.write(text)
-        return
-    try:
+    else:
         Path(out).write_text(text)
-    except OSError as exc:
-        raise CliError(2, f"cannot write output: {exc}") from exc
 
 
 def _emit_table(out, command: str, fields, columns: str, rows) -> None:
@@ -222,14 +227,11 @@ def _cmd_modulate(args: argparse.Namespace) -> int:
     layout = _config_layout(args)
     codebook = _get_codebook(args.codebook)
     seed = _require_seed(args.seed, "tone phases are random")
-    power = _finite(args.power, "--power")
-    papr_cap = None if args.papr_cap is None else _finite(args.papr_cap, "--papr-cap")
-    max_attempts = _integer(args.max_attempts, "--max-attempts")
     if args.out is None:
         raise CliError(1, "--out is required")
 
     rng = np.random.default_rng(seed)
-    word_index = None if args.word is None else _integer(args.word, "--word")
+    word_index = args.word
     if args.random:
         if word_index is not None:
             raise CliError(1, "--word and --random are mutually exclusive")
@@ -241,36 +243,35 @@ def _cmd_modulate(args: argparse.Namespace) -> int:
         )
 
     mask = codeword_to_mask(codebook.words[word_index], layout)
-    if papr_cap is not None:
+    if args.papr_cap is not None:
         limited = synthesize_tag_papr_limited(
-            mask, layout, power, papr_cap, rng, max_attempts
+            mask, layout, args.power, args.papr_cap, rng, args.max_attempts
         )
         frame = limited.frame
     else:
-        frame = synthesize_tag(build_tag_spectrum(mask, layout, power, rng), layout)
-    sample_rate = _finite(args.sample_rate, "--sample-rate")
-    if sample_rate != 1.0:
-        frame = IqFrame(frame.samples, sample_rate)
+        frame = synthesize_tag(build_tag_spectrum(mask, layout, args.power, rng), layout)
+    if args.sample_rate != 1.0:
+        frame = IqFrame(frame.samples, args.sample_rate)
 
     extra = {
         "command": "modulate",
         "codebook": codebook.name,
         "codeword_index": word_index,
         "seed": seed,
-        "total_power": power,
+        "total_power": args.power,
         "papr_db": round(papr(frame), 9),
     }
-    if papr_cap is not None:
-        extra["papr_cap_db"] = papr_cap
+    if args.papr_cap is not None:
+        extra["papr_cap_db"] = args.papr_cap
         extra["papr_cap_met"] = bool(limited.met_cap)
         extra["attempts"] = limited.attempts
-    _write_iq_output(args.out, frame, layout, extra)
+    write_iq(args.out, frame, layout=layout, extra=extra)
 
     print(f"codeword_index: {word_index}")
     print(f"samples: {len(frame)}")
-    print(f"total_power: {_fmt(power)}")
+    print(f"total_power: {_fmt(args.power)}")
     print(f"papr_db: {_fmt(papr(frame))}")
-    if papr_cap is not None:
+    if args.papr_cap is not None:
         print(f"papr_cap_met: {_fmt(bool(limited.met_cap))}")
     print(f"out: {args.out}")
     return 0
@@ -281,50 +282,44 @@ def _cmd_impair(args: argparse.Namespace) -> int:
         raise CliError(1, "--in is required")
     if args.out is None:
         raise CliError(1, "--out is required")
-    snr_db = None if args.snr is None else _finite(args.snr, "--snr")
-    sir_db = None if args.sir is None else _finite(args.sir, "--sir")
-    fading = args.fading
-    cfo = _finite(args.cfo, "--cfo")
-    frame, meta = _read_iq_input(args.in_path)
-    layout = layout_from_metadata(meta) or _config_layout(args)
-    intf_offset = _integer(args.interference_offset, "--interference-offset")
-    if intf_offset < 0:
+    if args.interference_offset < 0:
         raise CliError(1, "interference offset must be nonnegative")
-    seed = None if args.seed is None else _integer(args.seed, "--seed")
-    if snr_db is not None or sir_db is not None or fading != "none":
-        seed = _require_seed(seed, "noise, fading and interference draw randomness")
-    rng = np.random.default_rng(seed if seed is not None else 0)
+    frame, meta = read_iq(args.in_path)
+    layout = layout_from_metadata(meta) or _config_layout(args)
+    if args.snr is not None or args.sir is not None or args.fading != "none":
+        _require_seed(args.seed, "noise, fading and interference draw randomness")
+    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
 
     in_power = mean_power(frame)
     # documented order: fading, then cfo, then interference, then noise
-    if fading != "none":
-        frame = apply_fading(frame, fading, rng, layout)
-    if cfo:
-        frame = apply_cfo(frame, cfo, layout)
+    if args.fading != "none":
+        frame = apply_fading(frame, args.fading, rng, layout)
+    if args.cfo:
+        frame = apply_cfo(frame, args.cfo, layout)
     # --snr refers to the tag alone, so its power is taken before interference
     tag_power = mean_power(frame)
-    if sir_db is not None:
-        span = max(len(frame) - intf_offset, 1)
+    if args.sir is not None:
+        span = max(len(frame) - args.interference_offset, 1)
         n_frames = math.ceil(span / interference_frame_len(layout))
         interference = synthesize_data_interference(layout, n_frames, 1.0, rng)
-        gain = gain_for_sir(frame, interference, intf_offset, sir_db)
-        frame = mix([(frame, 0, 1.0), (interference, intf_offset, gain)])
-    if snr_db is not None:
+        gain = gain_for_sir(frame, interference, args.interference_offset, args.sir)
+        frame = mix([(frame, 0, 1.0), (interference, args.interference_offset, gain)])
+    if args.snr is not None:
         tones = layout.active_thin_per_wide * layout.groups
         p_tone = tag_power * layout.fft_size / tones
-        frame = apply_awgn(frame, noise_power_for_snr(snr_db, p_tone, layout), rng)
+        frame = apply_awgn(frame, noise_power_for_snr(args.snr, p_tone, layout), rng)
 
     extra = {
         "command": "impair",
-        "snr_db": snr_db,
-        "cfo": cfo,
-        "fading": fading,
-        "sir_db": sir_db,
-        "interference_offset": intf_offset,
-        "seed": seed,
-        "source": str(args.in_path),
+        "snr_db": args.snr,
+        "cfo": args.cfo,
+        "fading": args.fading,
+        "sir_db": args.sir,
+        "interference_offset": args.interference_offset,
+        "seed": args.seed,
+        "source": args.in_path,
     }
-    _write_iq_output(args.out, frame, layout, extra)
+    write_iq(args.out, frame, layout=layout, extra=extra)
 
     out_power = mean_power(frame)
     print(f"in_power: {_fmt(in_power)}")
@@ -338,16 +333,14 @@ def _cmd_impair(args: argparse.Namespace) -> int:
 def _cmd_spot(args: argparse.Namespace) -> int:
     if args.in_path is None:
         raise CliError(1, "--in is required")
-    gamma = _finite(args.gamma, "--gamma")
-    carrier_sense = _finite(args.carrier_sense, "--carrier-sense")
-    frame, meta = _read_iq_input(args.in_path)
+    frame, meta = read_iq(args.in_path)
     layout = layout_from_metadata(meta) or _config_layout(args)
     codebook = _get_codebook(args.codebook)
     detector = DetectorConfig(
         layout=layout,
         codebook=codebook,
-        gamma=gamma,
-        carrier_sense_snr_db=carrier_sense,
+        gamma=args.gamma,
+        carrier_sense_snr_db=args.carrier_sense,
         denominator=args.denominator,
     )
     report = spot_report(frame, detector)
@@ -357,8 +350,8 @@ def _cmd_spot(args: argparse.Namespace) -> int:
         [
             ("in", args.in_path),
             ("codebook", codebook.name),
-            ("gamma", gamma),
-            ("carrier_sense_snr_db", carrier_sense),
+            ("gamma", args.gamma),
+            ("carrier_sense_snr_db", args.carrier_sense),
             ("denominator", args.denominator),
             ("layout", _layout_summary(layout)),
             ("windows_total", report.windows_total),
@@ -380,16 +373,15 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     codebook = _get_codebook(args.codebook)
     snr_grid = _parse_grid(args.snr, "snr")
     gamma_grid = sorted(_parse_grid(args.gamma, "gamma"))
-    trials = _integer(args.trials, "--trials")
+    trials = args.trials
     # --include-null-noise is this command's spelling of denominator="all"
     denominator = "all" if args.include_null_noise else "band"
-    seed = None if args.seed is None else _integer(args.seed, "--seed")
     pms = [float("nan")] * len(snr_grid)
     if trials > 0:
-        seed = _require_seed(seed, "Monte Carlo columns are requested")
+        _require_seed(args.seed, "Monte Carlo columns are requested")
         # one misclassification draw for the whole grid, made before the
         # family draws so the two are never in memory together
-        pms = [pm for pm, _ in pm_mc(snr_grid, codebook, layout, args.fading, trials, seed)]
+        pms = [pm for pm, _ in pm_mc(snr_grid, codebook, layout, args.fading, trials, args.seed)]
 
     rows = []
     try:
@@ -400,7 +392,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
                 gamma_grid,
                 codebook=codebook if trials > 0 else None,
                 trials=trials,
-                seed=seed if trials > 0 else 0,
+                seed=args.seed if trials > 0 else 0,
                 denominator=denominator,
             )
             for pt in curve.points:
@@ -418,7 +410,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
         ("layout", _layout_summary(layout)),
         ("include_null_noise", denominator == "all"),
         ("trials", trials),
-        ("seed", "none" if seed is None else seed),
+        ("seed", "none" if args.seed is None else args.seed),
     ]
     columns = "gamma snr_db pd pf pm trials pf_ci_low pf_ci_high flagged"
     _emit_table(args.out, "curves", fields, columns, rows)
@@ -427,18 +419,17 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
 def _cmd_leakage(args: argparse.Namespace) -> int:
     layout = _config_layout(args)
-    max_offset = _integer(args.max_offset, "--max-offset")
-    if max_offset < 1:
+    if args.max_offset < 1:
         raise CliError(1, "max offset must be at least 1")
     fields = [
         ("layout", _layout_summary(layout)),
-        ("max_offset", max_offset),
+        ("max_offset", args.max_offset),
         ("block_leak_k1", np.pi**2 / 6.0),
     ]
     rows = [
         (k, float(leakage_single(k, 0.5)), leakage_block(k),
          expected_offset_leak(k, layout))
-        for k in range(1, max_offset + 1)
+        for k in range(1, args.max_offset + 1)
     ]
     columns = "k single_leak_half_bin block_leak expected_offset_leak"
     _emit_table(args.out, "leakage", fields, columns, rows)
@@ -446,21 +437,16 @@ def _cmd_leakage(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    carriers = _integer(args.carriers, "--carriers")
-    snr_db = _finite(args.snr, "--snr")
-    trials = _integer(args.trials, "--trials")
-    seed = None if args.seed is None else _integer(args.seed, "--seed")
-    if trials > 0:
-        seed = _require_seed(seed, "Monte Carlo columns are requested")
-    points = sweep_active_carriers(
-        carriers, snr_db, trials=trials, seed=seed if seed is not None else 0
-    )
+    if args.trials > 0:
+        _require_seed(args.seed, "Monte Carlo columns are requested")
+    seed = args.seed if args.seed is not None else 0
+    points = sweep_active_carriers(args.carriers, args.snr, trials=args.trials, seed=seed)
     best = sweep_argmin(points)
     fields = [
-        ("carriers", carriers),
-        ("snr_db", snr_db),
-        ("trials", trials),
-        ("seed", "none" if seed is None else seed),
+        ("carriers", args.carriers),
+        ("snr_db", args.snr),
+        ("trials", args.trials),
+        ("seed", "none" if args.seed is None else args.seed),
         ("argmin_q", best.q),
         ("argmin_pf", best.pf),
     ]
@@ -475,17 +461,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_range(args: argparse.Namespace) -> int:
-    snr_gap = _finite(args.snr_gap, "--snr-gap")
-    rows = [(d, range_gain(snr_gap, d)) for d in _parse_grid(args.exponents, "exponents")]
+    rows = [(d, range_gain(args.snr_gap, d)) for d in _parse_grid(args.exponents, "exponents")]
     columns = "path_loss_exponent range_gain"
-    _emit_table(args.out, "range", [("snr_gap_db", snr_gap)], columns, rows)
+    _emit_table(args.out, "range", [("snr_gap_db", args.snr_gap)], columns, rows)
     return 0
 
 
 def _cmd_overhead(args: argparse.Namespace) -> int:
-    payload = _integer(args.payload_bytes, "--payload-bytes")
-    sync_frames = _integer(args.sync_frames, "--sync-frames")
-    tag_frames = _integer(args.tag_frames, "--tag-frames")
+    payload, sync_frames, tag_frames = args.payload_bytes, args.sync_frames, args.tag_frames
     fraction = overhead(payload, sync_frames=sync_frames, tag_frames=tag_frames)
     row = (payload, payload_frames(payload), sync_frames, tag_frames, fraction)
     columns = "payload_bytes payload_frames sync_frames tag_frames overhead"
@@ -620,10 +603,13 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        fields = {}
         if args.config is not None:
             # config fields become the command's defaults, so flags still win
-            parser.commands[args.command].set_defaults(**_config_fields(args))
+            fields = _config_fields(args)
+            parser.commands[args.command].set_defaults(**fields)
             args = parser.parse_args(argv)
+        _check_options(parser.commands[args.command], args, fields)
         return args.func(args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)

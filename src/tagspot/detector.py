@@ -182,12 +182,13 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
     """Run the spotter over a sample stream.
 
     The noise tracker seeds on the first interval and is updated by every
-    interval that fails the candidate test (including carrier-sense-gated
-    ones, whose power is already in hand); candidate intervals leave it
-    frozen so tag power is not absorbed into the floor. Each window that
-    passes the gate is folded and scored once; its center of mass is
-    computed only when its best strength is above gamma, since a window
-    at or below gamma fails the candidate test whatever its position.
+    interval at or below gamma (including carrier-sense-gated ones, whose
+    power is already in hand); one above gamma leaves it frozen, center of
+    mass valid or not, so neither tags nor off-center interferers lift the
+    floor. Each window that passes the gate is folded and scored once; its
+    center of mass is computed only when its best strength is above gamma,
+    since a window at or below gamma fails the candidate test whatever its
+    position.
     """
     layout = config.layout
     n = layout.fft_size
@@ -233,7 +234,7 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
                     candidates.append(
                         (lo + k * hop, best, strength, position, snr_estimate_db)
                     )
-                    continue
+                continue
             noise_estimate = noise_tracker_update(noise_estimate, power)
 
     events = tuple(

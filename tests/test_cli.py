@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from tagspot.analysis import AnalysisModel, pd_single, pf_single
 from tagspot.carriers import REFERENCE_LAYOUT
 from tagspot.channel import noise_power_for_snr
 from tagspot.cli import main as cli_main
+from tagspot.codebook import builtin_codebook, serialize_codebook
 from tagspot.detector import parse_events
 from tagspot.iqfile import read_iq, sidecar_path
 from tagspot.waveform import IqFrame, mean_power
@@ -446,9 +448,17 @@ def test_non_finite_numbers_exit_with_code_1(tmp_path, capsys, argv, named):
         (["modulate", "--seed", "1", "--papr-cap", "6", "--out", "{out}"],
          {"max_attempts": None}, "--max-attempts"),
         (["sweep"], {"carriers": None}, "--carriers"),
+        (["curves"], {"include_null_noise": "no"}, "--include-null-noise"),
+        (["modulate", "--seed", "1", "--out", "{out}"], {"random": "no"}, "--random"),
+        (["impair", "--out", "{out}"], {"in_path": 3}, "--in"),
+        (["codebook-verify"], {"codebook": 1}, "--codebook"),
+        (["leakage"], {"out": {}}, "--out"),
+        (["curves"], {"fading": "wideband-rayleigh"}, "--fading"),
     ],
     ids=["curves-fractional-trials", "curves-bool-trials", "curves-fractional-seed",
-         "modulate-null-max-attempts", "sweep-null-carriers"],
+         "modulate-null-max-attempts", "sweep-null-carriers", "curves-string-switch",
+         "modulate-string-switch", "impair-number-path", "codebook-number-path",
+         "leakage-object-out", "curves-unknown-fading"],
 )
 def test_non_integer_config_values_exit_with_code_1(tmp_path, capsys, argv, fields, named):
     config = tmp_path / "ints.json"
@@ -473,11 +483,31 @@ def test_io_errors_exit_with_code_2(tmp_path):
     assert cli_main(["impair", "--in", str(tmp_path / "absent.iq"),
                      "--out", str(tmp_path / "o.iq")]) == 2
     assert cli_main(["spot", "--in", str(tmp_path / "absent.iq")]) == 2
+    assert cli_main(["codebook-verify", "--codebook", str(tmp_path / "absent.txt")]) == 2
+    assert cli_main(["range", "--out", str(tmp_path / "absent" / "range.txt")]) == 2
 
 
 def test_unknown_flags_and_commands_exit_with_code_1(capsys):
     assert cli_main(["modulate", "--bogus"]) == 1
     assert cli_main(["frobnicate"]) == 1
+    capsys.readouterr()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_quickstart_commands_run(tmp_path, monkeypatch, capsys):
+    section = README.read_text().split("## CLI quickstart", 1)[1].split("\n## ", 1)[0]
+    commands = [
+        shlex.split(line)
+        for line in section.replace("\\\n", " ").splitlines()
+        if line.startswith("tagspot ")
+    ]
+    assert len(commands) == 9
+    monkeypatch.chdir(tmp_path)
+    Path("family.txt").write_text(serialize_codebook(builtin_codebook()))
+    for argv in commands:
+        assert cli_main(argv[1:]) == 0, " ".join(argv)
     capsys.readouterr()
 
 

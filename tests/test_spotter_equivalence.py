@@ -93,11 +93,12 @@ def _reference_spot_report(samples, config):
         best = int(np.argmax(numerators))
         strength = float(numerators[best] / denominator)
         position = center_of_mass(wide, layout)
-        if strength > config.gamma and abs(position) <= config.com_bound:
+        if strength <= config.gamma:
+            noise_estimate = noise_tracker_update(noise_estimate, power)
+        elif abs(position) <= config.com_bound:
             candidates.append((start, best, strength, position, snr_estimate_db))
         else:
-            com_rejects += strength > config.gamma
-            noise_estimate = noise_tracker_update(noise_estimate, power)
+            com_rejects += 1
     events = tuple(
         DetectionEvent(start, idx, strength, position, True, snr_db)
         for start, idx, strength, position, snr_db in _reference_suppress(candidates, n)
@@ -179,7 +180,7 @@ def test_back_to_back_tags(codebook):
             assert len(report.events) > count // 2
 
 
-def test_center_of_mass_rejects_update_the_noise_floor(codebook):
+def test_center_of_mass_rejects_leave_the_noise_floor_frozen(codebook):
     # a burst of one strong tone on the lowest band carrier, a band edge:
     # every codeword holding that carrier scores near 1, far above gamma,
     # while the center of mass sits near -28.5, beyond com_bound = 8
@@ -198,9 +199,10 @@ def test_center_of_mass_rejects_update_the_noise_floor(codebook):
     report = _assert_same_as_reference(stream, config)
     *_, com_rejects = _reference_spot_report(stream, config)
     assert com_rejects > 10
-    # the tone raised the floor, so windows after it are gated while it decays
-    assert report.windows_gated > 10
-    assert any(event.interval_start > hi for event in report.events)
+    # the rejected tone windows leave the floor frozen, so nothing after the
+    # tone is gated and the 2 dB tag after it is found
+    assert report.windows_gated == 0
+    assert any(e.interval_start == 14080 and e.codeword_index == 21 for e in report.events)
 
 
 def test_odd_fft_size_layout():
