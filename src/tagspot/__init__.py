@@ -4,12 +4,11 @@ Synthesis of multitone tags, channel impairment simulation, noncoherent
 energy-ratio detection, and detection-theoretic performance analysis.
 """
 
-from tagspot.carriers import CarrierLayout, WideCarrierMask
+from tagspot.carriers import CarrierLayout
 from tagspot.codebook import Codebook, builtin_codebook, load_codebook
 
 __all__ = [
     "CarrierLayout",
-    "WideCarrierMask",
     "Codebook",
     "builtin_codebook",
     "load_codebook",

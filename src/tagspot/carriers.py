@@ -10,7 +10,8 @@ Signaling occupies wide carriers. A handful of wide carriers are kept
 permanently silent (the DC carrier plus guard bands at both spectrum edges,
 mirroring common OFDM practice); the remaining ones are paired into groups
 of two adjacent carriers, and a transmitted tag activates exactly one
-carrier of every group.
+carrier of every group. Its mask is a boolean row over the wide carriers,
+True on the activated ones; codebook builds it from a codeword.
 
 A strength convention names the carriers that divide a tag strength: "band"
 the non-null ones, "all" every wide carrier. Only
@@ -121,40 +122,6 @@ class CarrierLayout:
         carrier's span of thin_per_wide bins."""
         start = (self.thin_per_wide - self.active_thin_per_wide) // 2
         return tuple(range(start, start + self.active_thin_per_wide))
-
-
-@dataclass(frozen=True)
-class WideCarrierMask:
-    """The set of wide carriers activated by one codeword.
-
-    Valid masks contain exactly one carrier from every group, hence exactly
-    ``layout.groups`` carriers, and never touch a null carrier.
-    """
-
-    active: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if any(not isinstance(w, int) or w < 0 for w in self.active):
-            raise ValueError("mask indices must be nonnegative integers")
-
-    def validate(self, layout: CarrierLayout) -> None:
-        if len(self.active) != layout.groups:
-            raise ValueError(
-                f"mask weight {len(self.active)} != groups {layout.groups}"
-            )
-        bad = self.active & layout.null_wide
-        if bad:
-            raise ValueError(f"mask activates null carriers {sorted(bad)}")
-        for g, (a, b) in enumerate(layout.group_map):
-            hit = len(self.active & {a, b})
-            if hit != 1:
-                raise ValueError(
-                    f"group {g} ({a},{b}) must contribute exactly one active "
-                    f"carrier, found {hit}"
-                )
-
-    def sorted_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.active))
 
 
 #: The layout used by every numeric claim in this package's docs and tests.

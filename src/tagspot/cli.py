@@ -13,7 +13,9 @@ Before a command starts, each option value, from a flag or a config field,
 is checked by how its option is declared: a float option takes a finite
 number, an integer option an integer (20.0 counts), an on/off flag true or
 false, any other option (paths, comma-separated grids) a string, an option
-with choices one of them; null is never a value.
+with choices one of them; null is never a value. A config "layout" field
+must describe a valid carrier layout, and spot and impair reject one that
+differs from the layout in the input's sidecar.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
@@ -111,13 +113,15 @@ def _config_fields(args: argparse.Namespace) -> dict:
     return doc
 
 
-def _config_layout(args: argparse.Namespace) -> CarrierLayout:
-    if args.layout is None:
-        return REFERENCE_LAYOUT
-    try:
-        return layout_from_dict(args.layout)
-    except ValueError as exc:
-        raise CliError(1, f"bad layout in config: {exc}") from exc
+def _input_layout(meta: dict, args: argparse.Namespace) -> CarrierLayout:
+    """The layout an input file's sidecar declares, which a config layout
+    must equal; the config layout (or the reference one) without it."""
+    layout = layout_from_metadata(meta)
+    if layout is None:
+        return args.layout or REFERENCE_LAYOUT
+    if args.layout is not None and args.layout != layout:
+        raise CliError(1, "config layout differs from the layout in the input's sidecar")
+    return layout
 
 
 def _parse_grid(text: str, name: str) -> "list[float]":
@@ -224,7 +228,7 @@ def _emit_table(out, command: str, fields, columns: str, rows) -> None:
 
 
 def _cmd_modulate(args: argparse.Namespace) -> int:
-    layout = _config_layout(args)
+    layout = args.layout or REFERENCE_LAYOUT
     codebook = _get_codebook(args.codebook)
     seed = _require_seed(args.seed, "tone phases are random")
     if args.out is None:
@@ -285,7 +289,7 @@ def _cmd_impair(args: argparse.Namespace) -> int:
     if args.interference_offset < 0:
         raise CliError(1, "interference offset must be nonnegative")
     frame, meta = read_iq(args.in_path)
-    layout = layout_from_metadata(meta) or _config_layout(args)
+    layout = _input_layout(meta, args)
     if args.snr is not None or args.sir is not None or args.fading != "none":
         _require_seed(args.seed, "noise, fading and interference draw randomness")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
@@ -334,7 +338,7 @@ def _cmd_spot(args: argparse.Namespace) -> int:
     if args.in_path is None:
         raise CliError(1, "--in is required")
     frame, meta = read_iq(args.in_path)
-    layout = layout_from_metadata(meta) or _config_layout(args)
+    layout = _input_layout(meta, args)
     codebook = _get_codebook(args.codebook)
     detector = DetectorConfig(
         layout=layout,
@@ -369,7 +373,7 @@ def _cmd_spot(args: argparse.Namespace) -> int:
 
 
 def _cmd_curves(args: argparse.Namespace) -> int:
-    layout = _config_layout(args)
+    layout = args.layout or REFERENCE_LAYOUT
     codebook = _get_codebook(args.codebook)
     snr_grid = _parse_grid(args.snr, "snr")
     gamma_grid = sorted(_parse_grid(args.gamma, "gamma"))
@@ -418,7 +422,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
 
 def _cmd_leakage(args: argparse.Namespace) -> int:
-    layout = _config_layout(args)
+    layout = args.layout or REFERENCE_LAYOUT
     if args.max_offset < 1:
         raise CliError(1, "max offset must be at least 1")
     fields = [
@@ -610,6 +614,11 @@ def main(argv: "list[str] | None" = None) -> int:
             parser.commands[args.command].set_defaults(**fields)
             args = parser.parse_args(argv)
         _check_options(parser.commands[args.command], args, fields)
+        if "layout" in fields:
+            try:
+                args.layout = layout_from_dict(fields["layout"])
+            except ValueError as exc:
+                raise CliError(1, f"bad layout in config: {exc}") from exc
         return args.func(args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)

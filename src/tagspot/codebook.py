@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .carriers import CarrierLayout, WideCarrierMask
+from .carriers import CarrierLayout
 
 BUILTIN_CODEBOOK = "conference-28-56-13.txt"
 
@@ -62,13 +62,11 @@ class Codebook:
             )
         if not self.words:
             raise CodebookError("codebook contains no words")
-        for i, w in enumerate(self.words):
-            if len(w) != self.word_length:
-                raise CodebookError(
-                    f"word {i} has length {len(w)}, expected {self.word_length}"
-                )
-            if set(w) - {"0", "1"}:
-                raise CodebookError(f"word {i} contains non-binary characters")
+        length = _word_bits(self.words).shape[1]
+        if length != self.word_length:
+            raise CodebookError(
+                f"words have length {length}, expected {self.word_length}"
+            )
         seen: dict[str, int] = {}
         for i, w in enumerate(self.words):
             if w in seen:
@@ -178,90 +176,33 @@ def builtin_codebook() -> Codebook:
     return parse_codebook(ref.read_text())
 
 
-def codeword_to_mask(word: str, layout: CarrierLayout) -> WideCarrierMask:
-    """Map one codeword to its wide-carrier mask.
+def _masks(words: "Sequence[str]", layout: CarrierLayout) -> np.ndarray:
+    """The map from codeword bits to carriers, as a (words, wide_total)
+    boolean array: row t is True on the wide carriers word t activates.
 
     Bit g selects a carrier from group g: '0' the lower-frequency carrier,
-    '1' the higher one. The resulting mask has weight layout.groups.
+    '1' the higher one, so every row has weight layout.groups.
     """
-    if len(word) != layout.groups:
+    bits = _word_bits(words)
+    if bits.shape[1] != layout.groups:
         raise CodebookError(
-            f"word length {len(word)} != layout groups {layout.groups}"
+            f"word length {bits.shape[1]} != layout groups {layout.groups}"
         )
-    if set(word) - {"0", "1"}:
-        raise CodebookError("word contains non-binary characters")
-    active = frozenset(
-        pair[int(bit)] for bit, pair in zip(word, layout.group_map)
-    )
-    mask = WideCarrierMask(active)
-    mask.validate(layout)
-    return mask
+    pairs = np.array(layout.group_map)
+    out = np.zeros((len(words), layout.wide_total), dtype=bool)
+    out[np.arange(len(words))[:, None], pairs[np.arange(layout.groups), bits]] = True
+    return out
+
+
+def codeword_to_mask(word: str, layout: CarrierLayout) -> np.ndarray:
+    """One codeword's mask: a boolean row over the wide carriers."""
+    return _masks((word,), layout)[0]
 
 
 def mask_matrix(cb: Codebook, layout: CarrierLayout) -> np.ndarray:
     """Stacked masks as a (size, wide_total) boolean array.
 
-    Row t is True on the wide carriers activated by codeword t. Shared by
-    the detector and the analysis Monte Carlo code.
+    Row t is codeword t's mask. Shared by the detector and the analysis
+    Monte Carlo code.
     """
-    if cb.word_length != layout.groups:
-        raise CodebookError(
-            f"codebook word length {cb.word_length} != layout groups "
-            f"{layout.groups}"
-        )
-    bits = _word_bits(cb.words)
-    pairs = np.array(layout.group_map)
-    out = np.zeros((cb.size, layout.wide_total), dtype=bool)
-    out[np.arange(cb.size)[:, None], pairs[np.arange(layout.groups), bits]] = True
-    return out
-
-
-def generate_fallback_family(
-    word_length: int,
-    target_distance: int,
-    rng_seed: int,
-    max_words: int = 64,
-) -> Codebook:
-    """Greedy random code family with verified distance >= target_distance.
-
-    Used when no better family is available for a given geometry. Candidates
-    are drawn from a seeded generator (complements of accepted words are
-    tried first, which handles the extreme target_distance == word_length
-    case); a candidate is kept when it clears the target distance against
-    every accepted word, and the search stops after 200,000 candidates. The
-    resulting size depends on the target and seed and is reported honestly
-    in the name; it may be far below max_words.
-    """
-    if word_length <= 0:
-        raise CodebookError("word_length must be positive")
-    if not 1 <= target_distance <= word_length:
-        raise CodebookError("target_distance out of range")
-    if max_words < 2:
-        raise CodebookError("max_words must be at least 2")
-    rng = np.random.default_rng(rng_seed)
-    accepted: list[np.ndarray] = [rng.integers(0, 2, word_length, dtype=np.uint8)]
-    pending_complements = [1 - accepted[0]]
-    tried = 0
-    while len(accepted) < max_words and tried < 200_000:
-        if pending_complements:
-            cand = pending_complements.pop(0)
-        else:
-            cand = rng.integers(0, 2, word_length, dtype=np.uint8)
-        tried += 1
-        stacked = np.array(accepted, dtype=np.int64)
-        dists = np.abs(stacked - cand.astype(np.int64)).sum(axis=1)
-        if dists.min() >= target_distance:
-            accepted.append(cand)
-            pending_complements.append(1 - cand)
-    words = tuple(sorted("".join(str(int(b)) for b in w) for w in accepted))
-    if len(accepted) >= 2:
-        verified = verify_min_distance(words)
-    else:
-        verified = target_distance
-    name = f"fallback-{word_length}-{len(words)}-{verified}"
-    return Codebook(
-        name=name,
-        word_length=word_length,
-        min_distance=verified,
-        words=words,
-    )
+    return _masks(cb.words, layout)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carriers import CarrierLayout, WideCarrierMask
+from .carriers import CarrierLayout
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,22 +73,24 @@ def mean_power(frame: IqFrame) -> float:
     return float(np.mean(np.abs(frame.samples) ** 2))
 
 
-def active_thin_bins(mask: WideCarrierMask, layout: CarrierLayout) -> np.ndarray:
-    """Thin-carrier indices carrying tones for a mask, ascending."""
+def active_thin_bins(mask: np.ndarray, layout: CarrierLayout) -> np.ndarray:
+    """Thin-carrier indices carrying tones for a mask (a boolean row over
+    the wide carriers), ascending."""
     offsets = np.asarray(layout.active_thin_offsets)
-    wides = np.asarray(mask.sorted_indices())
+    wides = np.flatnonzero(mask)
     return (wides[:, None] * layout.thin_per_wide + offsets[None, :]).ravel()
 
 
 def build_tag_spectrum(
-    mask: WideCarrierMask,
+    mask: np.ndarray,
     layout: CarrierLayout,
     total_power: float,
     rng: np.random.Generator,
 ) -> TagSpectrum:
     """Equal-magnitude tones with independent uniform phases on the mask's
     central thin carriers; the squared magnitudes sum to total_power."""
-    mask.validate(layout)
+    if len(mask) != layout.wide_total:
+        raise ValueError(f"mask length {len(mask)} != wide_total {layout.wide_total}")
     if total_power < 0:
         raise ValueError("total_power must be nonnegative")
     bins = active_thin_bins(mask, layout)
@@ -143,7 +145,7 @@ class PaprLimitedTag:
 
 
 def synthesize_tag_papr_limited(
-    mask: WideCarrierMask,
+    mask: np.ndarray,
     layout: CarrierLayout,
     total_power: float,
     papr_cap_db: float,

@@ -88,7 +88,7 @@ def _measured_offset_leak(max_offset, trials, seed):
         tag = synthesize_tag(build_tag_spectrum(mask, LAY, 1.0, rng), LAY)
         shifted = apply_cfo(tag, float(rng.uniform(0.0, max_offset)), LAY)
         wide = fold_spectrum(np.fft.fft(shifted.samples[LAY.cp_len :]) / ROOT, LAY)
-        own = wide[list(mask.sorted_indices())].sum()
+        own = wide[mask].sum()
         lost += 1.0 - own / wide.sum()
     return lost / trials
 

@@ -1,4 +1,4 @@
-"""Carrier grid geometry, mask validation, and layout serialization."""
+"""Carrier grid geometry and layout serialization."""
 
 import dataclasses
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from tagspot.carriers import (
     REFERENCE_LAYOUT,
     CarrierLayout,
-    WideCarrierMask,
     layout_from_dict,
     layout_to_dict,
 )
@@ -141,28 +140,6 @@ def test_layout_rejects_inconsistent_geometry():
         CarrierLayout(cp_fraction=0.3)  # not a whole number of samples
     with pytest.raises(ValueError):
         CarrierLayout(null_wide=frozenset({0, 1, 2, 32, 60, 61, 62, 64}))
-
-
-def test_mask_validation():
-    lay = REFERENCE_LAYOUT
-    good = WideCarrierMask(frozenset(a for a, _ in lay.group_map))
-    good.validate(lay)
-
-    with pytest.raises(ValueError):
-        WideCarrierMask(frozenset({-1}))
-    with pytest.raises(ValueError):  # wrong weight
-        WideCarrierMask(frozenset({3})).validate(lay)
-    with pytest.raises(ValueError):  # touches a null carrier
-        bad = (good.active - {3}) | {32}
-        WideCarrierMask(frozenset(bad)).validate(lay)
-    with pytest.raises(ValueError):  # two carriers from one group
-        bad = (good.active - {5}) | {4}
-        WideCarrierMask(frozenset(bad)).validate(lay)
-
-
-def test_mask_sorted_indices():
-    mask = WideCarrierMask(frozenset({9, 3, 5}))
-    assert mask.sorted_indices() == (3, 5, 9)
 
 
 def test_layout_dict_roundtrip():

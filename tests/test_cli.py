@@ -12,7 +12,7 @@ import pytest
 
 import tagspot
 from tagspot.analysis import AnalysisModel, pd_single, pf_single
-from tagspot.carriers import REFERENCE_LAYOUT
+from tagspot.carriers import REFERENCE_LAYOUT, layout_to_dict
 from tagspot.channel import noise_power_for_snr
 from tagspot.cli import main as cli_main
 from tagspot.codebook import builtin_codebook, serialize_codebook
@@ -375,6 +375,7 @@ def _fails_with_one_line(argv, capsys):
     assert cli_main(argv) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+    return err
 
 
 def test_malformed_layout_and_sidecar_exit_with_code_1(tmp_path, capsys):
@@ -396,6 +397,25 @@ def test_malformed_layout_and_sidecar_exit_with_code_1(tmp_path, capsys):
     config = tmp_path / "frac.json"
     config.write_text(json.dumps({"config_version": 1, "layout": layout}))
     _fails_with_one_line(["leakage", "--max-offset", "1", "--config", str(config)], capsys)
+
+
+def test_layout_in_config_is_checked_before_the_command_and_against_the_sidecar(tmp_path, capsys):
+    source = _modulate(tmp_path)  # its sidecar holds the reference layout
+    readers = [["spot", "--in", str(source)],
+               ["impair", "--in", str(source), "--out", str(tmp_path / "o.iq")]]
+    cases = [(None, [["leakage", "--max-offset", "1"], *readers]),
+             ({"fft_size": "bogus"}, [["leakage", "--max-offset", "1"], *readers]),
+             (SMALL_LAYOUT, readers)]
+    config = tmp_path / "layout.json"
+    for layout, commands in cases:
+        config.write_text(json.dumps({"config_version": 1, "layout": layout}))
+        for argv in commands:
+            assert "layout" in _fails_with_one_line(argv + ["--config", str(config)], capsys)
+
+    config.write_text(json.dumps({"config_version": 1, "layout": layout_to_dict(REFERENCE_LAYOUT)}))
+    for argv in readers:
+        assert cli_main(argv + ["--config", str(config)]) == 0
+    capsys.readouterr()
 
 
 def test_negative_counts_exit_with_code_1(capsys):

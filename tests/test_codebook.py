@@ -10,7 +10,6 @@ from tagspot.codebook import (
     Codebook,
     CodebookError,
     codeword_to_mask,
-    generate_fallback_family,
     mask_matrix,
     parse_codebook,
     serialize_codebook,
@@ -75,12 +74,15 @@ def test_codeword_bit_selects_group_carrier():
     lay = REFERENCE_LAYOUT
     zeros = codeword_to_mask("0" * 28, lay)
     ones = codeword_to_mask("1" * 28, lay)
-    assert zeros.sorted_indices() == tuple(a for a, _ in lay.group_map)
-    assert ones.sorted_indices() == tuple(b for _, b in lay.group_map)
+    assert np.flatnonzero(zeros).tolist() == [a for a, _ in lay.group_map]
+    assert np.flatnonzero(ones).tolist() == [b for _, b in lay.group_map]
     with pytest.raises(CodebookError):
         codeword_to_mask("01", lay)
     with pytest.raises(CodebookError):
         codeword_to_mask("0" * 27 + "2", lay)
+    short = Codebook(name="x", word_length=4, min_distance=4, words=("0000", "1111"))
+    with pytest.raises(CodebookError):  # words shorter than the layout's groups
+        mask_matrix(short, lay)
 
 
 @given(st.integers(0, 2**28 - 1), st.integers(0, 2**28 - 1))
@@ -88,29 +90,9 @@ def test_mask_difference_doubles_hamming_distance(x, y):
     lay = REFERENCE_LAYOUT
     wx, wy = format(x, "028b"), format(y, "028b")
     d = sum(a != b for a, b in zip(wx, wy))
-    mx = codeword_to_mask(wx, lay).active
-    my = codeword_to_mask(wy, lay).active
-    assert len(mx ^ my) == 2 * d
-
-
-def test_mask_matrix_rows_match_codeword_masks(codebook):
-    lay = REFERENCE_LAYOUT
-    m = mask_matrix(codebook, lay)
-    assert m.shape == (56, 64)
-    assert m.dtype == bool
-    assert (m.sum(axis=1) == 28).all()
-    for t in (0, 17, 55):
-        row = set(np.flatnonzero(m[t]).tolist())
-        assert row == set(codeword_to_mask(codebook.words[t], lay).active)
-
-
-def test_fallback_family_is_verified_and_deterministic():
-    a = generate_fallback_family(28, 13, rng_seed=5, max_words=8)
-    b = generate_fallback_family(28, 13, rng_seed=5, max_words=8)
-    assert a == b
-    assert a.size >= 2
-    assert verify_min_distance(a.words) >= 13
-    assert a.min_distance == verify_min_distance(a.words)
+    mx = codeword_to_mask(wx, lay)
+    my = codeword_to_mask(wy, lay)
+    assert np.count_nonzero(mx != my) == 2 * d
 
 
 def test_codebook_construction_validation():
@@ -120,3 +102,9 @@ def test_codebook_construction_validation():
         Codebook(name="x", word_length=4, min_distance=5, words=("0000",))
     with pytest.raises(CodebookError):
         Codebook(name="x", word_length=4, min_distance=2, words=())
+    with pytest.raises(CodebookError):  # words shorter than word_length
+        Codebook(name="x", word_length=4, min_distance=2, words=("000", "011"))
+    with pytest.raises(CodebookError):  # ragged words
+        Codebook(name="x", word_length=4, min_distance=2, words=("0000", "011"))
+    with pytest.raises(CodebookError):  # non-binary characters
+        Codebook(name="x", word_length=4, min_distance=2, words=("0000", "0021"))

@@ -8,7 +8,7 @@ import pytest
 from tagspot import detector
 from tagspot.carriers import REFERENCE_LAYOUT
 from tagspot.channel import apply_awgn, mix, noise_power_for_snr
-from tagspot.codebook import codeword_to_mask, generate_fallback_family, mask_matrix
+from tagspot.codebook import Codebook, codeword_to_mask, mask_matrix
 from tagspot.detector import (
     DetectionEvent,
     DetectorConfig,
@@ -122,7 +122,8 @@ def test_detector_config_validation(codebook):
     with pytest.raises(ValueError):
         DetectorConfig(layout=LAY, codebook=codebook, denominator="mask")
     with pytest.raises(ValueError):
-        short = generate_fallback_family(10, 3, rng_seed=1, max_words=4)
+        short = Codebook(name="short", word_length=10, min_distance=10,
+                         words=("0" * 10, "1" * 10))
         DetectorConfig(layout=LAY, codebook=short)
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from tagspot.carriers import REFERENCE_LAYOUT, CarrierLayout
 from tagspot.channel import apply_awgn, mix, noise_power_for_snr
-from tagspot.codebook import codeword_to_mask, generate_fallback_family, mask_matrix
+from tagspot.codebook import Codebook, codeword_to_mask, mask_matrix
 from tagspot.detector import (
     _CHUNK_WINDOWS,
     DetectionEvent,
@@ -206,7 +206,13 @@ def test_center_of_mass_rejects_leave_the_noise_floor_frozen(codebook):
 
 
 def test_odd_fft_size_layout():
-    codebook = generate_fallback_family(ODD.groups, 3, rng_seed=1, max_words=8)
+    codebook = Codebook(
+        name="odd-9-8-3",
+        word_length=ODD.groups,
+        min_distance=3,
+        words=("001001010", "001100101", "001110110", "010000000",
+               "101111111", "110001001", "110011010", "110110101"),
+    )
     config = DetectorConfig(layout=ODD, codebook=codebook, gamma=0.5)
     rng = np.random.default_rng(73)
     for _ in range(20):

@@ -22,9 +22,18 @@ from tagspot.waveform import (
     synthesize_tag,
     synthesize_tag_papr_limited,
 )
+from test_spotter_equivalence import ODD
 
 LAY = REFERENCE_LAYOUT
 MASK = codeword_to_mask("0101" * 7, LAY)
+
+# 32 wide carriers of 8 thin bins: 12 two-carrier groups and 8 nulls
+SMALL = CarrierLayout(
+    fft_size=256,
+    wide_total=32,
+    groups=12,
+    null_wide=frozenset({0, 1, 2, 16, 28, 29, 30, 31}),
+)
 
 
 def test_spectrum_puts_equal_tones_on_the_active_bins():
@@ -42,7 +51,7 @@ def test_spectrum_puts_equal_tones_on_the_active_bins():
 def test_active_bins_sit_inside_their_wide_carriers():
     bins = active_thin_bins(MASK, LAY)
     for b in bins.tolist():
-        assert b // LAY.thin_per_wide in MASK.active
+        assert MASK[b // LAY.thin_per_wide]
         assert b % LAY.thin_per_wide in LAY.active_thin_offsets
 
 
@@ -155,6 +164,9 @@ def test_tag_spectrum_validation():
         TagSpectrum(np.array([], dtype=complex))
     with pytest.raises(ValueError):
         build_tag_spectrum(MASK, LAY, -1.0, np.random.default_rng(0))
+    with pytest.raises(ValueError):  # a mask built for another layout
+        build_tag_spectrum(codeword_to_mask("0" * 12, SMALL), LAY, 1.0,
+                           np.random.default_rng(0))
     with pytest.raises(ValueError):  # wrong spectrum length for the layout
         synthesize_tag(TagSpectrum(np.ones(16, dtype=complex)), LAY)
 
@@ -167,7 +179,22 @@ def test_random_codewords_give_112_distinct_tone_bins(word_int):
     assert bins.size == 112
     assert np.unique(bins).size == 112
     wides = {int(b) // LAY.thin_per_wide for b in bins}
-    assert wides == set(mask.active)
+    assert wides == set(np.flatnonzero(mask).tolist())
+
+
+@pytest.mark.parametrize("layout", [LAY, SMALL, ODD], ids=["reference", "32-wide", "odd"])
+@given(data=st.data())
+def test_a_word_mask_takes_one_carrier_of_every_group(layout, data):
+    word = data.draw(st.text("01", min_size=layout.groups, max_size=layout.groups))
+    mask = codeword_to_mask(word, layout)
+    assert mask.dtype == bool and mask.shape == (layout.wide_total,)
+    assert all(mask[a] != mask[b] for a, b in layout.group_map)
+    assert not mask[sorted(layout.null_wide)].any()
+    assert np.count_nonzero(mask) == layout.groups
+    bins = active_thin_bins(mask, layout)
+    assert np.unique(bins).size == bins.size == layout.groups * layout.active_thin_per_wide
+    assert mask[bins // layout.thin_per_wide].all()
+    assert set((bins % layout.thin_per_wide).tolist()) <= set(layout.active_thin_offsets)
 
 
 def _interference_by_frame(layout, n_frames, total_power, rng):
@@ -184,15 +211,6 @@ def _interference_by_frame(layout, n_frames, total_power, rng):
         body = np.fft.ifft(np.fft.ifftshift(spectrum)) * np.sqrt(body_len)
         frames.append(np.concatenate([body[-cp:], body]))
     return np.concatenate(frames)
-
-
-# 32 wide carriers of 8 thin bins: 12 two-carrier groups and 8 nulls
-SMALL = CarrierLayout(
-    fft_size=256,
-    wide_total=32,
-    groups=12,
-    null_wide=frozenset({0, 1, 2, 16, 28, 29, 30, 31}),
-)
 
 
 @pytest.mark.parametrize("layout", [LAY, SMALL], ids=["reference", "32-wide"])
