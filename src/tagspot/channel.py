@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .carriers import CarrierLayout, REFERENCE_LAYOUT
-from .waveform import IqFrame, TagSpectrum, spectrum_of_body, synthesize_tag
+from .waveform import IqFrame, spectrum_of_body, synthesize_tag
 
 FADING_MODELS = ("none", "narrowband", "wideband-rayleigh")
 
@@ -61,50 +61,36 @@ def apply_cfo(
     return IqFrame(frame.samples * rotation, frame.sample_rate)
 
 
-def _fading_gains(
-    model: str, layout: CarrierLayout, rng: np.random.Generator
-) -> np.ndarray:
-    if model == "narrowband":
-        # constant amplitude, circularly uniform phase, common to all carriers
-        phase = rng.random() * 2.0 * np.pi
-        return np.full(layout.fft_size, np.exp(1j * phase))
-    # wideband-rayleigh: independent unit-mean-square complex Gaussian per thin
-    pairs = rng.normal(scale=np.sqrt(0.5), size=(layout.fft_size, 2))
-    return pairs[:, 0] + 1j * pairs[:, 1]
-
-
 def apply_fading(
-    x: "TagSpectrum | IqFrame",
+    frame: IqFrame,
     model: str,
     rng: np.random.Generator,
     layout: CarrierLayout = REFERENCE_LAYOUT,
-) -> "TagSpectrum | IqFrame":
+) -> IqFrame:
     """Apply a fading draw in the frequency domain.
 
-    Spectra take per-thin-carrier gains directly. Frames must be exactly one
-    tag frame long: the body is transformed, scaled, transformed back, and
-    the cyclic prefix is rebuilt from the faded body so the prefix property
-    survives.
+    narrowband: one circularly uniform phase common to all carriers, so
+    every sample turns by it. wideband-rayleigh: an independent unit-mean-
+    square complex Gaussian gain per thin carrier, on exactly one tag frame;
+    the body is transformed, scaled and transformed back, and the prefix is
+    rebuilt from the faded body so the prefix property survives.
     """
     if model not in FADING_MODELS:
         raise ValueError(f"fading must be one of {FADING_MODELS}, got {model!r}")
     if model == "none":
-        return x
-    if isinstance(x, TagSpectrum):
-        if len(x) != layout.fft_size:
-            raise ValueError("spectrum length does not match layout")
-        return TagSpectrum(x.amplitudes * _fading_gains(model, layout, rng))
+        return frame
     if model == "narrowband":
-        gain = _fading_gains(model, layout, rng)[0]
-        return IqFrame(x.samples * gain, x.sample_rate)
-    if len(x) != layout.frame_len:
+        phase = rng.random() * 2.0 * np.pi
+        return IqFrame(frame.samples * np.exp(1j * phase), frame.sample_rate)
+    if len(frame) != layout.frame_len:
         raise ValueError(
-            f"frame length {len(x)} != one tag frame ({layout.frame_len}); "
+            f"frame length {len(frame)} != one tag frame ({layout.frame_len}); "
             "wideband fading is defined per tag frame"
         )
-    spectrum = spectrum_of_body(x.samples[layout.cp_len :], layout)
-    faded = synthesize_tag(TagSpectrum(spectrum * _fading_gains(model, layout, rng)), layout)
-    return IqFrame(faded.samples, x.sample_rate)
+    spectrum = spectrum_of_body(frame.samples[layout.cp_len :], layout)
+    pairs = rng.normal(scale=np.sqrt(0.5), size=(layout.fft_size, 2))
+    faded = synthesize_tag(spectrum * (pairs[:, 0] + 1j * pairs[:, 1]), layout)
+    return IqFrame(faded.samples, frame.sample_rate)
 
 
 def mix(frames: "list[tuple[IqFrame, int, complex]]") -> IqFrame:

@@ -228,6 +228,11 @@ def _emit_table(out, command: str, fields, columns: str, rows) -> None:
 
 
 def _cmd_modulate(args: argparse.Namespace) -> int:
+    for option, value in (("--power", args.power), ("--sample-rate", args.sample_rate)):
+        if not value > 0:
+            raise CliError(1, f"{option} must be positive, got {_fmt(value)}")
+    if args.max_attempts < 1:
+        raise CliError(1, f"--max-attempts must be at least 1, got {args.max_attempts}")
     layout = args.layout or REFERENCE_LAYOUT
     codebook = _get_codebook(args.codebook)
     seed = _require_seed(args.seed, "tone phases are random")

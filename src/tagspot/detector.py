@@ -42,7 +42,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .carriers import CarrierLayout
 from .codebook import Codebook, mask_matrix
-from .waveform import IqFrame
+from .waveform import IqFrame, ascending
 
 #: Windows per batched power and FFT pass in spot_report. It bounds the
 #: working set to _CHUNK_WINDOWS * fft_size complex samples whatever the
@@ -127,11 +127,8 @@ def fold_spectrum(fft_bins: np.ndarray, layout: CarrierLayout) -> np.ndarray:
     bins = np.asarray(fft_bins)
     if bins.shape != (layout.fft_size,):
         raise ValueError(f"expected {layout.fft_size} bins, got {bins.shape}")
-    # np.fft.fftshift as one slice-and-concatenate (h == n // 2 for even n)
-    power = np.abs(bins) ** 2
-    h = layout.fft_size - layout.fft_size // 2
-    ascending = np.concatenate((power[h:], power[:h]))
-    return ascending.reshape(layout.wide_total, layout.thin_per_wide).sum(axis=1)
+    power = ascending(np.abs(bins) ** 2)
+    return power.reshape(layout.wide_total, layout.thin_per_wide).sum(axis=1)
 
 
 def strengths(wide: np.ndarray, config: DetectorConfig) -> np.ndarray:
@@ -181,13 +178,17 @@ class SpotReport:
 def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
     """Run the spotter over a sample stream.
 
-    The noise tracker seeds on the first interval and is updated by every
-    interval at or below gamma (including carrier-sense-gated ones, whose
-    power is already in hand); one above gamma leaves it frozen, center of
-    mass valid or not, so neither tags nor off-center interferers lift the
-    floor. Each window that passes the gate is folded and scored once; its
-    center of mass is computed only when its best strength is above gamma,
-    since a window at or below gamma fails the candidate test whatever its
+    The noise floor stays unset until the first interval that is gated or
+    at or below gamma, which seeds it. Until then every interval's SNR
+    estimate is inf, so only an all-zero interval is gated, and a stream
+    that opens with a tag reports it at inf dB whatever the carrier-sense
+    threshold. From then on the floor is updated by every interval at or
+    below gamma (including carrier-sense-gated ones, whose power is already
+    in hand); one above gamma leaves it frozen, center of mass valid or
+    not, so neither tags nor off-center interferers lift the floor. Each
+    window that passes the gate is folded and scored once; its center of
+    mass is computed only when its best strength is above gamma, since a
+    window at or below gamma fails the candidate test whatever its
     position.
     """
     layout = config.layout

@@ -11,6 +11,10 @@ A tag frame is the unitary inverse transform of its spectrum with the last
 ``cp_len`` samples repeated in front as a cyclic prefix. Any window of
 ``fft_size`` consecutive samples taken from within one frame therefore holds
 a cyclic rotation of the transform body and has the same power spectrum.
+
+This module is the only place that knows the order and the framing:
+``ascending`` reorders a transform's natural (numpy) bins, and
+``_ofdm_frames`` turns spectra into frames for tags and interference alike.
 """
 
 from __future__ import annotations
@@ -46,26 +50,26 @@ class IqFrame:
         return self.samples.size
 
 
-@dataclass(frozen=True, eq=False)
-class TagSpectrum:
-    """Per-thin-carrier complex amplitudes, ascending frequency order."""
+def ascending(x: np.ndarray) -> np.ndarray:
+    """Natural (numpy) transform order to ascending frequency order on the
+    last axis: numpy's fftshift as one slice-and-concatenate."""
+    h = x.shape[-1] - x.shape[-1] // 2
+    return np.concatenate((x[..., h:], x[..., :h]), axis=-1)
 
-    amplitudes: np.ndarray
 
-    def __post_init__(self) -> None:
-        a = np.asarray(self.amplitudes, dtype=np.complex128)
-        if a.ndim != 1 or a.size == 0:
-            raise ValueError("amplitudes must be a nonempty 1-D array")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("amplitudes must be finite")
-        object.__setattr__(self, "amplitudes", a)
+def _natural(x: np.ndarray) -> np.ndarray:
+    """Inverse of ascending (numpy's ifftshift on the last axis)."""
+    h = x.shape[-1] // 2
+    return np.concatenate((x[..., h:], x[..., :h]), axis=-1)
 
-    def __len__(self) -> int:
-        return self.amplitudes.size
 
-    @property
-    def total_power(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
+def _ofdm_frames(spectra: np.ndarray, cp_len: int) -> np.ndarray:
+    """Frames of ascending-order spectra on the last axis: the unitary
+    inverse transform of each, with its last cp_len samples repeated in
+    front as a cyclic prefix."""
+    n = spectra.shape[-1]
+    bodies = np.fft.ifft(_natural(spectra), axis=-1) * np.sqrt(n)
+    return np.concatenate((bodies[..., n - cp_len :], bodies), axis=-1)
 
 
 def mean_power(frame: IqFrame) -> float:
@@ -86,8 +90,9 @@ def build_tag_spectrum(
     layout: CarrierLayout,
     total_power: float,
     rng: np.random.Generator,
-) -> TagSpectrum:
-    """Equal-magnitude tones with independent uniform phases on the mask's
+) -> np.ndarray:
+    """A tag spectrum: fft_size complex amplitudes in ascending order, with
+    equal-magnitude tones of independent uniform phases on the mask's
     central thin carriers; the squared magnitudes sum to total_power."""
     if len(mask) != layout.wide_total:
         raise ValueError(f"mask length {len(mask)} != wide_total {layout.wide_total}")
@@ -98,20 +103,18 @@ def build_tag_spectrum(
     phases = rng.random(bins.size) * (2.0 * np.pi)
     amplitudes = np.zeros(layout.fft_size, dtype=np.complex128)
     amplitudes[bins] = amplitude * np.exp(1j * phases)
-    return TagSpectrum(amplitudes)
+    return amplitudes
 
 
-def synthesize_tag(spectrum: TagSpectrum, layout: CarrierLayout) -> IqFrame:
-    """Unitary inverse transform of the spectrum plus cyclic prefix."""
-    if len(spectrum) != layout.fft_size:
+def synthesize_tag(spectrum: np.ndarray, layout: CarrierLayout) -> IqFrame:
+    """The tag frame of an ascending-order spectrum of fft_size amplitudes.
+    A non-finite spectrum gives non-finite samples, which IqFrame rejects."""
+    spectrum = np.asarray(spectrum, dtype=np.complex128)
+    if spectrum.shape != (layout.fft_size,):
         raise ValueError(
-            f"spectrum length {len(spectrum)} != fft_size {layout.fft_size}"
+            f"spectrum shape {spectrum.shape} != ({layout.fft_size},)"
         )
-    body = np.fft.ifft(np.fft.ifftshift(spectrum.amplitudes)) * np.sqrt(
-        layout.fft_size
-    )
-    samples = np.concatenate([body[-layout.cp_len :], body])
-    return IqFrame(samples)
+    return IqFrame(_ofdm_frames(spectrum, layout.cp_len))
 
 
 def spectrum_of_body(body: np.ndarray, layout: CarrierLayout) -> np.ndarray:
@@ -122,7 +125,7 @@ def spectrum_of_body(body: np.ndarray, layout: CarrierLayout) -> np.ndarray:
     body = np.asarray(body, dtype=np.complex128)
     if body.size != layout.fft_size:
         raise ValueError(f"body length {body.size} != fft_size {layout.fft_size}")
-    return np.fft.fftshift(np.fft.fft(body)) / np.sqrt(layout.fft_size)
+    return ascending(np.fft.fft(body)) / np.sqrt(layout.fft_size)
 
 
 def papr(frame: IqFrame) -> float:
@@ -186,8 +189,9 @@ def interference_occupied_carriers(layout: CarrierLayout) -> tuple[int, ...]:
 
 def interference_frame_len(layout: CarrierLayout) -> int:
     """Samples in one data-like interference frame: wide_total plus its
-    cyclic prefix, 80 for the reference layout."""
-    return layout.wide_total + int(layout.wide_total * layout.cp_fraction)
+    cyclic prefix, the tags' prefix fraction of wide_total rounded down in
+    integers; 80 for the reference layout."""
+    return layout.wide_total + layout.cp_len * layout.wide_total // layout.fft_size
 
 
 def synthesize_data_interference(
@@ -200,10 +204,10 @@ def synthesize_data_interference(
 
     Each frame rides the wide-carrier grid directly: a transform of length
     wide_total (one bin per wide carrier), 4-point constellation symbols of
-    equal magnitude on the occupied carriers, and the same 1/4 cyclic prefix
-    fraction as tags. total_power is the spectral power of ONE frame; a
-    frame is interference_frame_len(layout) samples, so 8 frames span
-    exactly one tag frame.
+    equal magnitude on the occupied carriers, and the tags' cyclic prefix
+    fraction. total_power is the spectral power of ONE frame; a frame is
+    interference_frame_len(layout) samples, so on the reference layout 8
+    frames span exactly one tag frame.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be at least 1")
@@ -212,6 +216,8 @@ def synthesize_data_interference(
     body_len = layout.wide_total
     cp = interference_frame_len(layout) - body_len
     occupied = np.asarray(interference_occupied_carriers(layout))
+    if occupied.size == 0:
+        raise ValueError("a two-carrier layout leaves the data-like interferer no carrier")
     amplitude = np.sqrt(total_power / occupied.size)
     # one row per frame; the symbols are drawn in the same order as a
     # frame-by-frame loop would draw them
@@ -219,6 +225,4 @@ def synthesize_data_interference(
     phases = symbols * (np.pi / 2) + np.pi / 4
     spectra = np.zeros((n_frames, body_len), dtype=np.complex128)
     spectra[:, occupied] = amplitude * np.exp(1j * phases)
-    bodies = np.fft.ifft(np.fft.ifftshift(spectra, axes=1), axis=1)
-    bodies *= np.sqrt(body_len)
-    return IqFrame(np.concatenate([bodies[:, -cp:], bodies], axis=1).ravel())
+    return IqFrame(_ofdm_frames(spectra, cp).ravel())

@@ -176,10 +176,9 @@ def _window_strength_sim(snr_db, fading, trials, seed):
     rng = np.random.default_rng(seed)
     out = np.empty(trials)
     for i in range(trials):
-        spectrum = build_tag_spectrum(mask, LAY, power, rng)
+        frame = synthesize_tag(build_tag_spectrum(mask, LAY, power, rng), LAY)
         if fading is not None:
-            spectrum = apply_fading(spectrum, _CHANNEL_FADING[fading], rng, LAY)
-        frame = synthesize_tag(spectrum, LAY)
+            frame = apply_fading(frame, _CHANNEL_FADING[fading], rng, LAY)
         noisy = apply_awgn(frame, n, rng)
         body = noisy.samples[LAY.cp_len :]
         wide = fold_spectrum(np.fft.fft(body) / root, LAY)

@@ -15,7 +15,6 @@ from tagspot.channel import (
 from tagspot.codebook import codeword_to_mask
 from tagspot.waveform import (
     IqFrame,
-    TagSpectrum,
     active_thin_bins,
     build_tag_spectrum,
     mean_power,
@@ -79,7 +78,7 @@ def test_half_bin_cfo_leak_matches_the_closed_form():
     # single tone at half-bin offset keeps sinc^2(0.5) of its power in place
     spectrum = np.zeros(LAY.fft_size, dtype=complex)
     spectrum[300] = 1.0
-    frame = synthesize_tag(TagSpectrum(spectrum), LAY)
+    frame = synthesize_tag(spectrum, LAY)
     shifted = apply_cfo(frame, 0.5, LAY)
     measured = np.abs(spectrum_of_body(shifted.samples[LAY.cp_len :], LAY)) ** 2
     assert measured[300] == pytest.approx((2.0 / np.pi) ** 2, abs=1e-4)
@@ -105,19 +104,6 @@ def test_wideband_fading_keeps_the_prefix_and_unit_mean_gain():
         gains.append(mean_power(faded) / mean_power(frame))
     # per-carrier unit-mean-square gains: frame power is unbiased
     assert abs(np.mean(gains) - 1.0) < 0.05
-
-
-def test_fading_commutes_with_synthesis():
-    # one gain draw applied to the spectrum equals the same draw on the frame
-    rng = np.random.default_rng(31)
-    spectrum = build_tag_spectrum(MASK, LAY, 1.0, rng)
-    via_spectrum = synthesize_tag(
-        apply_fading(spectrum, "wideband-rayleigh", np.random.default_rng(7), LAY), LAY
-    )
-    via_frame = apply_fading(
-        synthesize_tag(spectrum, LAY), "wideband-rayleigh", np.random.default_rng(7), LAY
-    )
-    assert np.allclose(via_spectrum.samples, via_frame.samples, atol=1e-12)
 
 
 def test_fading_validation():

@@ -19,6 +19,7 @@ from tagspot.codebook import builtin_codebook, serialize_codebook
 from tagspot.detector import parse_events
 from tagspot.iqfile import read_iq, sidecar_path
 from tagspot.waveform import IqFrame, mean_power
+from layouts import ODD
 
 LAY = REFERENCE_LAYOUT
 
@@ -371,6 +372,25 @@ def test_impair_interference_covers_the_signal_on_a_small_layout(tmp_path):
     assert np.all(per_frame > 0.1 * added.mean())
 
 
+def test_odd_layout_round_trip_finds_the_sent_word(tmp_path):
+    config = tmp_path / "odd.json"
+    config.write_text(json.dumps({"config_version": 1, "layout": layout_to_dict(ODD)}))
+    codebook = tmp_path / "cb9.txt"
+    codebook.write_text("name: nine\nword_length: 9\nmin_distance: 9\n000000000\n111111111\n")
+    tag, impaired, events = tmp_path / "tag.iq", tmp_path / "impaired.iq", tmp_path / "events.txt"
+    common = ["--config", str(config)]
+    assert cli_main(["modulate", "--seed", "5", "--word", "1", "--codebook", str(codebook),
+                     "--out", str(tag), *common]) == 0
+    assert cli_main(["impair", "--in", str(tag), "--seed", "5", "--snr", "6",
+                     "--fading", "wideband-rayleigh", "--cfo", "0.3",
+                     "--out", str(impaired), *common]) == 0
+    assert cli_main(["spot", "--in", str(impaired), "--codebook", str(codebook),
+                     "--out", str(events), *common]) == 0
+    frame, meta = read_iq(impaired)
+    assert len(frame) == ODD.frame_len and meta["layout"] == layout_to_dict(ODD)
+    assert [e.codeword_index for e in parse_events(events.read_text())] == [1]
+
+
 def _fails_with_one_line(argv, capsys):
     assert cli_main(argv) == 1
     err = capsys.readouterr().err
@@ -457,6 +477,24 @@ def test_non_finite_numbers_exit_with_code_1(tmp_path, capsys, argv, named):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and named in err
     assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--power=0"], "--power"),
+        (["--power=-1"], "--power"),
+        (["--papr-cap", "6", "--max-attempts=0"], "--max-attempts"),
+        (["--sample-rate=0"], "--sample-rate"),
+    ],
+    ids=["power-zero", "power-negative", "max-attempts-zero", "sample-rate-zero"],
+)
+def test_out_of_range_modulate_options_exit_with_code_1(tmp_path, capsys, flags, named):
+    out = tmp_path / "o.iq"
+    assert cli_main(["modulate", "--seed", "1", *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and named in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -171,6 +171,25 @@ def test_carrier_sense_gates_quiet_intervals(codebook):
     assert report.events[0].codeword_index == 5
 
 
+def test_a_stream_that_opens_with_a_tag_is_not_gated_until_the_floor_is_seeded(codebook):
+    mask = codeword_to_mask(codebook.words[4], LAY)
+    power = float(LAY.active_thin_per_wide * LAY.groups)
+    rng = np.random.default_rng(60)
+    tag = synthesize_tag(build_tag_spectrum(mask, LAY, power, rng), LAY)
+    config = DetectorConfig(layout=LAY, codebook=codebook, carrier_sense_snr_db=100.0)
+    # no interval at or below gamma: the floor is never set, nothing is gated
+    report = spot_report(tag, config)
+    assert report.windows_gated == 0
+    assert [(e.codeword_index, e.snr_estimate_db) for e in report.events] == [(4, np.inf)]
+    # weak noise after the tag: the windows up to the first noise-only one,
+    # at sample 640, pass at inf dB; that window seeds the floor, and the
+    # 100 dB gate then stops every later window
+    noise = apply_awgn(IqFrame(np.zeros(2560, dtype=complex)), 1e-3, rng)
+    report = spot_report(mix([(tag, 0, 1.0), (noise, 640, 1.0)]), config)
+    assert report.windows_gated == report.windows_total - (640 // LAY.cp_len + 1)
+    assert [(e.codeword_index, e.snr_estimate_db) for e in report.events] == [(4, np.inf)]
+
+
 def test_band_denominator_reads_higher_than_all(codebook):
     stream = _stream_with_tag(codebook, 9, offset=600, snr_db=10.0, seed=55)
     banded = spot_report(

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tagspot.carriers import REFERENCE_LAYOUT, CarrierLayout
+from tagspot.carriers import REFERENCE_LAYOUT
 from tagspot.channel import apply_awgn, mix, noise_power_for_snr
 from tagspot.codebook import Codebook, codeword_to_mask, mask_matrix
 from tagspot.detector import (
@@ -24,18 +24,9 @@ from tagspot.detector import (
     spot_report,
 )
 from tagspot.waveform import IqFrame, build_tag_spectrum, synthesize_tag
+from layouts import ODD
 
 LAY = REFERENCE_LAYOUT
-# odd fft_size: 21 wide carriers of 5 thin bins, a 21-sample prefix
-ODD = CarrierLayout(
-    thin_per_wide=5,
-    active_thin_per_wide=3,
-    groups=9,
-    wide_total=21,
-    null_wide=frozenset({0, 10, 20}),
-    fft_size=105,
-    cp_fraction=0.2,
-)
 
 
 def _reference_fold(fft_bins, layout):

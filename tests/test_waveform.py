@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tagspot.carriers import CarrierLayout, REFERENCE_LAYOUT
@@ -10,8 +10,9 @@ from tagspot.codebook import codeword_to_mask
 from tagspot.detector import fold_spectrum
 from tagspot.waveform import (
     IqFrame,
-    TagSpectrum,
+    _natural,
     active_thin_bins,
+    ascending,
     build_tag_spectrum,
     interference_frame_len,
     interference_occupied_carriers,
@@ -22,7 +23,7 @@ from tagspot.waveform import (
     synthesize_tag,
     synthesize_tag_papr_limited,
 )
-from test_spotter_equivalence import ODD
+from layouts import ODD, VALID_LAYOUTS
 
 LAY = REFERENCE_LAYOUT
 MASK = codeword_to_mask("0101" * 7, LAY)
@@ -41,11 +42,12 @@ def test_spectrum_puts_equal_tones_on_the_active_bins():
     spectrum = build_tag_spectrum(MASK, LAY, 4.0, rng)
     bins = active_thin_bins(MASK, LAY)
     assert bins.size == 112
-    nonzero = np.flatnonzero(spectrum.amplitudes)
+    assert spectrum.dtype == np.complex128 and spectrum.shape == (LAY.fft_size,)
+    nonzero = np.flatnonzero(spectrum)
     assert set(nonzero.tolist()) == set(bins.tolist())
-    mags = np.abs(spectrum.amplitudes[bins])
+    mags = np.abs(spectrum[bins])
     assert np.allclose(mags, mags[0], rtol=1e-12)
-    assert spectrum.total_power == pytest.approx(4.0, rel=1e-12)
+    assert float(np.sum(mags**2)) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_active_bins_sit_inside_their_wide_carriers():
@@ -61,9 +63,9 @@ def test_parseval_roundtrip():
     frame = synthesize_tag(spectrum, LAY)
     body = frame.samples[LAY.cp_len :]
     body_power = float(np.sum(np.abs(body) ** 2))
-    assert body_power == pytest.approx(spectrum.total_power, rel=1e-12)
+    assert body_power == pytest.approx(float(np.sum(np.abs(spectrum) ** 2)), rel=1e-12)
     # forward transform recovers the spectrum
-    assert np.allclose(spectrum_of_body(body, LAY), spectrum.amplitudes, atol=1e-12)
+    assert np.allclose(spectrum_of_body(body, LAY), spectrum, atol=1e-12)
 
 
 def test_frame_has_exact_cyclic_prefix():
@@ -90,7 +92,7 @@ def test_every_window_of_a_frame_has_the_same_wide_powers():
 def test_synthesis_is_deterministic_per_seed():
     a = build_tag_spectrum(MASK, LAY, 1.0, np.random.default_rng(9))
     b = build_tag_spectrum(MASK, LAY, 1.0, np.random.default_rng(9))
-    assert np.array_equal(a.amplitudes, b.amplitudes)
+    assert np.array_equal(a, b)
 
 
 def test_mean_power_scales_with_total_power():
@@ -161,14 +163,20 @@ def test_iq_frame_validation():
 
 def test_tag_spectrum_validation():
     with pytest.raises(ValueError):
-        TagSpectrum(np.array([], dtype=complex))
-    with pytest.raises(ValueError):
         build_tag_spectrum(MASK, LAY, -1.0, np.random.default_rng(0))
     with pytest.raises(ValueError):  # a mask built for another layout
         build_tag_spectrum(codeword_to_mask("0" * 12, SMALL), LAY, 1.0,
                            np.random.default_rng(0))
-    with pytest.raises(ValueError):  # wrong spectrum length for the layout
-        synthesize_tag(TagSpectrum(np.ones(16, dtype=complex)), LAY)
+    for wrong_shape in (np.array([], dtype=complex), np.ones(16, dtype=complex),
+                        np.ones((1, LAY.fft_size), dtype=complex)):
+        with pytest.raises(ValueError, match="spectrum shape"):
+            synthesize_tag(wrong_shape, LAY)
+    for bad in (np.nan, np.inf):  # non-finite samples, rejected by IqFrame
+        spectrum = build_tag_spectrum(MASK, LAY, 1.0, np.random.default_rng(0))
+        spectrum[300] = bad
+        # the transform of an infinite bin warns of invalid values on the way
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            synthesize_tag(spectrum, LAY)
 
 
 @settings(max_examples=20)
@@ -209,17 +217,71 @@ def _interference_by_frame(layout, n_frames, total_power, rng):
         spectrum = np.zeros(body_len, dtype=np.complex128)
         spectrum[occupied] = amplitude * np.exp(1j * phases)
         body = np.fft.ifft(np.fft.ifftshift(spectrum)) * np.sqrt(body_len)
-        frames.append(np.concatenate([body[-cp:], body]))
+        frames.append(np.concatenate([body[body_len - cp :], body]))
     return np.concatenate(frames)
 
 
-@pytest.mark.parametrize("layout", [LAY, SMALL], ids=["reference", "32-wide"])
-@pytest.mark.parametrize("n_frames", [1, 33])
-def test_interference_matches_the_frame_by_frame_loop(layout, n_frames):
-    got_rng, want_rng = np.random.default_rng(71), np.random.default_rng(71)
+def _assert_interference_matches_the_loop(layout, n_frames, seed):
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = synthesize_data_interference(layout, n_frames, 2.5, got_rng)
     want = _interference_by_frame(layout, n_frames, 2.5, want_rng)
     assert len(got) == n_frames * interference_frame_len(layout)
     assert np.array_equal(got.samples, want)
     # the generator is left where the loop leaves it
     assert got_rng.integers(0, 2**62) == want_rng.integers(0, 2**62)
+
+
+@pytest.mark.parametrize("layout", [LAY, SMALL], ids=["reference", "32-wide"])
+@pytest.mark.parametrize("n_frames", [1, 33])
+def test_interference_matches_the_frame_by_frame_loop(layout, n_frames):
+    _assert_interference_matches_the_loop(layout, n_frames, 71)
+
+
+@given(VALID_LAYOUTS, st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_interference_matches_the_loop_on_any_valid_layout(layout, n_frames, seed):
+    if not interference_occupied_carriers(layout):  # two wide carriers, one of them DC
+        with pytest.raises(ValueError, match="interferer"):
+            synthesize_data_interference(layout, n_frames, 2.5, np.random.default_rng(seed))
+        return
+    _assert_interference_matches_the_loop(layout, n_frames, seed)
+
+
+@given(VALID_LAYOUTS)
+@example(CarrierLayout(thin_per_wide=3, active_thin_per_wide=1, groups=10, wide_total=22,
+                       null_wide=frozenset({0, 11}), fft_size=66, cp_fraction=45 / 66))
+def test_interference_prefix_is_the_tag_fraction_rounded_down(layout):
+    # the example's 22 * (45 / 66) is 14.999999999999998 in floats; its prefix is 15
+    cp = interference_frame_len(layout) - layout.wide_total
+    # cp / wide_total <= cp_len / fft_size < (cp + 1) / wide_total
+    assert cp * layout.fft_size <= layout.cp_len * layout.wide_total < (cp + 1) * layout.fft_size
+
+
+@given(VALID_LAYOUTS)
+def test_ascending_is_fftshift_and_natural_undoes_it(layout):
+    rng = np.random.default_rng(layout.fft_size)
+    # both parities whatever the layout's, and a batch on the last axis
+    for n in (layout.fft_size, layout.fft_size + 1, layout.wide_total):
+        x = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        assert np.array_equal(ascending(x), np.fft.fftshift(x, axes=-1))
+        assert np.array_equal(_natural(x), np.fft.ifftshift(x, axes=-1))
+        assert np.array_equal(ascending(x[0]), np.fft.fftshift(x[0]))
+        assert np.array_equal(_natural(x[0]), np.fft.ifftshift(x[0]))
+        assert np.array_equal(_natural(ascending(x)), x)
+        assert np.array_equal(ascending(_natural(x)), x)
+
+
+@given(VALID_LAYOUTS, st.integers(0, 2**32 - 1))
+def test_tag_frames_keep_the_transform_convention_on_any_valid_layout(layout, seed):
+    rng = np.random.default_rng(seed)
+    n, cp = layout.fft_size, layout.cp_len
+    spectrum = rng.normal(size=n) + 1j * rng.normal(size=n)
+    frame = synthesize_tag(spectrum, layout)
+    assert len(frame) == layout.frame_len
+    body = frame.samples[cp:]
+    assert np.array_equal(frame.samples[:cp], body[n - cp :])  # exact prefix
+    assert np.allclose(spectrum_of_body(body, layout), spectrum, rtol=0, atol=1e-12)
+    total = float(np.sum(np.abs(spectrum) ** 2))
+    assert float(np.sum(np.abs(body) ** 2)) == pytest.approx(total, rel=1e-12)
+    # folding a window's bins regroups them, so total power is conserved
+    bins = np.fft.fft(body) / np.sqrt(n)
+    assert float(fold_spectrum(bins, layout).sum()) == pytest.approx(total, rel=1e-12)
