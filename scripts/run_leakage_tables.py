@@ -27,7 +27,7 @@ from tagspot.cli import main as cli_main
 from tagspot.codebook import builtin_codebook, codeword_to_mask
 from tagspot.channel import apply_cfo
 from tagspot.detector import fold_spectrum
-from tagspot.waveform import build_tag_spectrum, synthesize_tag
+from tagspot.waveform import build_tag_spectrum, spectrum_of_body, synthesize_tag
 
 RESULTS = Path(__file__).resolve().parents[1] / "results"
 
@@ -44,7 +44,7 @@ def measured_leak(max_offset: float, trials: int, seed: int) -> float:
         tag = synthesize_tag(build_tag_spectrum(mask, layout, 1.0, rng), layout)
         shifted = apply_cfo(tag, float(rng.uniform(0.0, max_offset)), layout)
         body = shifted.samples[layout.cp_len :]
-        wide = fold_spectrum(np.fft.fft(body) / np.sqrt(layout.fft_size), layout)
+        wide = fold_spectrum(spectrum_of_body(body, layout), layout)
         own = wide[mask].sum()
         lost += 1.0 - own / wide.sum()
     return lost / trials

@@ -171,7 +171,8 @@ def pf_single(
     layout: CarrierLayout = REFERENCE_LAYOUT,
     denominator: str = "band",
 ) -> float:
-    """Per-interval false alarm probability for one codeword.
+    """Per-interval false alarm probability for one codeword: pd_single
+    with no signal.
 
     Noise only, in-mask and out-of-mask powers are independent chi-squares
     U ~ chi2(dof_num) and V ~ chi2(dof_den), so the strength U/(U+V) is
@@ -180,13 +181,7 @@ def pf_single(
     upper tail at gamma itself, which keeps the symmetric reference-layout
     band case exact: pf_single(0.5) = 0.5 (median of F(448, 448) is 1).
     """
-    if not 0 < gamma < 1:
-        raise ValueError("gamma must lie strictly between 0 and 1")
-    from scipy import special
-
-    dof_num = 2 * layout.thin_per_wide * layout.groups
-    dof_den = _denominator_dof(layout, denominator) - dof_num
-    return float(special.betaincc(dof_num / 2, dof_den / 2, gamma))
+    return pd_single(gamma, AnalysisModel(layout, snr_db=-math.inf), denominator)
 
 
 def _numerator_mixture(
@@ -204,12 +199,12 @@ def _numerator_mixture(
     positive and sum to 1, so truncating at cumulative mass 1 - 2e-16
     bounds the error at machine level.
     """
-    from scipy import stats
-
     r = model.p_over_n
     base = float(dof_x + dof_y)
     if r == 0:
         return np.ones(1), np.asarray([base])
+    from scipy import stats
+
     if model.fading == "narrowband":
         comp = stats.poisson(0.5 * dof_x * r)
     else:
@@ -234,8 +229,8 @@ def pd_single(
     sum: conditioned on the mixture index of _numerator_mixture, X + Y is
     a central chi-square independent of Z, so each component's strength is
     Beta distributed and its exceedance a regularized incomplete beta
-    tail, exactly as in pf_single. At p/n = 0 the mixture collapses to a
-    single term and the value reduces to pf_single identically.
+    tail. At p/n = 0 the mixture collapses to a single term, and that case
+    is pf_single.
     """
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie strictly between 0 and 1")

@@ -295,6 +295,8 @@ def _cmd_impair(args: argparse.Namespace) -> int:
         raise CliError(1, "interference offset must be nonnegative")
     frame, meta = read_iq(args.in_path)
     layout = _input_layout(meta, args)
+    if args.snr is not None and len(frame) != layout.frame_len:
+        raise CliError(1, f"--snr needs one tag frame ({layout.frame_len} samples), got {len(frame)}")
     if args.snr is not None or args.sir is not None or args.fading != "none":
         _require_seed(args.seed, "noise, fading and interference draw randomness")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
@@ -305,8 +307,7 @@ def _cmd_impair(args: argparse.Namespace) -> int:
         frame = apply_fading(frame, args.fading, rng, layout)
     if args.cfo:
         frame = apply_cfo(frame, args.cfo, layout)
-    # --snr refers to the tag alone, so its power is taken before interference
-    tag_power = mean_power(frame)
+    tag = frame  # --snr refers to the tag alone, before interference
     if args.sir is not None:
         span = max(len(frame) - args.interference_offset, 1)
         n_frames = math.ceil(span / interference_frame_len(layout))
@@ -314,8 +315,9 @@ def _cmd_impair(args: argparse.Namespace) -> int:
         gain = gain_for_sir(frame, interference, args.interference_offset, args.sir)
         frame = mix([(frame, 0, 1.0), (interference, args.interference_offset, gain)])
     if args.snr is not None:
+        # the transform body holds each tone once; the prefix repeats part of it
         tones = layout.active_thin_per_wide * layout.groups
-        p_tone = tag_power * layout.fft_size / tones
+        p_tone = float(np.sum(np.abs(tag.samples[layout.cp_len :]) ** 2)) / tones
         frame = apply_awgn(frame, noise_power_for_snr(args.snr, p_tone, layout), rng)
 
     extra = {
@@ -543,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(commands, "impair", _cmd_impair,
                      "apply fading, cfo, interference and noise to an IQ file", layout=True)
     p.add_argument("--in", dest="in_path", help="input IQ file")
-    p.add_argument("--snr", type=float, help="target SNR in dB (input treated as one tag)")
+    p.add_argument("--snr", type=float, help="target SNR in dB (input must be one tag frame)")
     p.add_argument("--cfo", type=float, default=0.0,
                    help="carrier offset in thin-carrier widths (default %(default)s)")
     p.add_argument("--fading", choices=FADING_MODELS, default="none",

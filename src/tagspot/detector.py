@@ -7,7 +7,8 @@ misalignment, leaving a cyclic rotation of the transform body with an
 identical power spectrum).
 
 Per interval the pipeline is: carrier-sense gate on total power against a
-tracked noise floor, unitary FFT, fold to wide-carrier powers, tag strength
+tracked noise floor, unitary FFT to an ascending-order spectrum
+(waveform.spectrum_of_body), fold to wide-carrier powers, tag strength
 for every codeword, then a candidate requires max strength above gamma and
 a valid center of mass. Most windows of a monitoring capture hold only
 noise and stop at gamma, so the center of mass is computed only for the
@@ -22,14 +23,14 @@ so "band" reaches a given detection probability at a lower SNR; it is the
 operational default. The analysis module models both under the same name.
 
 Cost is linear in the stream. The front end takes the windows in chunks of
-_CHUNK_WINDOWS: one strided view, one vectorized power pass and one batched
-FFT per chunk, so memory stays bounded by the chunk whatever the stream
-length. A scalar pass over the chunk then runs the gate and noise-tracker
-recurrence, which is sequential in time, and folds and scores each window
-that passes the gate. Overlap suppression is a forward scan over the
-candidates, sorted by start: each candidate is compared only with those
-less than fft_size samples after it, O(C * fft_size / cp_len) for C
-candidates instead of comparing every pair.
+_CHUNK_WINDOWS: one strided view, one vectorized power pass and one
+spectrum_of_body call per chunk, so memory stays bounded by the chunk
+whatever the stream length. A scalar pass over the chunk then runs the gate
+and noise-tracker recurrence, which is sequential in time, and folds and
+scores each window that passes the gate. Overlap suppression is a forward
+scan over the candidates, sorted by start: each candidate is compared only
+with those less than fft_size samples after it, O(C * fft_size / cp_len)
+for C candidates instead of comparing every pair.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .carriers import CarrierLayout
 from .codebook import Codebook, mask_matrix
-from .waveform import IqFrame, ascending
+from .waveform import IqFrame, spectrum_of_body
 
 #: Windows per batched power and FFT pass in spot_report. It bounds the
 #: working set to _CHUNK_WINDOWS * fft_size complex samples whatever the
@@ -120,14 +121,14 @@ class DetectionEvent:
         )
 
 
-def fold_spectrum(fft_bins: np.ndarray, layout: CarrierLayout) -> np.ndarray:
-    """Wide-carrier powers from one FFT, natural (numpy) bin order in,
-    ascending frequency order out. Sums are exact regroupings, so total
-    power is conserved bit for bit up to float summation order."""
-    bins = np.asarray(fft_bins)
+def fold_spectrum(spectrum: np.ndarray, layout: CarrierLayout) -> np.ndarray:
+    """Wide-carrier powers of one spectrum in ascending frequency order, as
+    waveform.spectrum_of_body returns it. Sums are exact regroupings, so
+    total power is conserved bit for bit up to float summation order."""
+    bins = np.asarray(spectrum)
     if bins.shape != (layout.fft_size,):
         raise ValueError(f"expected {layout.fft_size} bins, got {bins.shape}")
-    power = ascending(np.abs(bins) ** 2)
+    power = np.abs(bins) ** 2
     return power.reshape(layout.wide_total, layout.thin_per_wide).sum(axis=1)
 
 
@@ -200,7 +201,6 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
     gamma = config.gamma
     com_bound = config.com_bound
     gate_db = config.carrier_sense_snr_db
-    root_n = np.sqrt(n)
     windows_total = (len(stream) - n) // hop + 1
 
     candidates: "list[tuple[int, int, float, float, float]]" = []
@@ -211,7 +211,7 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
         lo = first * hop
         views = sliding_window_view(stream[lo : lo + (count - 1) * hop + n], n)[::hop]
         powers = np.mean(np.abs(views) ** 2, axis=1).tolist()
-        spectra = np.fft.fft(views, axis=1) / root_n
+        spectra = spectrum_of_body(views, layout)
         for k, power in enumerate(powers):
             if noise_estimate is None or noise_estimate == 0:
                 # no floor yet, or a floor seeded by pure silence

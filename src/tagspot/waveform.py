@@ -13,8 +13,8 @@ A tag frame is the unitary inverse transform of its spectrum with the last
 a cyclic rotation of the transform body and has the same power spectrum.
 
 This module is the only place that knows the order and the framing:
-``ascending`` reorders a transform's natural (numpy) bins, and
-``_ofdm_frames`` turns spectra into frames for tags and interference alike.
+``spectrum_of_body`` is the forward transform, and ``_ofdm_frames`` turns
+spectra into frames for tags and interference alike.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class IqFrame:
         return self.samples.size
 
 
-def ascending(x: np.ndarray) -> np.ndarray:
+def _ascending(x: np.ndarray) -> np.ndarray:
     """Natural (numpy) transform order to ascending frequency order on the
     last axis: numpy's fftshift as one slice-and-concatenate."""
     h = x.shape[-1] - x.shape[-1] // 2
@@ -58,7 +58,7 @@ def ascending(x: np.ndarray) -> np.ndarray:
 
 
 def _natural(x: np.ndarray) -> np.ndarray:
-    """Inverse of ascending (numpy's ifftshift on the last axis)."""
+    """Inverse of _ascending (numpy's ifftshift on the last axis)."""
     h = x.shape[-1] // 2
     return np.concatenate((x[..., h:], x[..., :h]), axis=-1)
 
@@ -107,25 +107,27 @@ def build_tag_spectrum(
 
 
 def synthesize_tag(spectrum: np.ndarray, layout: CarrierLayout) -> IqFrame:
-    """The tag frame of an ascending-order spectrum of fft_size amplitudes.
-    A non-finite spectrum gives non-finite samples, which IqFrame rejects."""
+    """The tag frame of an ascending-order spectrum of fft_size finite amplitudes."""
     spectrum = np.asarray(spectrum, dtype=np.complex128)
     if spectrum.shape != (layout.fft_size,):
         raise ValueError(
             f"spectrum shape {spectrum.shape} != ({layout.fft_size},)"
         )
+    if not np.all(np.isfinite(spectrum)):
+        raise ValueError("spectrum must be finite")
     return IqFrame(_ofdm_frames(spectrum, layout.cp_len))
 
 
 def spectrum_of_body(body: np.ndarray, layout: CarrierLayout) -> np.ndarray:
-    """Forward unitary transform of one transform body, ascending order.
+    """Forward unitary transform of transform bodies stacked on the last
+    axis, each spectrum in ascending order; one body gives one spectrum.
 
     Inverse of synthesize_tag restricted to the body samples.
     """
     body = np.asarray(body, dtype=np.complex128)
-    if body.size != layout.fft_size:
-        raise ValueError(f"body length {body.size} != fft_size {layout.fft_size}")
-    return ascending(np.fft.fft(body)) / np.sqrt(layout.fft_size)
+    if body.shape[-1:] != (layout.fft_size,):
+        raise ValueError(f"body shape {body.shape} does not end in fft_size {layout.fft_size}")
+    return _ascending(np.fft.fft(body)) / np.sqrt(layout.fft_size)
 
 
 def papr(frame: IqFrame) -> float:

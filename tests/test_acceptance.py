@@ -36,12 +36,12 @@ from tagspot.detector import DetectorConfig, fold_spectrum, spot_report, strengt
 from tagspot.waveform import (
     IqFrame,
     build_tag_spectrum,
+    spectrum_of_body,
     synthesize_data_interference,
     synthesize_tag,
 )
 
 LAY = REFERENCE_LAYOUT
-ROOT = np.sqrt(LAY.fft_size)
 TAG_POWER = float(LAY.active_thin_per_wide * LAY.groups)  # per-tone power 1
 
 
@@ -87,7 +87,7 @@ def _measured_offset_leak(max_offset, trials, seed):
         mask = codeword_to_mask(word, LAY)
         tag = synthesize_tag(build_tag_spectrum(mask, LAY, 1.0, rng), LAY)
         shifted = apply_cfo(tag, float(rng.uniform(0.0, max_offset)), LAY)
-        wide = fold_spectrum(np.fft.fft(shifted.samples[LAY.cp_len :]) / ROOT, LAY)
+        wide = fold_spectrum(spectrum_of_body(shifted.samples[LAY.cp_len :], LAY), LAY)
         own = wide[mask].sum()
         lost += 1.0 - own / wide.sum()
     return lost / trials
@@ -151,7 +151,7 @@ def _interferer_band_density(seed):
     densities = []
     for offset in range(0, len(stream) - LAY.fft_size + 1, LAY.cp_len):
         window = stream.samples[offset : offset + LAY.fft_size]
-        wide = fold_spectrum(np.fft.fft(window) / ROOT, LAY)
+        wide = fold_spectrum(spectrum_of_body(window, LAY), LAY)
         densities.append(float(wide[band].sum()) / bins)
     return float(np.mean(densities))
 

@@ -38,7 +38,7 @@ from tagspot.carriers import CarrierLayout, REFERENCE_LAYOUT
 from tagspot.channel import apply_awgn, apply_fading, noise_power_for_snr
 from tagspot.codebook import Codebook, codeword_to_mask, mask_matrix
 from tagspot.detector import DetectorConfig, fold_spectrum, strengths
-from tagspot.waveform import IqFrame, build_tag_spectrum, synthesize_tag
+from tagspot.waveform import IqFrame, build_tag_spectrum, spectrum_of_body, synthesize_tag
 
 LAY = REFERENCE_LAYOUT
 
@@ -172,7 +172,6 @@ def _window_strength_sim(snr_db, fading, trials, seed):
     mask = codeword_to_mask(_WORD, LAY)
     power = float(LAY.active_thin_per_wide * LAY.groups)  # per-tone power 1
     n = noise_power_for_snr(snr_db, 1.0, LAY)
-    root = np.sqrt(LAY.fft_size)
     rng = np.random.default_rng(seed)
     out = np.empty(trials)
     for i in range(trials):
@@ -181,19 +180,18 @@ def _window_strength_sim(snr_db, fading, trials, seed):
             frame = apply_fading(frame, _CHANNEL_FADING[fading], rng, LAY)
         noisy = apply_awgn(frame, n, rng)
         body = noisy.samples[LAY.cp_len :]
-        wide = fold_spectrum(np.fft.fft(body) / root, LAY)
+        wide = fold_spectrum(spectrum_of_body(body, LAY), LAY)
         out[i] = strengths(wide, _WORD_CONFIG)[0]
     return out
 
 
 def _noise_strength_sim(trials, seed):
-    root = np.sqrt(LAY.fft_size)
     rng = np.random.default_rng(seed)
     out = np.empty(trials)
     for i in range(trials):
         noise = rng.normal(scale=np.sqrt(0.5), size=(LAY.fft_size, 2))
         window = noise[:, 0] + 1j * noise[:, 1]
-        wide = fold_spectrum(np.fft.fft(window) / root, LAY)
+        wide = fold_spectrum(spectrum_of_body(window, LAY), LAY)
         out[i] = strengths(wide, _WORD_CONFIG)[0]
     return out
 

@@ -17,7 +17,7 @@ from tagspot.channel import noise_power_for_snr
 from tagspot.cli import main as cli_main
 from tagspot.codebook import builtin_codebook, serialize_codebook
 from tagspot.detector import parse_events
-from tagspot.iqfile import read_iq, sidecar_path
+from tagspot.iqfile import read_iq, sidecar_path, write_iq
 from tagspot.waveform import IqFrame, mean_power
 from layouts import ODD
 
@@ -108,9 +108,14 @@ def test_impair_adds_calibrated_noise(tmp_path):
     noisy, meta = read_iq(out)
     assert meta["snr_db"] == 0.0
     tones = LAY.active_thin_per_wide * LAY.groups
-    p_tone = mean_power(clean) * LAY.fft_size / tones
+    p_tone = float(np.sum(np.abs(clean.samples[LAY.cp_len :]) ** 2)) / tones
     n = noise_power_for_snr(0.0, p_tone, LAY)
     assert abs(mean_power(noisy) - mean_power(clean) - n) < 0.2 * n
+    # the noise is exactly the seed's first normal draw, scaled by sqrt(n / 2)
+    draws = np.random.default_rng(7).normal(size=(LAY.frame_len, 2))
+    added = noisy.samples - clean.samples
+    scale = np.sum(added.real * draws[:, 0] + added.imag * draws[:, 1]) / np.sum(draws**2)
+    assert 2.0 * scale**2 == pytest.approx(n, rel=1e-5)
     # stochastic impairments refuse to run without a seed
     assert cli_main(["impair", "--in", str(source), "--snr", "0", "--out", str(out)]) == 1
 
@@ -457,6 +462,7 @@ def test_negative_counts_exit_with_code_1(capsys):
         (["modulate", "--seed", "1", "--papr-cap=nan", "--out", "{out}"], "--papr-cap"),
         (["modulate", "--seed", "1", "--sample-rate=inf", "--out", "{out}"], "--sample-rate"),
         (["impair", "--in", "{tag}", "--seed", "1", "--snr=-inf", "--out", "{out}"], "--snr"),
+        (["impair", "--in", "{two}", "--seed", "1", "--snr=0", "--out", "{out}"], "--snr"),
         (["impair", "--in", "{tag}", "--seed", "1", "--sir=nan", "--out", "{out}"], "--sir"),
         (["impair", "--in", "{tag}", "--cfo=inf", "--out", "{out}"], "--cfo"),
         (["spot", "--in", "{tag}", "--gamma=nan"], "--gamma"),
@@ -465,13 +471,17 @@ def test_negative_counts_exit_with_code_1(capsys):
     ],
     ids=["sweep-snr", "curves-snr-nan", "curves-snr-inf", "curves-gamma", "range-snr-gap",
          "range-exponents", "modulate-power", "modulate-papr-cap", "modulate-sample-rate",
-         "impair-snr", "impair-sir", "impair-cfo", "spot-gamma", "spot-carrier-sense",
-         "sweep-config-snr"],
+         "impair-snr", "impair-snr-two-frames", "impair-sir", "impair-cfo", "spot-gamma",
+         "spot-carrier-sense", "sweep-config-snr"],
 )
 def test_non_finite_numbers_exit_with_code_1(tmp_path, capsys, argv, named):
     config = tmp_path / "inf.json"
     config.write_text(json.dumps({"config_version": 1, "snr": float("inf")}))
-    paths = {"tag": _modulate(tmp_path), "out": tmp_path / "o.iq", "config": config}
+    paths = {"tag": _modulate(tmp_path), "out": tmp_path / "o.iq", "config": config,
+             "two": tmp_path / "two.iq"}
+    # two tag frames back to back: --snr calibrates on exactly one
+    tag, _ = read_iq(paths["tag"])
+    write_iq(paths["two"], IqFrame(np.tile(tag.samples, 2)), layout=LAY)
     capsys.readouterr()
     assert cli_main([arg.format(**paths) for arg in argv]) == 1
     err = capsys.readouterr().err

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tagspot import detector
-from tagspot.carriers import REFERENCE_LAYOUT
+from tagspot.carriers import CarrierLayout, REFERENCE_LAYOUT
 from tagspot.channel import apply_awgn, mix, noise_power_for_snr
 from tagspot.codebook import Codebook, codeword_to_mask, mask_matrix
 from tagspot.detector import (
@@ -21,6 +21,7 @@ from tagspot.detector import (
     strengths,
 )
 from tagspot.waveform import IqFrame, build_tag_spectrum, synthesize_tag
+from layouts import ODD
 
 LAY = REFERENCE_LAYOUT
 
@@ -138,6 +139,40 @@ def test_single_clean_tag_yields_one_correct_event(codebook):
     assert 777 <= event.interval_start <= 777 + LAY.cp_len
     assert event.strength > 0.9
     assert event.com_valid
+
+
+# center_of_mass is centered on (wide_total - 1) / 2 = 5.5, not on the mean
+# position 4 of this layout's band carriers, 0-6 and 11: the all-zero word,
+# carriers 0, 2, 4 and 6, sits at -2.5, outside com_bound 1.5, so a clean tag
+# of it is never reported
+OFF_CENTER_BAND = CarrierLayout(thin_per_wide=4, active_thin_per_wide=1, groups=4,
+                                wide_total=12, null_wide=frozenset({7, 8, 9, 10}),
+                                fft_size=48, cp_fraction=1 / 6)
+
+
+@pytest.mark.parametrize(
+    "layout, word",
+    [(LAY, 0), (LAY, 1), (ODD, 0), (ODD, 1),
+     pytest.param(OFF_CENTER_BAND, 0, marks=pytest.mark.xfail(
+         strict=True, reason="center of mass is not centered on the band")),
+     (OFF_CENTER_BAND, 1)],
+    ids=["reference-zeros", "reference-ones", "odd-zeros", "odd-ones",
+         "off-center-band-zeros", "off-center-band-ones"],
+)
+def test_a_clean_tag_is_found_on_a_valid_layout(layout, word):
+    # the all-zero and all-one words: each group's first carriers, then its second
+    codebook = Codebook(name="zeros-ones", word_length=layout.groups,
+                        min_distance=layout.groups,
+                        words=("0" * layout.groups, "1" * layout.groups))
+    mask = codeword_to_mask(codebook.words[word], layout)
+    tag = synthesize_tag(build_tag_spectrum(mask, layout, 1.0, np.random.default_rng(word)),
+                         layout)
+    offset = 2 * layout.frame_len
+    quiet = IqFrame(np.zeros(5 * layout.frame_len, dtype=complex))
+    stream = mix([(quiet, 0, 1.0), (tag, offset, 1.0)])
+    events = spot_report(stream, DetectorConfig(layout=layout, codebook=codebook)).events
+    assert any(e.codeword_index == word and abs(e.interval_start - offset) <= layout.frame_len
+               for e in events)
 
 
 def test_two_separated_tags_give_two_events(codebook):

@@ -23,7 +23,7 @@ from tagspot.detector import (
     noise_tracker_update,
     spot_report,
 )
-from tagspot.waveform import IqFrame, build_tag_spectrum, synthesize_tag
+from tagspot.waveform import IqFrame, _ascending, build_tag_spectrum, synthesize_tag
 from layouts import ODD
 
 LAY = REFERENCE_LAYOUT
@@ -208,7 +208,7 @@ def test_odd_fft_size_layout():
     rng = np.random.default_rng(73)
     for _ in range(20):
         bins = rng.normal(size=ODD.fft_size) + 1j * rng.normal(size=ODD.fft_size)
-        assert np.array_equal(fold_spectrum(bins, ODD), _reference_fold(bins, ODD))
+        assert np.array_equal(fold_spectrum(_ascending(bins), ODD), _reference_fold(bins, ODD))
     total = _length_for_windows(ODD, 2 * _CHUNK_WINDOWS + 1)
     spacing = ODD.frame_len + 3
     tags = [(k * spacing, k % codebook.size) for k in range(total // spacing)]
