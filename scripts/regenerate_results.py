@@ -1,19 +1,20 @@
-"""Regenerate the frequency-offset leakage tables.
+"""Regenerate every committed table in results/ from one recipe list.
 
-Two outputs: the closed-form table from the leakage calculators, and a
-time-domain cross-check that synthesizes random tags, spins them by random
-fractional carrier offsets, and measures how much power actually lands
-outside each tag's own active carriers. The measured column should sit
-within Monte Carlo noise of the expectation integral.
+Each table that a tagspot command makes is a (file name, argv) recipe in
+RECIPES, run through the CLI at seed 20260819. The time-domain leakage
+cross-check, which no command makes, is written last: it spins random tags
+by random fractional carrier offsets and measures the power that lands
+outside each tag's own carriers, which should sit within Monte Carlo noise
+of the expectation integral.
 
-Run from the repository root:
+Takes no options: a new committed table is a new recipe, and other
+parameters are explored with tagspot directly. From the repository root:
 
-    python scripts/run_leakage_tables.py [--trials N] [--seed S]
+    python3 scripts/regenerate_results.py
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -30,6 +31,24 @@ from tagspot.detector import fold_spectrum
 from tagspot.waveform import build_tag_spectrum, spectrum_of_body, synthesize_tag
 
 RESULTS = Path(__file__).resolve().parents[1] / "results"
+
+SEED = 20260819
+
+RECIPES = [
+    ("leakage-closed-form.txt", ["leakage", "--max-offset", "8"]),
+    ("carrier-sweep.txt",
+     ["sweep", "--carriers", "56", "--snr", "0.0", "--trials", "100000", "--seed", str(SEED)]),
+    *(
+        # = form: a grid starting with a negative number is no option string
+        (f"curves-{fading}.txt",
+         ["curves", "--snr=-4,-2,-1,0,1,2,4,6", "--gamma=0.5,0.55,0.58,0.6,0.62,0.64,0.66,0.7",
+          "--fading", fading, "--trials", "200000", "--seed", str(SEED)])
+        for fading in ("wideband", "narrowband")
+    ),
+]
+
+TIME_DOMAIN = "leakage-time-domain.txt"
+TIME_DOMAIN_TRIALS = 2000
 
 
 def measured_leak(max_offset: float, trials: int, seed: int) -> float:
@@ -51,31 +70,28 @@ def measured_leak(max_offset: float, trials: int, seed: int) -> float:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-offset", type=int, default=8)
-    parser.add_argument("--trials", type=int, default=2000)
-    parser.add_argument("--seed", type=int, default=20260819)
-    args = parser.parse_args()
-
+    if sys.argv[1:]:
+        print(f"takes no options, got {' '.join(sys.argv[1:])}\n{__doc__}", file=sys.stderr)
+        return 1
     RESULTS.mkdir(exist_ok=True)
-    table = RESULTS / "leakage-closed-form.txt"
-    rc = cli_main(["leakage", "--max-offset", str(args.max_offset), "--out", str(table)])
-    if rc != 0:
-        return rc
-    print(f"wrote {table}")
+    for name, argv in RECIPES:
+        out = RESULTS / name
+        rc = cli_main([*argv, "--out", str(out)])
+        if rc != 0:
+            return rc
+        print(f"wrote {out}")
 
-    check = RESULTS / "leakage-time-domain.txt"
     lines = [
         "# command: leakage time-domain cross-check",
-        f"# trials: {args.trials}",
-        f"# seed: {args.seed}",
+        f"# trials: {TIME_DOMAIN_TRIALS}",
+        f"# seed: {SEED}",
         "# columns: max_offset expected measured",
     ]
     for k in (1, 2, 4):
         expected = expected_offset_leak(k)
-        measured = measured_leak(k, args.trials, args.seed)
+        measured = measured_leak(k, TIME_DOMAIN_TRIALS, SEED)
         lines.append(f"{k} {expected:.9g} {measured:.9g}")
-        print(f"max offset {k}: expected {expected:.5f}, measured {measured:.5f}")
+    check = RESULTS / TIME_DOMAIN
     check.write_text("\n".join(lines) + "\n")
     print(f"wrote {check}")
     return 0

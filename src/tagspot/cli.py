@@ -4,10 +4,11 @@ Subcommands: modulate, impair, spot, curves, leakage, sweep, range,
 overhead, codebook-verify. Every command accepts --config pointing at a
 JSON document (stamped with config_version) whose keys are the command's
 parameter names; explicit flags override document fields, and a field the
-command does not take is rejected. Stochastic commands demand an explicit
---seed, and identical config plus seed produces byte-identical primary
-output: tables carry no timestamps and every float is formatted with a
-fixed precision.
+command does not take is rejected. Only the commands that draw randomness
+(modulate, impair, curves, sweep) take --seed, and they demand it for
+stochastic work; identical config plus seed produces byte-identical
+primary output: tables carry no timestamps and every float is formatted
+with a fixed precision.
 
 Before a command starts, each option value, from a flag or a config field,
 is checked by how its option is declared: a float option takes a finite
@@ -256,9 +257,10 @@ def _cmd_modulate(args: argparse.Namespace) -> int:
         limited = synthesize_tag_papr_limited(
             mask, layout, args.power, args.papr_cap, rng, args.max_attempts
         )
-        frame = limited.frame
+        frame, papr_db = limited.frame, limited.papr_db
     else:
         frame = synthesize_tag(build_tag_spectrum(mask, layout, args.power, rng), layout)
+        papr_db = papr(frame)
     if args.sample_rate != 1.0:
         frame = IqFrame(frame.samples, args.sample_rate)
 
@@ -268,7 +270,7 @@ def _cmd_modulate(args: argparse.Namespace) -> int:
         "codeword_index": word_index,
         "seed": seed,
         "total_power": args.power,
-        "papr_db": round(papr(frame), 9),
+        "papr_db": round(papr_db, 9),
     }
     if args.papr_cap is not None:
         extra["papr_cap_db"] = args.papr_cap
@@ -279,7 +281,7 @@ def _cmd_modulate(args: argparse.Namespace) -> int:
     print(f"codeword_index: {word_index}")
     print(f"samples: {len(frame)}")
     print(f"total_power: {_fmt(args.power)}")
-    print(f"papr_db: {_fmt(papr(frame))}")
+    print(f"papr_db: {_fmt(papr_db)}")
     if args.papr_cap is not None:
         print(f"papr_cap_met: {_fmt(bool(limited.met_cap))}")
     print(f"out: {args.out}")
@@ -488,17 +490,11 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
 
 
 def _cmd_codebook_verify(args: argparse.Namespace) -> int:
-    codebook = _get_codebook(args.codebook)
-    verified = verify_min_distance(codebook.words)
-    print(f"name: {codebook.name}")
-    print(f"size: {codebook.size}")
-    print(f"word_length: {codebook.word_length}")
-    print(f"declared_min_distance: {codebook.min_distance}")
-    print(f"verified_min_distance: {verified}")
-    if verified < codebook.min_distance:
-        print("status: FAIL")
-        return 1
-    print("status: ok")
+    codebook = _get_codebook(args.codebook)  # rejects a violated declared distance
+    _emit(args.out, f"name: {codebook.name}\nsize: {codebook.size}\n"
+          f"word_length: {codebook.word_length}\n"
+          f"declared_min_distance: {codebook.min_distance}\n"
+          f"verified_min_distance: {verify_min_distance(codebook.words)}\nstatus: ok\n")
     return 0
 
 
@@ -506,12 +502,15 @@ def _cmd_codebook_verify(args: argparse.Namespace) -> int:
 # parser plumbing
 
 
-def _add_command(commands, name: str, func, summary: str, layout: bool = False):
+def _add_command(commands, name: str, func, summary: str,
+                 layout: bool = False, seed: bool = False):
     """A subparser with the options every command takes. Commands that read
-    a carrier layout also accept a "layout" field in their config."""
+    a carrier layout also accept a "layout" field in their config, and only
+    commands that draw randomness take --seed."""
     sub = commands.add_parser(name, help=summary)
     sub.add_argument("--config", help="JSON config document; flags override its fields")
-    sub.add_argument("--seed", type=int, help="randomness seed (required for stochastic runs)")
+    if seed:
+        sub.add_argument("--seed", type=int, help="randomness seed (required for stochastic runs)")
     sub.add_argument("--out", help="output path (tables default to stdout)")
     sub.set_defaults(func=func)
     if layout:
@@ -530,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.commands = commands.choices
 
     p = _add_command(commands, "modulate", _cmd_modulate,
-                     "synthesize one tag frame to an IQ file", layout=True)
+                     "synthesize one tag frame to an IQ file", layout=True, seed=True)
     p.add_argument("--word", type=int, help="codeword index (default: 0, or drawn from the seed with --random)")
     p.add_argument("--random", action="store_true", help="pick the codeword from the seed")
     p.add_argument("--power", type=float, default=1.0,
@@ -542,8 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="metadata sample rate (default %(default)s)")
     _add_codebook(p)
 
-    p = _add_command(commands, "impair", _cmd_impair,
-                     "apply fading, cfo, interference and noise to an IQ file", layout=True)
+    p = _add_command(commands, "impair", _cmd_impair, "apply fading, cfo, interference "
+                     "and noise to an IQ file", layout=True, seed=True)
     p.add_argument("--in", dest="in_path", help="input IQ file")
     p.add_argument("--snr", type=float, help="target SNR in dB (input must be one tag frame)")
     p.add_argument("--cfo", type=float, default=0.0,
@@ -565,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_codebook(p)
 
     p = _add_command(commands, "curves", _cmd_curves,
-                     "detection and false-alarm tables over snr/gamma grids", layout=True)
+                     "detection and false-alarm tables over snr/gamma grids", layout=True, seed=True)
     p.add_argument("--snr", default="0", help="comma-separated SNR grid in dB, default "
                    "%(default)s (write --snr=-4,0,4 when the grid starts negative)")
     p.add_argument("--gamma", default="0.62",
@@ -582,7 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-offset", dest="max_offset", type=int, default=8,
                    help="largest offset row (default %(default)s)")
 
-    p = _add_command(commands, "sweep", _cmd_sweep, "active-carrier count optimization table")
+    p = _add_command(commands, "sweep", _cmd_sweep, "active-carrier count optimization table",
+                     seed=True)
     p.add_argument("--carriers", type=int, default=56,
                    help="total wide carriers (default %(default)s)")
     p.add_argument("--snr", type=float, default=0.0, help="per-tone SNR in dB (default %(default)s)")

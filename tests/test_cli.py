@@ -1,5 +1,6 @@
 """Command-line interface: workflows, config documents, and exit codes."""
 
+import importlib.util
 import json
 import os
 import shlex
@@ -287,6 +288,30 @@ def test_codebook_verify_rejects_overclaimed_distance(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("name: bad\nword_length: 4\nmin_distance: 4\n0000\n0011\n")
     assert cli_main(["codebook-verify", "--codebook", str(bad)]) == 1
+
+
+def test_codebook_verify_writes_its_report_to_out(tmp_path, capsys):
+    assert cli_main(["codebook-verify"]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.txt"
+    assert cli_main(["codebook-verify", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spot", "--in", "{tag}"], ["leakage", "--max-offset", "1"], ["range"], ["overhead"],
+     ["codebook-verify"]],
+    ids=lambda argv: argv[0],
+)
+def test_commands_that_draw_no_randomness_reject_a_seed(tmp_path, capsys, argv):
+    argv = [arg.format(tag=_modulate(tmp_path)) for arg in argv]
+    capsys.readouterr()
+    assert "--seed" in _fails_with_one_line(argv + ["--seed", "9"], capsys)
+    config = tmp_path / "seed.json"
+    config.write_text(json.dumps({"config_version": 1, "seed": 9}))
+    assert "seed" in _fails_with_one_line(argv + ["--config", str(config)], capsys)
 
 
 def test_config_document_rules(tmp_path):
@@ -582,14 +607,27 @@ def test_readme_quickstart_commands_run(tmp_path, monkeypatch, capsys):
 RESULTS = Path(__file__).resolve().parents[1] / "results"
 
 
+def _load_regenerator():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "regenerate_results.py"
+    spec = importlib.util.spec_from_file_location("regenerate_results", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REGENERATOR = _load_regenerator()
+
+
+def test_the_recipe_list_names_every_committed_table():
+    made = [name for name, _ in REGENERATOR.RECIPES] + [REGENERATOR.TIME_DOMAIN]
+    assert sorted(made) == sorted(path.name for path in RESULTS.iterdir())
+
+
+# the curves recipes (about 10 s together on a 2-core Xeon) run in full in CI;
+# the row tests below check two SNRs of each
 @pytest.mark.parametrize(
     "name, argv",
-    [
-        ("leakage-closed-form.txt", ["leakage", "--max-offset", "8"]),
-        ("carrier-sweep.txt",
-         ["sweep", "--carriers", "56", "--snr", "0.0", "--trials", "100000",
-          "--seed", "20260819"]),
-    ],
+    [(name, argv) for name, argv in REGENERATOR.RECIPES if argv[0] in ("leakage", "sweep")],
 )
 def test_committed_tables_regenerate_byte_identical(tmp_path, name, argv):
     out = tmp_path / name
