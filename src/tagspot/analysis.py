@@ -327,11 +327,11 @@ def _family_max_ratios(
     total, and the chunk divides once: x / (T - x) never decreases in x,
     even rounded, so the ratio of the largest sum is the largest ratio.
 
-    The ratios depend on neither gamma nor SNR, so every point of every
-    curve of one `tagspot curves` command thresholds the same array; the
-    command clears this one-entry memo when it ends, so draws never outlive
-    it. Outside the CLI the memo keeps the last draws until a call with
-    other arguments replaces them or the caller clears it.
+    The ratios depend on neither gamma nor SNR, so every point of a
+    build_roc grid thresholds the same array, and build_roc clears this
+    one-entry memo when the grid is done. A direct pf_family_mc call keeps
+    the last draws until a call with other arguments replaces them or the
+    caller clears the memo.
     """
     dof_wide = 2 * layout.thin_per_wide
     dof_extra = dof_wide * (len(layout.denominator_wide(denominator)) - 2 * layout.groups)
@@ -482,21 +482,12 @@ def pm_mc(
 # active-carrier count optimization
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    q: int
-    gamma0: float
-    pf: float
-    pf_mc: "float | None" = None
-    pf_mc_ci95: "tuple[float, float] | None" = None
-
-
 def sweep_active_carriers(
     n_carriers: int,
     snr_db: float,
     trials: int = 0,
     seed: int = 0,
-) -> "list[SweepPoint]":
+) -> "list[tuple[int, float, float, float, float, float]]":
     """How many of n_carriers wide carriers should a tag activate?
 
     Simplified fully-active model with the reference layout's thin
@@ -509,8 +500,10 @@ def sweep_active_carriers(
         pf(q) = P(F' > (1 + p/n) median(F')),  F' ~ F(2 a q, 2 a (n-q)).
 
     The per-carrier SNR is held fixed across q: activating more carriers
-    spends proportionally more transmit power. Optional Monte Carlo columns
-    cross-check the closed form when trials > 0.
+    spends proportionally more transmit power. Returns one
+    (q, gamma0, pf, pf_mc, pf_mc_ci_low, pf_mc_ci_high) row per split; the
+    Monte Carlo columns cross-check the closed form when trials > 0 and are
+    nan otherwise.
     """
     if n_carriers < 2:
         raise ValueError("need at least two carriers")
@@ -520,7 +513,7 @@ def sweep_active_carriers(
 
     alpha = REFERENCE_LAYOUT.thin_per_wide
     r = 10.0 ** (snr_db / 10.0)
-    points = []
+    rows = []
     for q in range(1, n_carriers):
         dfn = 2 * alpha * q
         dfd = 2 * alpha * (n_carriers - q)
@@ -528,20 +521,16 @@ def sweep_active_carriers(
         t0 = (1.0 + r) * median
         gamma0 = t0 / (1.0 + t0)
         pf = float(stats.f.sf(t0, dfn, dfd))
-        pf_mc = ci = None
+        pf_mc = low = high = math.nan
         if trials > 0:
             hits = 0
             for rng, m in _mc_chunks(trials, seed + q):
                 num = rng.chisquare(dfn, size=m) / dfn
                 den = rng.chisquare(dfd, size=m) / dfd
                 hits += int(np.count_nonzero(num / den > t0))
-            pf_mc, ci = _wilson(hits, trials)
-        points.append(SweepPoint(q, float(gamma0), pf, pf_mc, ci))
-    return points
-
-
-def sweep_argmin(points: "list[SweepPoint]") -> SweepPoint:
-    return min(points, key=lambda pt: pt.pf)
+            pf_mc, (low, high) = _wilson(hits, trials)
+        rows.append((q, float(gamma0), pf, pf_mc, low, high))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -581,65 +570,41 @@ def overhead(payload_bytes: int, sync_frames: int = 6, tag_frames: int = 8) -> f
 # curves
 
 
-@dataclass(frozen=True)
-class RocPoint:
-    gamma: float
-    pd: float
-    pf: float
-    pf_ci95: "tuple[float, float]"
-    flagged: bool = False
-
-
-@dataclass(frozen=True)
-class RocCurve:
-    """Operating curve over a gamma grid; pd and pf are each monotone
-    nonincreasing in gamma (enforced; Monte Carlo points threshold one
-    shared set of draws, so the property holds there by construction)."""
-
-    points: "tuple[RocPoint, ...]"
-    trials: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        gammas = [pt.gamma for pt in self.points]
-        if sorted(gammas) != gammas:
-            raise ValueError("curve points must be sorted by gamma")
-        for left, right in zip(self.points, self.points[1:]):
-            if right.pd > left.pd + 1e-12 or right.pf > left.pf + 1e-12:
-                raise ValueError(
-                    f"pd/pf must be nonincreasing in gamma; violated between "
-                    f"gamma {left.gamma} and {right.gamma}"
-                )
-
-
 def build_roc(
-    model: AnalysisModel,
-    gammas: "list[float]",
+    snr_dbs: "Sequence[float]",
+    gammas: "Sequence[float]",
+    layout: CarrierLayout,
+    fading: str,
     codebook: "Codebook | None" = None,
     trials: int = 0,
     seed: int = 0,
     denominator: str = "band",
-) -> RocCurve:
-    """Detection curve on a gamma grid: closed-form pd for the transmitted
-    codeword plus either closed-form single-codeword pf or, with a codebook
-    and trials, the family false alarm Monte Carlo. Every grid point's
-    pf_family_mc call thresholds the same memoized draws, so the Monte
-    Carlo pf is monotone by construction. The draws stay in the memo for
-    the next curve with the same codebook, layout, trials and seed; the
-    caller frees them with _family_max_ratios.cache_clear()."""
+) -> "list[list[tuple[float, float, float, float, float, bool]]]":
+    """Detection curves on an SNR x gamma grid: per SNR in grid order, one
+    (gamma, pd, pf, pf_ci_low, pf_ci_high, flagged) row per gamma, gamma
+    ascending. pd is closed-form for the transmitted codeword; pf is the
+    closed-form single-codeword false alarm, or with a codebook and trials
+    the family false alarm Monte Carlo, whose points all threshold one
+    memoized draw, so pd and pf are nonincreasing in gamma. The draw is
+    freed when the grid is done, or when a point raises."""
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    points = []
-    for gamma in sorted(gammas):
-        pd = pd_single(gamma, model, denominator)
-        if codebook is not None and trials > 0:
-            pf, ci = pf_family_mc(gamma, codebook, model.layout, trials, seed, denominator)
-        else:
-            pf = pf_single(gamma, model.layout, denominator)
-            ci = (pf, pf)
-        # an all-miss Monte Carlo point (pf = 0, CI reaching above it) is
-        # unresolved and flags too; exact points have zero width and never do
-        half_width = (ci[1] - ci[0]) / 2.0
-        flagged = half_width > 0.2 * pf
-        points.append(RocPoint(gamma, pd, pf, ci, flagged))
-    return RocCurve(tuple(points), trials, seed)
+    gammas = sorted(gammas)
+    curves = []
+    try:
+        for snr_db in snr_dbs:
+            model = AnalysisModel(layout=layout, snr_db=snr_db, fading=fading)
+            rows = []
+            for gamma in gammas:
+                pd = pd_single(gamma, model, denominator)
+                if codebook is not None and trials > 0:
+                    pf, (low, high) = pf_family_mc(gamma, codebook, layout, trials, seed, denominator)
+                else:
+                    pf = low = high = pf_single(gamma, layout, denominator)
+                # an all-miss Monte Carlo point (pf = 0, CI reaching above it) is
+                # unresolved and flags too; exact points have zero width and never do
+                rows.append((gamma, pd, pf, low, high, (high - low) / 2.0 > 0.2 * pf))
+            curves.append(rows)
+    finally:
+        _family_max_ratios.cache_clear()
+    return curves

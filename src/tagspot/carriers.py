@@ -56,8 +56,8 @@ class CarrierLayout:
     cp_fraction: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.thin_per_wide <= 0 or self.fft_size <= 0 or self.wide_total <= 0:
-            raise ValueError("carrier counts must be positive")
+        if min(self.thin_per_wide, self.fft_size, self.wide_total, self.groups) <= 0:
+            raise ValueError("carrier counts and groups must be positive")
         if not 0 < self.active_thin_per_wide <= self.thin_per_wide:
             raise ValueError(
                 "active_thin_per_wide must lie in [1, thin_per_wide], got "

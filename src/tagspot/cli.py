@@ -32,9 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    AnalysisModel,
     FADING_ANALYSIS_MODELS,
-    _family_max_ratios,
     build_roc,
     expected_offset_leak,
     leakage_block,
@@ -44,7 +42,6 @@ from .analysis import (
     pm_mc,
     range_gain,
     sweep_active_carriers,
-    sweep_argmin,
 )
 from .carriers import CarrierLayout, REFERENCE_LAYOUT, STRENGTH_DENOMINATORS, layout_from_dict
 from .channel import FADING_MODELS, apply_awgn, apply_cfo, apply_fading, gain_for_sir, mix, noise_power_for_snr
@@ -385,37 +382,24 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     layout = args.layout or REFERENCE_LAYOUT
     codebook = _get_codebook(args.codebook)
     snr_grid = _parse_grid(args.snr, "snr")
-    gamma_grid = sorted(_parse_grid(args.gamma, "gamma"))
+    gamma_grid = _parse_grid(args.gamma, "gamma")
     trials = args.trials
     # --include-null-noise is this command's spelling of denominator="all"
     denominator = "all" if args.include_null_noise else "band"
+    seed = 0
     pms = [float("nan")] * len(snr_grid)
     if trials > 0:
-        _require_seed(args.seed, "Monte Carlo columns are requested")
+        seed = _require_seed(args.seed, "Monte Carlo columns are requested")
         # one misclassification draw for the whole grid, made before the
         # family draws so the two are never in memory together
-        pms = [pm for pm, _ in pm_mc(snr_grid, codebook, layout, args.fading, trials, args.seed)]
-
-    rows = []
-    try:
-        for snr_db, pm in zip(snr_grid, pms):
-            model = AnalysisModel(layout=layout, snr_db=snr_db, fading=args.fading)
-            curve = build_roc(
-                model,
-                gamma_grid,
-                codebook=codebook if trials > 0 else None,
-                trials=trials,
-                seed=args.seed if trials > 0 else 0,
-                denominator=denominator,
-            )
-            for pt in curve.points:
-                rows.append(
-                    (pt.gamma, snr_db, pt.pd, pt.pf, pm, trials,
-                     pt.pf_ci95[0], pt.pf_ci95[1], pt.flagged)
-                )
-    finally:
-        # every SNR point thresholded the same family draws; free them once
-        _family_max_ratios.cache_clear()
+        pms = [pm for pm, _ in pm_mc(snr_grid, codebook, layout, args.fading, trials, seed)]
+    curves = build_roc(snr_grid, gamma_grid, layout, args.fading, codebook, trials, seed,
+                       denominator)
+    rows = [
+        (gamma, snr_db, pd, pf, pm, trials, low, high, flagged)
+        for snr_db, pm, curve in zip(snr_grid, pms, curves)
+        for gamma, pd, pf, low, high, flagged in curve
+    ]
 
     fields = [
         ("model", args.fading),
@@ -453,20 +437,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.trials > 0:
         _require_seed(args.seed, "Monte Carlo columns are requested")
     seed = args.seed if args.seed is not None else 0
-    points = sweep_active_carriers(args.carriers, args.snr, trials=args.trials, seed=seed)
-    best = sweep_argmin(points)
+    rows = sweep_active_carriers(args.carriers, args.snr, trials=args.trials, seed=seed)
+    best_q, _, best_pf, *_ = min(rows, key=lambda row: row[2])
     fields = [
         ("carriers", args.carriers),
         ("snr_db", args.snr),
         ("trials", args.trials),
         ("seed", "none" if args.seed is None else args.seed),
-        ("argmin_q", best.q),
-        ("argmin_pf", best.pf),
-    ]
-    rows = [
-        (pt.q, pt.gamma0, pt.pf, "nan", "nan", "nan") if pt.pf_mc is None
-        else (pt.q, pt.gamma0, pt.pf, pt.pf_mc, *pt.pf_mc_ci95)
-        for pt in points
+        ("argmin_q", best_q),
+        ("argmin_pf", best_pf),
     ]
     columns = "q gamma0 pf pf_mc pf_mc_ci_low pf_mc_ci_high"
     _emit_table(args.out, "sweep", fields, columns, rows)

@@ -17,8 +17,6 @@ from scipy import stats
 from tagspot import analysis, cli
 from tagspot.analysis import (
     AnalysisModel,
-    RocCurve,
-    RocPoint,
     build_roc,
     expected_offset_leak,
     gamma_equivalent_snr_db,
@@ -32,7 +30,6 @@ from tagspot.analysis import (
     pm_mc,
     range_gain,
     sweep_active_carriers,
-    sweep_argmin,
 )
 from tagspot.carriers import CarrierLayout, REFERENCE_LAYOUT
 from tagspot.channel import apply_awgn, apply_fading, noise_power_for_snr
@@ -252,7 +249,7 @@ def test_single_word_family_matches_closed_form_under_all(codebook):
         lambda book, name: pf_single(0.55, LAY, name),
         lambda book, name: pd_single(0.55, AnalysisModel(), name),
         lambda book, name: gamma_equivalent_snr_db(0.62, LAY, name),
-        lambda book, name: build_roc(AnalysisModel(), [0.55], denominator=name),
+        lambda book, name: build_roc([0.0], [0.55], LAY, "wideband", denominator=name),
         lambda book, name: pf_family_mc(0.55, book, LAY, 100, 0, name),
     ],
     ids=["DetectorConfig", "pf_single", "pd_single", "gamma_equivalent_snr_db",
@@ -313,21 +310,20 @@ def test_pm_mc_vanishes_at_high_snr(codebook):
 
 
 def test_sweep_minimum_pin():
-    points = sweep_active_carriers(56, 0.0)
-    assert len(points) == 55
-    best = sweep_argmin(points)
-    assert best.q == 25
-    assert best.pf == pytest.approx(1.36529208e-13, rel=1e-6)
-    assert all(pt.pf_mc is None for pt in points)
+    rows = sweep_active_carriers(56, 0.0)
+    assert [row[0] for row in rows] == list(range(1, 56))
+    q, _, pf, *_ = min(rows, key=lambda row: row[2])
+    assert q == 25
+    assert pf == pytest.approx(1.36529208e-13, rel=1e-6)
+    assert all(math.isnan(v) for row in rows for v in row[3:])
 
 
 def test_sweep_monte_carlo_cross_check():
-    points = sweep_active_carriers(8, 0.0, trials=40_000, seed=67)
-    for pt in points:
-        assert pt.pf_mc is not None
-        sigma = math.sqrt(pt.pf * (1 - pt.pf) / 40_000)
-        assert abs(pt.pf_mc - pt.pf) <= 4 * sigma
-        assert pt.pf_mc_ci95[0] <= pt.pf_mc <= pt.pf_mc_ci95[1]
+    rows = sweep_active_carriers(8, 0.0, trials=40_000, seed=67)
+    for q, gamma0, pf, pf_mc, low, high in rows:
+        sigma = math.sqrt(pf * (1 - pf) / 40_000)
+        assert abs(pf_mc - pf) <= 4 * sigma
+        assert low <= pf_mc <= high
     with pytest.raises(ValueError):
         sweep_active_carriers(1, 0.0)
     with pytest.raises(ValueError):
@@ -359,26 +355,49 @@ def test_overhead_pins():
 
 
 def test_roc_closed_form_curve():
-    model = AnalysisModel(snr_db=1.0, fading="wideband")
-    curve = build_roc(model, [0.5, 0.55, 0.62, 0.7])
-    assert [pt.gamma for pt in curve.points] == [0.5, 0.55, 0.62, 0.7]
-    for left, right in zip(curve.points, curve.points[1:]):
-        assert right.pd <= left.pd and right.pf <= left.pf
-    for pt in curve.points:
-        assert pt.pf == pf_single(pt.gamma)
-        assert pt.pf_ci95 == (pt.pf, pt.pf)
-        assert not pt.flagged
+    curves = build_roc([1.0, -2.0], [0.62, 0.5, 0.7, 0.55], LAY, "wideband")
+    assert len(curves) == 2
+    for snr_db, curve in zip([1.0, -2.0], curves):
+        model = AnalysisModel(snr_db=snr_db, fading="wideband")
+        assert [row[0] for row in curve] == [0.5, 0.55, 0.62, 0.7]
+        for gamma, pd, pf, low, high, flagged in curve:
+            assert pd == pd_single(gamma, model)
+            assert pf == low == high == pf_single(gamma)
+            assert not flagged
     with pytest.raises(ValueError):
-        build_roc(model, [0.62], trials=-5)
+        build_roc([1.0], [0.62], LAY, "wideband", trials=-5)
 
 
 def test_roc_flags_unresolved_monte_carlo_points(codebook):
-    model = AnalysisModel(snr_db=1.0, fading="wideband")
     single = _single_word_family(codebook)
-    curve = build_roc(model, [0.45, 0.62], codebook=single, trials=2000, seed=68)
-    by_gamma = {pt.gamma: pt for pt in curve.points}
-    assert not by_gamma[0.45].flagged  # pf near one resolves immediately
-    assert by_gamma[0.62].flagged  # pf ~ 1e-7 cannot resolve in 2000 trials
+    [curve] = build_roc([1.0], [0.45, 0.62], LAY, "wideband", codebook=single,
+                        trials=2000, seed=68)
+    by_gamma = {row[0]: row[5] for row in curve}
+    assert not by_gamma[0.45]  # pf near one resolves immediately
+    assert by_gamma[0.62]  # pf ~ 1e-7 cannot resolve in 2000 trials
+
+
+def _assert_nonincreasing(curves):
+    for curve in curves:
+        for left, right in zip(curve, curve[1:]):
+            assert left[0] < right[0]
+            # the tolerance RocCurve enforced: betaincc rounds at adjacent gammas
+            assert right[1] <= left[1] + 1e-12 and right[2] <= left[2] + 1e-12, (left, right)
+
+
+_GAMMA_GRIDS = st.lists(st.floats(min_value=0.05, max_value=0.95), min_size=1, max_size=6,
+                        unique=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    _GAMMA_GRIDS,
+    st.lists(st.floats(min_value=-10.0, max_value=12.0), min_size=1, max_size=3),
+    st.sampled_from(("wideband", "narrowband")),
+    st.sampled_from(("band", "all")),
+)
+def test_closed_form_roc_rows_are_nonincreasing_in_gamma(gammas, snr_dbs, fading, denominator):
+    _assert_nonincreasing(build_roc(snr_dbs, gammas, LAY, fading, denominator=denominator))
 
 
 def _max_ratios_by_chunk(codebook, layout, trials, seed, denominator="band"):
@@ -459,34 +478,76 @@ _BLOCK_EDGE_IDS = ["short-block", "chunk-then-block-plus-one", "ragged-last-bloc
     ids=["below-chunk", "ragged", "32-wide",
          *[f"{edge}-{name}" for edge in _BLOCK_EDGE_IDS for name in ("band", "all")]],
 )
-def test_roc_monte_carlo_matches_the_per_gamma_loop(codebook, layout, trials, seed, denominator):
+def test_roc_monte_carlo_matches_the_per_gamma_loop(codebook, monkeypatch, layout, trials, seed,
+                                                   denominator):
     book = codebook if layout is LAY else SMALL_BOOK
     tie = _tie_gamma(book, layout, trials, seed, denominator)
     gammas = sorted([0.45, 0.5, 0.55, 0.58, 0.62, tie])
-    model = AnalysisModel(layout=layout, snr_db=0.0)
     memo = analysis._family_max_ratios
     memo.cache_clear()
-    curve = build_roc(model, gammas, codebook=book, trials=trials, seed=seed,
-                      denominator=denominator)
-    # one draw for the whole grid, kept for the caller's next curve
-    info = memo.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, len(gammas) - 1, 1)
-    ratios = memo(book, layout, trials, seed, denominator)
-    assert memo.cache_info().misses == 1
-    memo.cache_clear()
+    seen = []
+
+    def observed(gamma, *key):
+        result = pf_family_mc(gamma, *key)
+        seen.append((memo(*key), memo.cache_info().misses))  # a hit returns the very array drawn
+        return result
+
+    monkeypatch.setattr(analysis, "pf_family_mc", observed)
+    [curve] = build_roc([0.0], gammas, layout, "wideband", codebook=book, trials=trials,
+                        seed=seed, denominator=denominator)
+    # one draw for the whole grid, freed when the grid is done
+    assert len(seen) == len(gammas)
+    ratios = seen[0][0]
+    assert all(drawn is ratios and misses == 1 for drawn, misses in seen)
+    assert memo.cache_info().currsize == 0
     # the row blocks give every draw the ratio the whole-chunk loop gave it
     oracle = np.concatenate(list(_max_ratios_by_chunk(book, layout, trials, seed, denominator)))
     assert np.array_equal(ratios, np.sort(oracle))
-    assert [pt.gamma for pt in curve.points] == gammas
-    for pt in curve.points:
-        want_pf, want_ci = _pf_family_by_gamma(pt.gamma, book, layout, trials, seed, denominator)
-        assert pt.pf == want_pf
-        assert pt.pf_ci95 == want_ci
+    assert [row[0] for row in curve] == gammas
+    for gamma, _, pf, low, high, _ in curve:
+        assert (pf, (low, high)) == _pf_family_by_gamma(gamma, book, layout, trials, seed,
+                                                        denominator)
     # the draw at the tie does not clear its own threshold
-    by_gamma = {pt.gamma: pt for pt in curve.points}
+    by_gamma = {row[0]: row[2] for row in curve}
     just_below = float(np.nextafter(tie, 0.0))
     below = _pf_family_by_gamma(just_below, book, layout, trials, seed, denominator)
-    assert by_gamma[tie].pf < below[0]
+    assert by_gamma[tie] < below[0]
+
+
+@settings(max_examples=15, deadline=None)
+@given(_GAMMA_GRIDS, st.integers(min_value=1, max_value=500), st.sampled_from(("band", "all")))
+def test_monte_carlo_roc_rows_are_nonincreasing_in_gamma(gammas, seed, denominator):
+    curves = build_roc([0.0, 3.0], gammas, SMALL, "wideband", codebook=SMALL_BOOK,
+                       trials=300, seed=seed, denominator=denominator)
+    _assert_nonincreasing(curves)
+    assert analysis._family_max_ratios.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("gammas", [[0.55, 0.62], [0.55, 1.5]], ids=["returns", "bad-gamma"])
+def test_build_roc_frees_the_family_draws(monkeypatch, gammas):
+    memo = analysis._family_max_ratios
+    memo.cache_clear()
+    held = []
+
+    def observed(*args):
+        result = pf_family_mc(*args)
+        held.append(memo.cache_info().currsize)
+        return result
+
+    monkeypatch.setattr(analysis, "pf_family_mc", observed)
+
+    def run():
+        return build_roc([0.0, 1.0], gammas, SMALL, "wideband", codebook=SMALL_BOOK,
+                         trials=500, seed=85)
+
+    if gammas[-1] < 1:
+        assert len(run()) == 2
+    else:
+        with pytest.raises(ValueError, match="gamma"):
+            run()
+    # the draw was held while the grid ran, and is freed either way
+    assert held and all(size == 1 for size in held)
+    assert memo.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize(
@@ -637,27 +698,6 @@ def test_monte_carlo_working_set_is_bounded_by_the_block(codebook, run, bound_mi
     # a whole-chunk pass holds several (32768, 56) float64 temporaries of
     # 14 MiB each; a block's are an eighth of that
     assert _traced_peak_mib(lambda trials: run(codebook, trials)) <= bound_mib
-
-
-def test_roc_curve_rejects_non_monotone_points():
-    with pytest.raises(ValueError):
-        RocCurve(
-            points=(
-                RocPoint(0.5, 0.9, 0.1, (0.1, 0.1)),
-                RocPoint(0.6, 0.95, 0.05, (0.05, 0.05)),
-            ),
-            trials=0,
-            seed=0,
-        )
-    with pytest.raises(ValueError):
-        RocCurve(
-            points=(
-                RocPoint(0.6, 0.9, 0.1, (0.1, 0.1)),
-                RocPoint(0.5, 0.95, 0.2, (0.2, 0.2)),
-            ),
-            trials=0,
-            seed=0,
-        )
 
 
 # ---------------------------------------------------------------------------

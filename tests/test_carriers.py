@@ -104,6 +104,8 @@ def test_layout_rejects_inconsistent_geometry():
         CarrierLayout(cp_fraction=0.3)  # not a whole number of samples
     with pytest.raises(ValueError):
         CarrierLayout(null_wide=frozenset({0, 1, 2, 32, 60, 61, 62, 64}))
+    with pytest.raises(ValueError, match="groups"):
+        CarrierLayout(groups=0, wide_total=4, null_wide=frozenset(range(4)), fft_size=32)
 
 
 def test_layout_dict_roundtrip():

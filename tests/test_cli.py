@@ -449,6 +449,16 @@ def test_malformed_layout_and_sidecar_exit_with_code_1(tmp_path, capsys):
     _fails_with_one_line(["leakage", "--max-offset", "1", "--config", str(config)], capsys)
 
 
+def test_a_layout_without_groups_exits_with_code_1(tmp_path, capsys):
+    # every carrier null: leakage used to print nan rows and curves to crash
+    layout = {"groups": 0, "wide_total": 4, "null_wide": [0, 1, 2, 3], "fft_size": 32}
+    config = tmp_path / "no-groups.json"
+    config.write_text(json.dumps({"config_version": 1, "layout": layout}))
+    for command in ("leakage", "curves"):
+        err = _fails_with_one_line([command, "--config", str(config)], capsys)
+        assert "groups" in err
+
+
 def test_layout_in_config_is_checked_before_the_command_and_against_the_sidecar(tmp_path, capsys):
     source = _modulate(tmp_path)  # its sidecar holds the reference layout
     readers = [["spot", "--in", str(source)],
@@ -636,13 +646,14 @@ def test_committed_tables_regenerate_byte_identical(tmp_path, name, argv):
 
 
 def _check_committed_curves_rows(tmp_path, fading, snrs):
+    """Runs the committed table's recipe on a subset of its SNR grid."""
+    name = f"curves-{fading}.txt"
+    [recipe] = [argv for table, argv in REGENERATOR.RECIPES if table == name]
+    argv = [f"--snr={','.join(snrs)}" if arg.startswith("--snr=") else arg for arg in recipe]
+    assert argv != recipe
     out = tmp_path / "curves.txt"
-    argv = ["curves", f"--snr={','.join(snrs)}",
-            "--gamma=0.5,0.55,0.58,0.6,0.62,0.64,0.66,0.7",
-            "--fading", fading, "--trials", "200000", "--seed", "20260819",
-            "--out", str(out)]
-    assert cli_main(argv) == 0
-    committed = (RESULTS / f"curves-{fading}.txt").read_text().splitlines(keepends=True)
+    assert cli_main(argv + ["--out", str(out)]) == 0
+    committed = (RESULTS / name).read_text().splitlines(keepends=True)
     want = [row for row in committed
             if row.startswith("#") or row.split()[1] in snrs]
     assert len(want) == 9 + 16
