@@ -43,7 +43,7 @@ def apply_awgn(frame: IqFrame, n: float, rng: np.random.Generator) -> IqFrame:
     scale = np.sqrt(n / 2.0)
     noise = rng.normal(scale=scale, size=(len(frame), 2))
     samples = frame.samples + noise[:, 0] + 1j * noise[:, 1]
-    return IqFrame(samples, frame.sample_rate)
+    return IqFrame(samples)
 
 
 def apply_cfo(
@@ -58,7 +58,7 @@ def apply_cfo(
         return frame
     k = np.arange(len(frame))
     rotation = np.exp(2j * np.pi * cfo * k / layout.fft_size)
-    return IqFrame(frame.samples * rotation, frame.sample_rate)
+    return IqFrame(frame.samples * rotation)
 
 
 def apply_fading(
@@ -81,7 +81,7 @@ def apply_fading(
         return frame
     if model == "narrowband":
         phase = rng.random() * 2.0 * np.pi
-        return IqFrame(frame.samples * np.exp(1j * phase), frame.sample_rate)
+        return IqFrame(frame.samples * np.exp(1j * phase))
     if len(frame) != layout.frame_len:
         raise ValueError(
             f"frame length {len(frame)} != one tag frame ({layout.frame_len}); "
@@ -89,30 +89,25 @@ def apply_fading(
         )
     spectrum = spectrum_of_body(frame.samples[layout.cp_len :], layout)
     pairs = rng.normal(scale=np.sqrt(0.5), size=(layout.fft_size, 2))
-    faded = synthesize_tag(spectrum * (pairs[:, 0] + 1j * pairs[:, 1]), layout)
-    return IqFrame(faded.samples, frame.sample_rate)
+    return synthesize_tag(spectrum * (pairs[:, 0] + 1j * pairs[:, 1]), layout)
 
 
 def mix(frames: "list[tuple[IqFrame, int, complex]]") -> IqFrame:
     """Sample-wise sum of gain-scaled frames placed at sample offsets.
 
-    The result is zero-padded to the longest extent. Sample rates must
-    agree.
+    The result is zero-padded to the longest extent.
     """
     if not frames:
         raise ValueError("nothing to mix")
-    rate = frames[0][0].sample_rate
     total = 0
     for frame, offset, _ in frames:
         if offset < 0:
             raise ValueError("offsets must be nonnegative")
-        if frame.sample_rate != rate:
-            raise ValueError("sample rates differ")
         total = max(total, offset + len(frame))
     out = np.zeros(total, dtype=np.complex128)
     for frame, offset, gain in frames:
         out[offset : offset + len(frame)] += gain * frame.samples
-    return IqFrame(out, rate)
+    return IqFrame(out)
 
 
 def gain_for_sir(

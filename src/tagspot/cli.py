@@ -47,15 +47,11 @@ from .carriers import CarrierLayout, REFERENCE_LAYOUT, STRENGTH_DENOMINATORS, la
 from .channel import FADING_MODELS, apply_awgn, apply_cfo, apply_fading, gain_for_sir, mix, noise_power_for_snr
 from .codebook import Codebook, CodebookError, builtin_codebook, codeword_to_mask, load_codebook, verify_min_distance
 from .detector import DetectorConfig, serialize_events, spot_report
-from .iqfile import layout_from_metadata, read_iq, write_iq
+from .iqfile import read_iq, write_iq
 from .waveform import (
-    IqFrame,
-    build_tag_spectrum,
     interference_frame_len,
     mean_power,
-    papr,
     synthesize_data_interference,
-    synthesize_tag,
     synthesize_tag_papr_limited,
 )
 
@@ -114,9 +110,9 @@ def _config_fields(args: argparse.Namespace) -> dict:
 def _input_layout(meta: dict, args: argparse.Namespace) -> CarrierLayout:
     """The layout an input file's sidecar declares, which a config layout
     must equal; the config layout (or the reference one) without it."""
-    layout = layout_from_metadata(meta)
-    if layout is None:
+    if "layout" not in meta:
         return args.layout or REFERENCE_LAYOUT
+    layout = layout_from_dict(meta["layout"])
     if args.layout is not None and args.layout != layout:
         raise CliError(1, "config layout differs from the layout in the input's sidecar")
     return layout
@@ -250,16 +246,10 @@ def _cmd_modulate(args: argparse.Namespace) -> int:
         )
 
     mask = codeword_to_mask(codebook.words[word_index], layout)
-    if args.papr_cap is not None:
-        limited = synthesize_tag_papr_limited(
-            mask, layout, args.power, args.papr_cap, rng, args.max_attempts
-        )
-        frame, papr_db = limited.frame, limited.papr_db
-    else:
-        frame = synthesize_tag(build_tag_spectrum(mask, layout, args.power, rng), layout)
-        papr_db = papr(frame)
-    if args.sample_rate != 1.0:
-        frame = IqFrame(frame.samples, args.sample_rate)
+    # without a cap the first draw is accepted
+    cap = math.inf if args.papr_cap is None else args.papr_cap
+    limited = synthesize_tag_papr_limited(mask, layout, args.power, cap, rng, args.max_attempts)
+    frame, papr_db = limited.frame, limited.papr_db
 
     extra = {
         "command": "modulate",
@@ -273,7 +263,7 @@ def _cmd_modulate(args: argparse.Namespace) -> int:
         extra["papr_cap_db"] = args.papr_cap
         extra["papr_cap_met"] = bool(limited.met_cap)
         extra["attempts"] = limited.attempts
-    write_iq(args.out, frame, layout=layout, extra=extra)
+    write_iq(args.out, frame, layout=layout, extra=extra, sample_rate=args.sample_rate)
 
     print(f"codeword_index: {word_index}")
     print(f"samples: {len(frame)}")
@@ -329,7 +319,7 @@ def _cmd_impair(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "source": args.in_path,
     }
-    write_iq(args.out, frame, layout=layout, extra=extra)
+    write_iq(args.out, frame, layout=layout, extra=extra, sample_rate=meta["sample_rate"])
 
     out_power = mean_power(frame)
     print(f"in_power: {_fmt(in_power)}")

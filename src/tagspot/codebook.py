@@ -15,8 +15,8 @@ Codebook file format: a small header followed by one bit string per line.
 Blank lines and lines starting with '#' are ignored when reading. The
 canonical serialization emits exactly the three header fields above followed
 by the words in lexicographic order, which makes load -> serialize a
-byte-identical round trip for canonical files. Loading always re-verifies
-the declared minimum distance by brute force over all word pairs.
+byte-identical round trip for canonical files. Every Codebook, loaded or
+built in code, verifies its declared minimum distance on construction.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class CodebookError(ValueError):
 
 @dataclass(frozen=True)
 class Codebook:
-    """An ordered family of binary codewords with a declared distance floor.
+    """An ordered family of binary codewords with a verified distance floor.
 
     The word order is meaningful: detection events refer to codewords by
     their index in this order.
@@ -67,11 +67,14 @@ class Codebook:
             raise CodebookError(
                 f"words have length {length}, expected {self.word_length}"
             )
-        seen: dict[str, int] = {}
-        for i, w in enumerate(self.words):
-            if w in seen:
-                raise CodebookError(f"duplicate word at indices {seen[w]} and {i}")
-            seen[w] = i
+        # a repeated word is at distance 0, below every legal min_distance
+        if len(self.words) >= 2:
+            distance, i, j = _closest_pair(self.words)
+            if distance < self.min_distance:
+                raise CodebookError(
+                    f"declared min_distance {self.min_distance} violated by words "
+                    f"{i} and {j} at distance {distance}"
+                )
 
     @property
     def size(self) -> int:
@@ -135,20 +138,12 @@ def parse_codebook(text: str) -> Codebook:
         min_distance = int(header["min_distance"])
     except ValueError as exc:
         raise CodebookError(f"non-integer header field: {exc}") from exc
-    cb = Codebook(
+    return Codebook(
         name=header["name"],
         word_length=word_length,
         min_distance=min_distance,
         words=tuple(words),
     )
-    if cb.size >= 2:
-        distance, i, j = _closest_pair(cb.words)
-        if distance < cb.min_distance:
-            raise CodebookError(
-                f"declared min_distance {cb.min_distance} violated by words "
-                f"{i} and {j} at distance {distance}"
-            )
-    return cb
 
 
 def load_codebook(path: "str | Path") -> Codebook:

@@ -6,16 +6,21 @@ sample rate, optionally the carrier layout, and any extra fields the writer
 supplies. Reading a file and writing it back reproduces the bytes exactly,
 signed zeros included; note the float32 quantization happens once, on the
 first write.
+
+The sample rate is metadata only, and IqFrame does not carry it: write_iq
+checks and writes it, and read_iq checks it and returns it in the metadata
+as a float, 1.0 when the sidecar has none.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .carriers import CarrierLayout, layout_from_dict, layout_to_dict
+from .carriers import CarrierLayout, layout_to_dict
 from .waveform import IqFrame
 
 
@@ -23,20 +28,28 @@ def sidecar_path(path: "str | Path") -> Path:
     return Path(str(path) + ".json")
 
 
+def _sample_rate(rate, where: str) -> float:
+    """rate as a float; it must be a finite positive int or float (not bool)."""
+    if type(rate) not in (int, float) or not (math.isfinite(rate) and rate > 0):
+        raise ValueError(f"{where}: sample_rate must be a finite positive number, got {rate!r}")
+    return float(rate)
+
+
 def write_iq(
     path: "str | Path",
     frame: IqFrame,
     layout: "CarrierLayout | None" = None,
     extra: "dict | None" = None,
+    sample_rate: float = 1.0,
 ) -> Path:
     """Write samples and sidecar; returns the sidecar path."""
     path = Path(path)
+    meta: dict = {"sample_rate": _sample_rate(sample_rate, str(path))}
     samples = frame.samples
     interleaved = np.empty(2 * samples.size, dtype="<f4")
     interleaved[0::2] = samples.real.astype(np.float32)
     interleaved[1::2] = samples.imag.astype(np.float32)
     path.write_bytes(interleaved.tobytes())
-    meta: dict = {"sample_rate": frame.sample_rate}
     if layout is not None:
         meta["layout"] = layout_to_dict(layout)
     if extra:
@@ -50,7 +63,8 @@ def write_iq(
 
 
 def read_iq(path: "str | Path") -> "tuple[IqFrame, dict]":
-    """Read samples plus sidecar metadata (empty dict when absent)."""
+    """Read samples plus sidecar metadata. The metadata always holds a
+    checked "sample_rate" float (1.0 when the sidecar is absent or has none)."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) % 8 != 0:
@@ -68,13 +82,5 @@ def read_iq(path: "str | Path") -> "tuple[IqFrame, dict]":
         meta = json.loads(side.read_text())
         if not isinstance(meta, dict):
             raise ValueError(f"{side}: metadata must be a JSON object")
-    rate = meta.get("sample_rate", 1.0)
-    if type(rate) not in (int, float):
-        raise ValueError(f"{side}: sample_rate must be a number, got {rate!r}")
-    return IqFrame(samples, sample_rate=float(rate)), meta
-
-
-def layout_from_metadata(meta: dict) -> "CarrierLayout | None":
-    if "layout" not in meta:
-        return None
-    return layout_from_dict(meta["layout"])
+    meta["sample_rate"] = _sample_rate(meta.get("sample_rate", 1.0), str(side))
+    return IqFrame(samples), meta

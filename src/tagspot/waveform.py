@@ -28,13 +28,9 @@ from .carriers import CarrierLayout
 
 @dataclass(frozen=True, eq=False)
 class IqFrame:
-    """A finite run of complex baseband samples.
-
-    sample_rate is carried as metadata only; all processing is in samples.
-    """
+    """A finite run of complex baseband samples; a capture's sample rate is sidecar metadata."""
 
     samples: np.ndarray
-    sample_rate: float = 1.0
 
     def __post_init__(self) -> None:
         s = np.asarray(self.samples, dtype=np.complex128)
@@ -42,8 +38,6 @@ class IqFrame:
             raise ValueError("samples must be a nonempty 1-D array")
         if not np.all(np.isfinite(s)):
             raise ValueError("samples must be finite")
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be positive")
         object.__setattr__(self, "samples", s)
 
     def __len__(self) -> int:

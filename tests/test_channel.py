@@ -128,8 +128,6 @@ def test_mix_places_scales_and_zero_pads():
         mix([])
     with pytest.raises(ValueError):
         mix([(a, -1, 1.0)])
-    with pytest.raises(ValueError):
-        mix([(a, 0, 1.0), (IqFrame(np.ones(3), sample_rate=2.0), 0, 1.0)])
 
 
 def test_gain_for_sir_hits_the_target_over_the_overlap():

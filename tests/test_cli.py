@@ -141,6 +141,15 @@ def test_impair_interference_and_reruns(tmp_path):
     )
 
 
+def test_impair_keeps_the_capture_sample_rate_through_interference(tmp_path):
+    # the synthesized interferer has no rate of its own; the output keeps the input's
+    source = _modulate(tmp_path, extra=["--sample-rate", "2e6"])
+    out = tmp_path / "mixed.iq"
+    assert cli_main(["impair", "--in", str(source), "--sir", "0", "--seed", "2",
+                     "--out", str(out)]) == 0
+    assert '"sample_rate": 2000000.0' in sidecar_path(out).read_text()
+
+
 def test_impair_snr_ignores_the_interferer(tmp_path):
     # --snr calibrates on the tag alone: the noise added on top of a 0 dB
     # interferer matches the noise that --snr 0 adds without one
@@ -436,12 +445,20 @@ def test_malformed_layout_and_sidecar_exit_with_code_1(tmp_path, capsys):
         {"layout": None},
         {"layout": {**good["layout"], "fft_size": "512"}},
         {"sample_rate": None},
+        {"sample_rate": float("inf")},
+        {"sample_rate": 0},
+        {"sample_rate": -1},
+        {"sample_rate": True},
     ]
     for change in bad_metadata:
         side.write_text(json.dumps({**good, **change}))
-        _fails_with_one_line(["spot", "--in", str(source)], capsys)
-        _fails_with_one_line(["impair", "--in", str(source), "--out",
-                              str(tmp_path / "o.iq")], capsys)
+        errors = [
+            _fails_with_one_line(["spot", "--in", str(source)], capsys),
+            _fails_with_one_line(["impair", "--in", str(source), "--out",
+                                  str(tmp_path / "o.iq")], capsys),
+        ]
+        if "sample_rate" in change:
+            assert all("sample_rate" in err for err in errors)
 
     layout = {**SMALL_LAYOUT, "null_wide": [0, 1, 2, 16, 28, 29, 30, 31.7]}
     config = tmp_path / "frac.json"

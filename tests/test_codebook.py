@@ -48,6 +48,14 @@ def test_declared_distance_is_reverified():
     assert cb.min_distance == 2
 
 
+def test_a_codebook_built_in_code_cannot_claim_a_false_distance():
+    with pytest.raises(CodebookError, match="violated by words 0 and 1 at distance 2"):
+        Codebook(name="x", word_length=4, min_distance=3, words=("0000", "0011"))
+    with pytest.raises(CodebookError, match="violated by words 0 and 2 at distance 0"):
+        Codebook(name="x", word_length=4, min_distance=1, words=("0000", "1111", "0000"))
+    assert Codebook(name="x", word_length=4, min_distance=2, words=("0000", "0011")).size == 2
+
+
 def test_parser_rejects_malformed_input():
     with pytest.raises(CodebookError):  # missing name header
         parse_codebook("word_length: 4\nmin_distance: 2\n0000\n0011\n")

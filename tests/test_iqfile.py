@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from tagspot.carriers import REFERENCE_LAYOUT
-from tagspot.iqfile import layout_from_metadata, read_iq, sidecar_path, write_iq
+from tagspot.carriers import REFERENCE_LAYOUT, layout_from_dict
+from tagspot.iqfile import read_iq, sidecar_path, write_iq
 from tagspot.waveform import IqFrame
 
 
-def _random_frame(seed, size=256, sample_rate=1.0):
+def _random_frame(seed, size=256):
     rng = np.random.default_rng(seed)
     samples = rng.normal(size=size) + 1j * rng.normal(size=size)
-    return IqFrame(samples, sample_rate)
+    return IqFrame(samples)
 
 
 def test_roundtrip_is_exact_after_float32_quantization(tmp_path):
@@ -32,20 +32,20 @@ def test_rewrite_is_byte_identical(tmp_path):
     first, second = tmp_path / "a.iq", tmp_path / "b.iq"
     write_iq(first, frame, layout=REFERENCE_LAYOUT)
     back, meta = read_iq(first)
-    write_iq(second, back, layout=layout_from_metadata(meta))
+    write_iq(second, back, layout=layout_from_dict(meta["layout"]),
+             sample_rate=meta["sample_rate"])
     assert first.read_bytes() == second.read_bytes()
     assert sidecar_path(first).read_text() == sidecar_path(second).read_text()
 
 
 def test_sidecar_carries_layout_and_extra_fields(tmp_path):
-    frame = _random_frame(3, sample_rate=2e6)
     path = tmp_path / "frame.iq"
-    write_iq(path, frame, layout=REFERENCE_LAYOUT, extra={"origin": "unit-test"})
-    back, meta = read_iq(path)
-    assert back.sample_rate == 2e6
+    write_iq(path, _random_frame(3), layout=REFERENCE_LAYOUT, extra={"origin": "unit-test"},
+             sample_rate=2e6)
+    _, meta = read_iq(path)
+    assert meta["sample_rate"] == 2e6
     assert meta["origin"] == "unit-test"
-    assert layout_from_metadata(meta) == REFERENCE_LAYOUT
-    assert layout_from_metadata({}) is None
+    assert layout_from_dict(meta["layout"]) == REFERENCE_LAYOUT
 
 
 def test_extra_fields_cannot_shadow_core_metadata(tmp_path):
@@ -57,9 +57,25 @@ def test_missing_sidecar_defaults(tmp_path):
     path = tmp_path / "bare.iq"
     write_iq(path, _random_frame(5))
     sidecar_path(path).unlink()
-    back, meta = read_iq(path)
-    assert meta == {}
-    assert back.sample_rate == 1.0
+    _, meta = read_iq(path)
+    assert meta == {"sample_rate": 1.0}
+
+
+def test_sample_rate_is_checked_where_it_is_written_and_read(tmp_path):
+    path = tmp_path / "rate.iq"
+    for bad in (float("inf"), float("nan"), 0.0, -1.0, True, "2e6", None):
+        with pytest.raises(ValueError, match="sample_rate"):
+            write_iq(path, _random_frame(6), sample_rate=bad)
+        assert not path.exists()
+    write_iq(path, _random_frame(6))
+    side = sidecar_path(path)
+    for bad in ("Infinity", "NaN", "0", "-1", "true", '"2e6"', "null"):
+        side.write_text(f'{{"sample_rate": {bad}}}')
+        with pytest.raises(ValueError, match="sample_rate"):
+            read_iq(path)
+    side.write_text('{"sample_rate": 2000000}')
+    rate = read_iq(path)[1]["sample_rate"]
+    assert rate == 2e6 and type(rate) is float
 
 
 def test_read_rejects_ragged_or_empty_files(tmp_path):

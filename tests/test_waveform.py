@@ -154,8 +154,6 @@ def test_iq_frame_validation():
         IqFrame(np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
         IqFrame(np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        IqFrame(np.ones(4), sample_rate=0.0)
 
 
 def test_tag_spectrum_validation():
