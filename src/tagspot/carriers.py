@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+
+import numpy as np
 
 STRENGTH_DENOMINATORS = ("band", "all")
 
@@ -40,9 +42,10 @@ class CarrierLayout:
     fft_size: transform length in thin-carrier bins.
     cp_fraction: cyclic prefix length as a fraction of fft_size.
 
-    The derived carrier tuples (band_wide, group_map, active_thin_offsets)
-    are built on first access and cached on the instance. They are
-    immutable, and equality and hashing read only the fields above.
+    Construction checks each field's type; bools are not counts. The
+    derived geometry (band_wide, group_map, active_thin_offsets,
+    centered_wide) is cached on first access, immutable, and ignored by
+    equality and hashing.
     """
 
     thin_per_wide: int = 8
@@ -56,6 +59,14 @@ class CarrierLayout:
     cp_fraction: float = 0.25
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type == "int" and type(getattr(self, f.name)) is not int:
+                raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
+        if not all(type(w) is int for w in self.null_wide):
+            raise ValueError(f"null_wide must hold integers, got {self.null_wide!r}")
+        object.__setattr__(self, "null_wide", frozenset(self.null_wide))
+        if not (type(self.cp_fraction) in (int, float) and math.isfinite(self.cp_fraction)):
+            raise ValueError(f"cp_fraction must be a finite number, got {self.cp_fraction!r}")
         if min(self.thin_per_wide, self.fft_size, self.wide_total, self.groups) <= 0:
             raise ValueError("carrier counts and groups must be positive")
         if not 0 < self.active_thin_per_wide <= self.thin_per_wide:
@@ -76,7 +87,7 @@ class CarrierLayout:
         if any(not 0 <= w < self.wide_total for w in self.null_wide):
             raise ValueError("null_wide contains out-of-range indices")
         cp = self.fft_size * self.cp_fraction
-        if cp != int(cp) or cp <= 0:
+        if not 0 < cp < math.inf or cp != int(cp):  # int(inf) would overflow
             raise ValueError(
                 f"cp_fraction {self.cp_fraction} must yield a whole, positive "
                 f"number of samples for fft_size {self.fft_size}"
@@ -123,6 +134,13 @@ class CarrierLayout:
         start = (self.thin_per_wide - self.active_thin_per_wide) // 2
         return tuple(range(start, start + self.active_thin_per_wide))
 
+    @functools.cached_property
+    def centered_wide(self) -> np.ndarray:
+        """Wide-carrier positions relative to the carrier array's midpoint, read-only."""
+        centered = np.arange(self.wide_total) - (self.wide_total - 1) / 2.0
+        centered.flags.writeable = False
+        return centered
+
 
 #: The layout used by every numeric claim in this package's docs and tests.
 REFERENCE_LAYOUT = CarrierLayout()
@@ -130,35 +148,20 @@ REFERENCE_LAYOUT = CarrierLayout()
 
 def layout_to_dict(layout: CarrierLayout) -> dict:
     """Plain-data form for config documents and IQ sidecar metadata."""
-    return {
-        "thin_per_wide": layout.thin_per_wide,
-        "active_thin_per_wide": layout.active_thin_per_wide,
-        "groups": layout.groups,
-        "wide_total": layout.wide_total,
-        "null_wide": sorted(layout.null_wide),
-        "fft_size": layout.fft_size,
-        "cp_fraction": layout.cp_fraction,
-    }
+    data = asdict(layout)
+    data["null_wide"] = sorted(layout.null_wide)
+    return data
 
 
 def layout_from_dict(data: object) -> CarrierLayout:
-    """The layout a config document or IQ sidecar describes. Every field's
-    type is checked here (JSON types: bools are not counts), so malformed
-    outside data raises ValueError."""
+    """The layout a config document or IQ sidecar describes. Only the JSON
+    shape (an object of known fields, null_wide a list) is checked here;
+    CarrierLayout checks the types, so malformed outside data raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError(f"layout must be an object, got {type(data).__name__}")
-    unknown = set(data) - set(layout_to_dict(REFERENCE_LAYOUT))
+    unknown = set(data) - {f.name for f in fields(CarrierLayout)}
     if unknown:
         raise ValueError(f"unknown layout fields: {sorted(unknown)}")
-    kwargs = dict(data)
-    for key, value in data.items():
-        if key == "null_wide":
-            if not isinstance(value, list) or not all(type(w) is int for w in value):
-                raise ValueError(f"null_wide must be a list of integers, got {value!r}")
-            kwargs[key] = frozenset(value)
-        elif key == "cp_fraction":
-            if not (type(value) in (int, float) and math.isfinite(value)):
-                raise ValueError(f"cp_fraction must be a finite number, got {value!r}")
-        elif type(value) is not int:
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-    return CarrierLayout(**kwargs)
+    if not isinstance(data.get("null_wide", []), list):
+        raise ValueError(f"null_wide must be a list, got {data['null_wide']!r}")
+    return CarrierLayout(**data)

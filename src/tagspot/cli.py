@@ -583,13 +583,15 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        sub = parser.commands[args.command]
         fields = {}
         if args.config is not None:
-            # config fields become the command's defaults, so flags still win
+            # config fields, checked as given, become the command's defaults: flags win
             fields = _config_fields(args)
-            parser.commands[args.command].set_defaults(**fields)
+            _check_options(sub, argparse.Namespace(**fields), fields)
+            sub.set_defaults(**fields)
             args = parser.parse_args(argv)
-        _check_options(parser.commands[args.command], args, fields)
+        _check_options(sub, args, fields)
         if "layout" in fields:
             try:
                 args.layout = layout_from_dict(fields["layout"])

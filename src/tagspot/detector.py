@@ -65,6 +65,8 @@ class DetectorConfig:
     def __post_init__(self) -> None:
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie strictly between 0 and 1")
+        if np.isnan(self.carrier_sense_snr_db):  # -inf switches the gate off
+            raise ValueError("carrier_sense_snr_db must not be NaN")
         if self.codebook.word_length != self.layout.groups:
             raise ValueError("codebook word length does not match layout groups")
         self.layout.denominator_wide(self.denominator)  # rejects unknown names
@@ -141,23 +143,15 @@ def strengths(wide: np.ndarray, config: DetectorConfig) -> np.ndarray:
     return numerators / denominator if denominator > 0 else numerators
 
 
-@functools.cache
-def _centered_positions(wide_total: int) -> np.ndarray:
-    """Wide-carrier positions relative to the band midpoint, read-only."""
-    centered = np.arange(wide_total) - (wide_total - 1) / 2.0
-    centered.flags.writeable = False
-    return centered
-
-
 def center_of_mass(wide_powers: np.ndarray, layout: CarrierLayout) -> float:
-    """Power-weighted mean carrier position, centered on the band midpoint.
-    The spotter accepts a candidate only within DetectorConfig.com_bound."""
+    """Power-weighted mean carrier position on layout.centered_wide, so
+    centered on the carrier array's midpoint. The spotter accepts a
+    candidate only within DetectorConfig.com_bound."""
     powers = np.asarray(wide_powers, dtype=np.float64)
     total = powers.sum()
     if total == 0:
         raise ValueError("center of mass undefined for all-zero powers")
-    centered = _centered_positions(layout.wide_total)
-    return float((centered * powers).sum() / total)
+    return float((layout.centered_wide * powers).sum() / total)
 
 
 def noise_tracker_update(current_estimate: "float | None", interval_power: float) -> float:

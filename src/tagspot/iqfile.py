@@ -42,14 +42,9 @@ def write_iq(
     extra: "dict | None" = None,
     sample_rate: float = 1.0,
 ) -> Path:
-    """Write samples and sidecar; returns the sidecar path."""
+    """Write samples and sidecar, metadata checked first; returns the sidecar path."""
     path = Path(path)
     meta: dict = {"sample_rate": _sample_rate(sample_rate, str(path))}
-    samples = frame.samples
-    interleaved = np.empty(2 * samples.size, dtype="<f4")
-    interleaved[0::2] = samples.real.astype(np.float32)
-    interleaved[1::2] = samples.imag.astype(np.float32)
-    path.write_bytes(interleaved.tobytes())
     if layout is not None:
         meta["layout"] = layout_to_dict(layout)
     if extra:
@@ -57,8 +52,14 @@ def write_iq(
         if overlap:
             raise ValueError(f"extra metadata collides with {sorted(overlap)}")
         meta.update(extra)
+    text = json.dumps(meta, sort_keys=True, indent=2) + "\n"
+    samples = frame.samples
+    interleaved = np.empty(2 * samples.size, dtype="<f4")
+    interleaved[0::2] = samples.real.astype(np.float32)
+    interleaved[1::2] = samples.imag.astype(np.float32)
+    path.write_bytes(interleaved.tobytes())
     side = sidecar_path(path)
-    side.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    side.write_text(text)
     return side
 
 

@@ -11,7 +11,6 @@ from tagspot.carriers import (
     layout_from_dict,
     layout_to_dict,
 )
-from tagspot.detector import _centered_positions
 from layouts import VALID_LAYOUTS
 
 
@@ -57,7 +56,7 @@ def test_active_thin_offsets_are_the_central_block():
     assert REFERENCE_LAYOUT.active_thin_offsets == (2, 3, 4, 5)
 
 
-DERIVED = ("band_wide", "group_map", "active_thin_offsets")
+DERIVED = ("band_wide", "group_map", "active_thin_offsets", "centered_wide")
 
 
 def test_derived_geometry_is_built_once():
@@ -87,7 +86,7 @@ def test_equal_layouts_compare_and_hash_equal_whatever_their_cache(lay):
 
 
 def test_centered_wide_index_is_symmetric():
-    centered = _centered_positions(REFERENCE_LAYOUT.wide_total)
+    centered = REFERENCE_LAYOUT.centered_wide
     assert centered[0] == -31.5
     assert centered[63] == 31.5
     assert centered[31] + centered[32] == 0.0
@@ -108,6 +107,27 @@ def test_layout_rejects_inconsistent_geometry():
         CarrierLayout(groups=0, wide_total=4, null_wide=frozenset(range(4)), fft_size=32)
 
 
+# one two-carrier group on two wide carriers: valid with groups=1
+ONE_GROUP = {"wide_total": 2, "null_wide": frozenset(), "fft_size": 16}
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"fft_size": 512.0}, "fft_size"),
+        ({"thin_per_wide": 8.0}, "thin_per_wide"),
+        ({**ONE_GROUP, "groups": True}, "groups"),
+        ({"null_wide": frozenset({0, 1, 2, 32.0, 60, 61, 62, 63})}, "null_wide"),
+        ({"cp_fraction": "0.25"}, "cp_fraction"),
+    ],
+    ids=["float-fft-size", "float-thin-per-wide", "bool-groups", "float-null", "string-cp"],
+)
+def test_layout_rejects_wrong_field_types(fields, named):
+    # a wrong type fails on construction, naming its field, not later in its users
+    with pytest.raises(ValueError, match=f"^{named} must"):
+        CarrierLayout(**fields)
+
+
 def test_layout_dict_roundtrip():
     lay = REFERENCE_LAYOUT
     data = layout_to_dict(lay)
@@ -116,7 +136,7 @@ def test_layout_dict_roundtrip():
     with pytest.raises(ValueError):
         layout_from_dict({"fft_size": 512, "bogus": 1})
     for bad in (None, [512], {"fft_size": "512"}, {"groups": True},
-                {"cp_fraction": float("inf")}, {"null_wide": 3},
-                {"null_wide": [0, 1, 2, 32, 60, 61, 62, 63.7]}):
+                {"cp_fraction": float("inf")}, {"cp_fraction": 1e307}, {"null_wide": 3},
+                {"null_wide": [0, 1, 2, 32, 60, 61, 62, 63.7]}, {"null_wide": [[0]]}):
         with pytest.raises(ValueError):
             layout_from_dict(bad)

@@ -181,6 +181,11 @@ def test_spot_finds_the_modulated_word(tmp_path, capsys):
     summary = capsys.readouterr().out
     assert "events: 1" in summary
 
+    # without a sidecar the spotter reads the samples on the reference layout
+    sidecar_path(source).unlink()
+    assert cli_main(["spot", "--in", str(source), "--out", str(out)]) == 0
+    assert [e.codeword_index for e in parse_events(out.read_text())] == [17]
+
 
 def test_spot_threshold_comes_from_config_unless_overridden(tmp_path):
     # a noiseless tag has strength exactly 1, so add noise to give the
@@ -340,6 +345,10 @@ def test_config_document_rules(tmp_path):
     broken.write_text("{not json")
     assert cli_main(argv + [str(broken)]) == 1
 
+    array = tmp_path / "array.json"
+    array.write_text(json.dumps([{"config_version": 1}]))
+    assert cli_main(argv + [str(array)]) == 1
+
     assert cli_main(argv + [str(tmp_path / "missing.json")]) == 2
 
     # config may carry command-specific fields; flags stay optional
@@ -459,6 +468,8 @@ def test_malformed_layout_and_sidecar_exit_with_code_1(tmp_path, capsys):
         ]
         if "sample_rate" in change:
             assert all("sample_rate" in err for err in errors)
+    side.write_text(json.dumps([good]))
+    assert "JSON object" in _fails_with_one_line(["spot", "--in", str(source)], capsys)
 
     layout = {**SMALL_LAYOUT, "null_wide": [0, 1, 2, 16, 28, 29, 30, 31.7]}
     config = tmp_path / "frac.json"
@@ -499,6 +510,19 @@ def test_negative_counts_exit_with_code_1(capsys):
     _fails_with_one_line(["curves", "--trials", "-5"], capsys)
     _fails_with_one_line(["sweep", "--carriers", "4", "--trials", "-3"], capsys)
     _fails_with_one_line(["overhead", "--sync-frames", "-6", "--tag-frames", "-1"], capsys)
+    _fails_with_one_line(["leakage", "--max-offset", "0"], capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [(["spot"], "--in"), (["impair", "--out", "{out}"], "--in"), (["impair", "--in", "{tag}"], "--out")],
+    ids=["spot-in", "impair-in", "impair-out"],
+)
+def test_missing_paths_exit_with_code_1(tmp_path, capsys, argv, named):
+    paths = {"tag": _modulate(tmp_path), "out": tmp_path / "o.iq"}
+    capsys.readouterr()
+    assert named in _fails_with_one_line([arg.format(**paths) for arg in argv], capsys)
+    assert not paths["out"].exists()
 
 
 @pytest.mark.parametrize(
@@ -508,6 +532,8 @@ def test_negative_counts_exit_with_code_1(capsys):
         (["curves", "--snr=nan"], "snr grid"),
         (["curves", "--snr=0,inf", "--trials", "100", "--seed", "1"], "snr grid"),
         (["curves", "--gamma=0.5,nan"], "gamma grid"),
+        (["curves", "--gamma=,"], "gamma grid"),
+        (["curves", "--snr=a"], "snr grid"),
         (["range", "--snr-gap=nan"], "--snr-gap"),
         (["range", "--exponents=3,inf"], "exponents grid"),
         (["modulate", "--seed", "1", "--power=inf", "--out", "{out}"], "--power"),
@@ -521,7 +547,8 @@ def test_negative_counts_exit_with_code_1(capsys):
         (["spot", "--in", "{tag}", "--carrier-sense=-inf"], "--carrier-sense"),
         (["sweep", "--carriers", "3", "--config", "{config}"], "--snr"),
     ],
-    ids=["sweep-snr", "curves-snr-nan", "curves-snr-inf", "curves-gamma", "range-snr-gap",
+    ids=["sweep-snr", "curves-snr-nan", "curves-snr-inf", "curves-gamma", "curves-gamma-empty",
+         "curves-snr-unparsable", "range-snr-gap",
          "range-exponents", "modulate-power", "modulate-papr-cap", "modulate-sample-rate",
          "impair-snr", "impair-snr-two-frames", "impair-sir", "impair-cfo", "spot-gamma",
          "spot-carrier-sense", "sweep-config-snr"],
@@ -574,11 +601,15 @@ def test_out_of_range_modulate_options_exit_with_code_1(tmp_path, capsys, flags,
         (["codebook-verify"], {"codebook": 1}, "--codebook"),
         (["leakage"], {"out": {}}, "--out"),
         (["curves"], {"fading": "wideband-rayleigh"}, "--fading"),
+        (["leakage"], {"max_offset": "3"}, "--max-offset"),
+        (["sweep", "--carriers", "3"], {"snr": "0"}, "--snr"),
+        (["overhead"], {"sync_frames": " 6"}, "--sync-frames"),
     ],
     ids=["curves-fractional-trials", "curves-bool-trials", "curves-fractional-seed",
          "modulate-null-max-attempts", "sweep-null-carriers", "curves-string-switch",
          "modulate-string-switch", "impair-number-path", "codebook-number-path",
-         "leakage-object-out", "curves-unknown-fading"],
+         "leakage-object-out", "curves-unknown-fading", "leakage-string-max-offset",
+         "sweep-string-snr", "overhead-padded-sync-frames"],
 )
 def test_non_integer_config_values_exit_with_code_1(tmp_path, capsys, argv, fields, named):
     config = tmp_path / "ints.json"

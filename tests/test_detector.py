@@ -95,7 +95,7 @@ def test_center_of_mass_positions(codebook):
     delta = np.zeros(64)
     delta[40] = 2.0
     position = center_of_mass(delta, LAY)
-    assert position == detector._centered_positions(64)[40] == 8.5
+    assert position == LAY.centered_wide[40] == 8.5
     assert abs(position) > bound  # outside the central quarter
 
     delta = np.zeros(64)
@@ -122,6 +122,12 @@ def test_detector_config_validation(codebook):
         DetectorConfig(layout=LAY, codebook=codebook, gamma=1.0)
     with pytest.raises(ValueError):
         DetectorConfig(layout=LAY, codebook=codebook, denominator="mask")
+    # a NaN gate compares false with every SNR, so it would never gate;
+    # -inf switches the gate off on purpose
+    with pytest.raises(ValueError, match="carrier_sense_snr_db"):
+        DetectorConfig(layout=LAY, codebook=codebook, carrier_sense_snr_db=float("nan"))
+    for gate in (-np.inf, np.inf):
+        DetectorConfig(layout=LAY, codebook=codebook, carrier_sense_snr_db=gate)
     with pytest.raises(ValueError):
         short = Codebook(name="short", word_length=10, min_distance=10,
                          words=("0" * 10, "1" * 10))

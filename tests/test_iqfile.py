@@ -51,6 +51,8 @@ def test_sidecar_carries_layout_and_extra_fields(tmp_path):
 def test_extra_fields_cannot_shadow_core_metadata(tmp_path):
     with pytest.raises(ValueError):
         write_iq(tmp_path / "x.iq", _random_frame(4), extra={"sample_rate": 9.0})
+    # the metadata is checked before anything is written
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_sidecar_defaults(tmp_path):
