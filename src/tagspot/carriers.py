@@ -40,7 +40,7 @@ class CarrierLayout:
     wide_total: number of wide carriers across the whole band.
     null_wide: wide carrier indices that are never activated.
     fft_size: transform length in thin-carrier bins.
-    cp_fraction: cyclic prefix length as a fraction of fft_size.
+    cp_fraction: cyclic prefix length as a fraction of fft_size, at most 1.
 
     Construction checks each field's type; bools are not counts. The
     derived geometry (band_wide, group_map, active_thin_offsets,
@@ -87,10 +87,10 @@ class CarrierLayout:
         if any(not 0 <= w < self.wide_total for w in self.null_wide):
             raise ValueError("null_wide contains out-of-range indices")
         cp = self.fft_size * self.cp_fraction
-        if not 0 < cp < math.inf or cp != int(cp):  # int(inf) would overflow
+        if not 0 < cp <= self.fft_size or cp != int(cp):  # at most one body; int(inf) overflows
             raise ValueError(
-                f"cp_fraction {self.cp_fraction} must yield a whole, positive "
-                f"number of samples for fft_size {self.fft_size}"
+                f"cp_fraction {self.cp_fraction} must yield a whole number of "
+                f"samples in 1..fft_size for fft_size {self.fft_size}"
             )
 
     @property

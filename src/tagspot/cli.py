@@ -83,16 +83,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _unique_fields(pairs: "list[tuple[str, object]]") -> dict:
+    """A config's JSON object at any depth; no field may be given twice."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise CliError(1, f"config repeats the field {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _config_fields(args: argparse.Namespace) -> dict:
     """The --config document's parameter fields, checked against the
     command: every field must name one of its parameters."""
     try:
-        doc = json.loads(Path(args.config).read_text())
+        doc = json.loads(Path(args.config).read_text(), object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as exc:
         raise CliError(1, f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CliError(1, "config must be a JSON object")
-    if doc.pop("config_version", None) != CONFIG_VERSION:
+    version = doc.pop("config_version", None)
+    if isinstance(version, bool) or version != CONFIG_VERSION:
         raise CliError(
             1, f"config must declare config_version: {CONFIG_VERSION}"
         )

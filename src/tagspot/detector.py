@@ -10,11 +10,12 @@ Per interval the pipeline is: carrier-sense gate on total power against a
 tracked noise floor, unitary FFT to an ascending-order spectrum
 (waveform.spectrum_of_body), fold to wide-carrier powers, tag strength
 for every codeword, then a candidate requires max strength above gamma and
-a valid center of mass. Most windows of a monitoring capture hold only
-noise and stop at gamma, so the center of mass is computed only for the
-windows above it. A candidate becomes an event only when no
-overlapping interval produced a candidate of strictly larger strength
-(ties resolve to the earliest interval, then the lowest codeword index).
+a valid center of mass, so each window is gated, at or below gamma,
+rejected by its center of mass, or a candidate DetectionEvent. Most
+windows hold only noise and stop at gamma, so the center of mass is
+computed only above it. A candidate is kept only when no overlapping
+interval produced a candidate of strictly larger strength (ties resolve
+to the earliest interval, then the lowest codeword index).
 
 DetectorConfig.denominator names the strength convention (see carriers):
 "band" divides in-mask power by the non-null carriers' power, "all" by
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -92,35 +94,29 @@ class DetectorConfig:
         return carriers
 
 
-@dataclass(frozen=True)
-class DetectionEvent:
+class DetectionEvent(NamedTuple):
+    """A candidate; each passed the center-of-mass test, so com_valid is 1."""
+
     interval_start: int
     codeword_index: int
     strength: float
     com_position: float
-    com_valid: bool
     snr_estimate_db: float
 
     def to_line(self) -> str:
         return (
             f"{self.interval_start}\t{self.codeword_index}\t"
             f"{self.strength:.9g}\t{self.com_position:.9g}\t"
-            f"{self.snr_estimate_db:.9g}\t{int(self.com_valid)}"
+            f"{self.snr_estimate_db:.9g}\t1"
         )
 
     @staticmethod
     def from_line(line: str) -> "DetectionEvent":
         parts = line.split("\t")
-        if len(parts) != 6:
+        if len(parts) != 6 or parts[5] != "1":
             raise ValueError(f"malformed event line: {line!r}")
-        return DetectionEvent(
-            interval_start=int(parts[0]),
-            codeword_index=int(parts[1]),
-            strength=float(parts[2]),
-            com_position=float(parts[3]),
-            snr_estimate_db=float(parts[4]),
-            com_valid=bool(int(parts[5])),
-        )
+        return DetectionEvent(int(parts[0]), int(parts[1]), float(parts[2]),
+                              float(parts[3]), float(parts[4]))
 
 
 def fold_spectrum(spectrum: np.ndarray, layout: CarrierLayout) -> np.ndarray:
@@ -174,17 +170,17 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
     """Run the spotter over a sample stream.
 
     The noise floor stays unset until the first interval that is gated or
-    at or below gamma, which seeds it. Until then every interval's SNR
-    estimate is inf, so only an all-zero interval is gated, and a stream
-    that opens with a tag reports it at inf dB whatever the carrier-sense
-    threshold. From then on the floor is updated by every interval at or
-    below gamma (including carrier-sense-gated ones, whose power is already
-    in hand); one above gamma leaves it frozen, center of mass valid or
-    not, so neither tags nor off-center interferers lift the floor. Each
-    window that passes the gate is folded and scored once; its center of
-    mass is computed only when its best strength is above gamma, since a
-    window at or below gamma fails the candidate test whatever its
-    position.
+    at or below gamma, which seeds it. An all-zero interval's SNR estimate
+    is -inf, so it is always gated. Until the floor is set, or while it is
+    0, every other estimate is inf, so a stream that opens with a tag
+    reports it at inf dB whatever the carrier-sense threshold. From then
+    on the floor is updated by every interval at or below gamma (including
+    carrier-sense-gated ones, whose power is already in hand); one above
+    gamma leaves it frozen, center of mass valid or not, so neither tags
+    nor off-center interferers lift the floor. Each window that passes the
+    gate is folded and scored once; its center of mass is computed only
+    when its best strength is above gamma, since a window at or below
+    gamma fails the candidate test whatever its position.
     """
     layout = config.layout
     n = layout.fft_size
@@ -197,7 +193,7 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
     gate_db = config.carrier_sense_snr_db
     windows_total = (len(stream) - n) // hop + 1
 
-    candidates: "list[tuple[int, int, float, float, float]]" = []
+    candidates: "list[DetectionEvent]" = []
     noise_estimate: "float | None" = None
     windows_gated = 0
     for first in range(0, windows_total, _CHUNK_WINDOWS):
@@ -207,61 +203,45 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
         powers = np.mean(np.abs(views) ** 2, axis=1).tolist()
         spectra = spectrum_of_body(views, layout)
         for k, power in enumerate(powers):
-            if noise_estimate is None or noise_estimate == 0:
-                # no floor yet, or a floor seeded by pure silence
-                snr_estimate_db = np.inf
-            elif power == 0:
+            # carrier-sense SNR estimate: interval power over tracked floor
+            if power == 0:
                 snr_estimate_db = -np.inf
+            elif not noise_estimate:  # no floor yet, or one seeded by pure silence
+                snr_estimate_db = np.inf
             else:
-                # carrier-sense SNR estimate: interval power over tracked floor
                 snr_estimate_db = 10.0 * np.log10(power / noise_estimate)
-            if snr_estimate_db <= gate_db or power == 0:
+            if snr_estimate_db <= gate_db:
                 windows_gated += 1
-                noise_estimate = noise_tracker_update(noise_estimate, power)
-                continue
-            wide = fold_spectrum(spectra[k], layout)
-            scores = strengths(wide, config)
-            best = int(scores.argmax())
-            strength = float(scores[best])
-            if strength > gamma:
-                position = center_of_mass(wide, layout)
-                if abs(position) <= com_bound:
-                    candidates.append(
-                        (lo + k * hop, best, strength, position, snr_estimate_db)
-                    )
-                continue
+            else:
+                wide = fold_spectrum(spectra[k], layout)
+                scores = strengths(wide, config)
+                best = int(scores.argmax())
+                strength = float(scores[best])
+                if strength > gamma:
+                    position = center_of_mass(wide, layout)
+                    if abs(position) <= com_bound:
+                        candidates.append(DetectionEvent(
+                            lo + k * hop, best, strength, position, snr_estimate_db))
+                    continue
             noise_estimate = noise_tracker_update(noise_estimate, power)
 
-    events = tuple(
-        DetectionEvent(
-            interval_start=start,
-            codeword_index=idx,
-            strength=strength,
-            com_position=position,
-            com_valid=True,
-            snr_estimate_db=snr_db,
-        )
-        for start, idx, strength, position, snr_db in _suppress(candidates, n)
-    )
     return SpotReport(
-        events=events,
+        events=tuple(_suppress(candidates, n)),
         windows_total=windows_total,
         windows_gated=windows_gated,
     )
 
 
-def _suppress(
-    candidates: "list[tuple[int, int, float, float, float]]", n: int
-) -> "list[tuple[int, int, float, float, float]]":
+def _suppress(candidates: "list[DetectionEvent]", n: int) -> "list[DetectionEvent]":
     """Candidates that no overlapping candidate outranks.
 
-    Candidates are (start, codeword, strength, ...) tuples sorted by unique
-    start. Candidate i is dropped when an earlier one less than n samples
-    away has strength >= its own, or a later one that close has strength >
-    its own. The rule is not transitive: a dropped candidate still drops
-    its weaker neighbours. Each overlapping pair is compared once in a
-    forward scan, and starts lie at least one hop apart, so the cost is
-    O(C * n / hop), linear in the number of candidates C.
+    Candidates are events, or any tuples with the start at [0] and the
+    strength at [2], sorted by unique start. Candidate i is dropped when an
+    earlier one less than n samples away has strength >= its own, or a
+    later one that close has strength > its own. The rule is not
+    transitive: a dropped candidate still drops its weaker neighbours. Each
+    overlapping pair is compared once in a forward scan, and starts lie at
+    least one hop apart, so C candidates cost O(C * n / hop), linear in C.
     """
     dropped = [False] * len(candidates)
     for i, (start, _, strength, *_) in enumerate(candidates):

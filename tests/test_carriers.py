@@ -101,6 +101,9 @@ def test_layout_rejects_inconsistent_geometry():
         CarrierLayout(active_thin_per_wide=9)
     with pytest.raises(ValueError):
         CarrierLayout(cp_fraction=0.3)  # not a whole number of samples
+    for longer_than_a_body in (1.5, 2.0):
+        with pytest.raises(ValueError, match="cp_fraction"):
+            CarrierLayout(cp_fraction=longer_than_a_body)
     with pytest.raises(ValueError):
         CarrierLayout(null_wide=frozenset({0, 1, 2, 32, 60, 61, 62, 64}))
     with pytest.raises(ValueError, match="groups"):

@@ -328,7 +328,7 @@ def test_commands_that_draw_no_randomness_reject_a_seed(tmp_path, capsys, argv):
     assert "seed" in _fails_with_one_line(argv + ["--config", str(config)], capsys)
 
 
-def test_config_document_rules(tmp_path):
+def test_config_document_rules(tmp_path, capsys):
     source = _modulate(tmp_path)
     out = tmp_path / "o.iq"
 
@@ -350,6 +350,17 @@ def test_config_document_rules(tmp_path):
     assert cli_main(argv + [str(array)]) == 1
 
     assert cli_main(argv + [str(tmp_path / "missing.json")]) == 2
+
+    # json.loads would keep the last of a repeated field, and True == 1
+    capsys.readouterr()
+    for name, text in [
+        ("snr", '{"config_version": 1, "snr": 20, "snr": 30}'),
+        ("groups", '{"config_version": 1, "layout": {"groups": 28, "groups": 28}}'),
+        ("config_version", '{"config_version": true}'),
+    ]:
+        doc = tmp_path / f"{name}.json"
+        doc.write_text(text)
+        assert name in _fails_with_one_line(argv + [str(doc)], capsys)
 
     # config may carry command-specific fields; flags stay optional
     good = tmp_path / "good.json"
@@ -475,6 +486,11 @@ def test_malformed_layout_and_sidecar_exit_with_code_1(tmp_path, capsys):
     config = tmp_path / "frac.json"
     config.write_text(json.dumps({"config_version": 1, "layout": layout}))
     _fails_with_one_line(["leakage", "--max-offset", "1", "--config", str(config)], capsys)
+
+    # a prefix longer than one body used to make a short tag frame
+    config.write_text(json.dumps({"config_version": 1, "layout": {"cp_fraction": 2.0}}))
+    argv = ["modulate", "--word", "3", "--seed", "1", "--out", str(tmp_path / "long.iq")]
+    assert "cp_fraction" in _fails_with_one_line(argv + ["--config", str(config)], capsys)
 
 
 def test_a_layout_without_groups_exits_with_code_1(tmp_path, capsys):

@@ -144,7 +144,6 @@ def test_single_clean_tag_yields_one_correct_event(codebook):
     # the winning interval lies fully inside the tag frame
     assert 777 <= event.interval_start <= 777 + LAY.cp_len
     assert event.strength > 0.9
-    assert event.com_valid
 
 
 # center_of_mass is centered on (wide_total - 1) / 2 = 5.5, not on the mean
@@ -272,17 +271,18 @@ def test_spot_rejects_short_streams(codebook):
 
 def test_event_serialization_roundtrip():
     events = [
-        DetectionEvent(128, 7, 0.73125, -0.25, True, 3.5),
-        DetectionEvent(512, 41, 0.951234567, 1.0, False, 12.25),
+        DetectionEvent(128, 7, 0.73125, -0.25, 3.5),
+        DetectionEvent(512, 41, 0.951234567, 1.0, 12.25),
     ]
     parsed = parse_events(serialize_events(events))
     assert len(parsed) == 2
     for original, back in zip(events, parsed):
         assert back.interval_start == original.interval_start
         assert back.codeword_index == original.codeword_index
-        assert back.com_valid == original.com_valid
         assert back.strength == pytest.approx(original.strength, rel=1e-8)
         assert back.com_position == pytest.approx(original.com_position, rel=1e-8)
         assert back.snr_estimate_db == pytest.approx(original.snr_estimate_db, rel=1e-8)
-    with pytest.raises(ValueError):
-        DetectionEvent.from_line("1\t2\t3")
+    # every event passed the center-of-mass test: its sixth column is 1
+    for line in ("1\t2\t3", "128\t7\t0.7\t-0.2\t3.5\t0"):
+        with pytest.raises(ValueError):
+            DetectionEvent.from_line(line)

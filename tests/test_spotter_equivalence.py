@@ -7,7 +7,7 @@ candidate compared with every other one. They are kept here only as oracles.
 """
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagspot.carriers import REFERENCE_LAYOUT
@@ -24,7 +24,7 @@ from tagspot.detector import (
     spot_report,
 )
 from tagspot.waveform import IqFrame, _ascending, build_tag_spectrum, synthesize_tag
-from layouts import ODD
+from layouts import ODD, VALID_LAYOUTS
 
 LAY = REFERENCE_LAYOUT
 
@@ -91,7 +91,7 @@ def _reference_spot_report(samples, config):
         else:
             com_rejects += 1
     events = tuple(
-        DetectionEvent(start, idx, strength, position, True, snr_db)
+        DetectionEvent(start, idx, strength, position, snr_db)
         for start, idx, strength, position, snr_db in _reference_suppress(candidates, n)
     )
     return events, windows_total, windows_gated, com_rejects
@@ -102,7 +102,7 @@ def _assert_same_as_reference(stream, config):
     events, total, gated, _ = _reference_spot_report(stream, config)
     assert report.windows_total == total
     assert report.windows_gated == gated
-    assert report.events == events  # dataclass equality: floats bit for bit
+    assert report.events == events  # tuple equality: floats bit for bit
     return report
 
 
@@ -215,6 +215,33 @@ def test_odd_fft_size_layout():
     stream = _tagged_stream(ODD, codebook, total, tags, 10.0, seed=74, zero=[(0, 50)])
     report = _assert_same_as_reference(stream, config)
     assert report.events
+
+
+@settings(max_examples=200)
+@given(layout=VALID_LAYOUTS, data=st.data())
+def test_the_spotter_matches_its_oracle_on_drawn_layouts_and_gates(layout, data):
+    groups = layout.groups
+    words = data.draw(st.lists(st.integers(0, 2**groups - 1), min_size=1, max_size=6,
+                               unique=True))
+    codebook = Codebook(name="drawn", word_length=groups, min_distance=1,
+                        words=tuple(format(word, f"0{groups}b") for word in words))
+    config = DetectorConfig(
+        layout=layout,
+        codebook=codebook,
+        gamma=data.draw(st.floats(0.05, 0.95)),
+        carrier_sense_snr_db=data.draw(st.sampled_from([-np.inf, -1.0, 3.0, np.inf])),
+        denominator=data.draw(st.sampled_from(["band", "all"])),
+    )
+    windows = data.draw(st.integers(1, 2 * _CHUNK_WINDOWS + 2))
+    total = _length_for_windows(layout, windows, data.draw(st.integers(0, layout.cp_len - 1)))
+    tags = data.draw(st.lists(st.tuples(st.integers(0, total - 1),
+                                        st.integers(0, codebook.size - 1)), max_size=4))
+    lo = data.draw(st.integers(0, total))
+    zero = [(lo, data.draw(st.integers(lo, total)))]
+    snr_db = data.draw(st.sampled_from([-3.0, 3.0, 20.0]))
+    stream = _tagged_stream(layout, codebook, total, tags, snr_db,
+                            seed=data.draw(st.integers(0, 2**32 - 1)), zero=zero)
+    _assert_same_as_reference(stream, config)
 
 
 @given(
