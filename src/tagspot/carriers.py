@@ -21,7 +21,7 @@ CarrierLayout.denominator_wide maps a name to its carriers.
 from __future__ import annotations
 
 import functools
-import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -65,7 +65,8 @@ class CarrierLayout:
         if not all(type(w) is int for w in self.null_wide):
             raise ValueError(f"null_wide must hold integers, got {self.null_wide!r}")
         object.__setattr__(self, "null_wide", frozenset(self.null_wide))
-        if not (type(self.cp_fraction) in (int, float) and math.isfinite(self.cp_fraction)):
+        # a bound, not math.isfinite, which overflows on an int past float range
+        if not (type(self.cp_fraction) in (int, float) and abs(self.cp_fraction) <= sys.float_info.max):
             raise ValueError(f"cp_fraction must be a finite number, got {self.cp_fraction!r}")
         if min(self.thin_per_wide, self.fft_size, self.wide_total, self.groups) <= 0:
             raise ValueError("carrier counts and groups must be positive")

@@ -2,21 +2,21 @@
 
 Subcommands: modulate, impair, spot, curves, leakage, sweep, range,
 overhead, codebook-verify. Every command accepts --config pointing at a
-JSON document (stamped with config_version) whose keys are the command's
-parameter names; explicit flags override document fields, and a field the
-command does not take is rejected. Only the commands that draw randomness
-(modulate, impair, curves, sweep) take --seed, and they demand it for
-stochastic work; identical config plus seed produces byte-identical
-primary output: tables carry no timestamps and every float is formatted
-with a fixed precision.
-
-Before a command starts, each option value, from a flag or a config field,
-is checked by how its option is declared: a float option takes a finite
-number, an integer option an integer (20.0 counts), an on/off flag true or
-false, any other option (paths, comma-separated grids) a string, an option
-with choices one of them; null is never a value. A config "layout" field
-must describe a valid carrier layout, and spot and impair reject one that
+JSON document stamped with config_version. Its fields are the command's
+own flags, put before the command line's, so flags win: {"snr": 0} means
+--snr=0 and {"random": true} means --random. A field must name an option
+of the command and have its JSON kind: a number for a float option, an
+integral number for an integer option (20.0 counts), true or false for an
+on/off flag, a string for any other option (paths, comma-separated
+grids), never null; the option's type= then checks it as it checks a
+flag. The commands that read a carrier layout also take a "layout" field,
+which must describe a valid layout; spot and impair reject one that
 differs from the layout in the input's sidecar.
+
+Only the commands that draw randomness (modulate, impair, curves, sweep)
+take --seed, and they demand it for stochastic work; identical config plus
+seed produces byte-identical primary output: tables carry no timestamps
+and every float is formatted with a fixed precision.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
@@ -141,45 +141,43 @@ def _parse_grid(text: str, name: str) -> "list[float]":
     return values
 
 
-def _finite(value, option: str) -> float:
-    """A float option's value, which must be finite (float() parses "inf" and "nan")."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise CliError(1, f"{option} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, option: str) -> int:
-    """An integer option's value. argparse converts flags and string fields,
-    but bools, fractional numbers and null from JSON are rejected, not truncated."""
-    if type(value) is int:
+def _number(kind: type, low: float = -math.inf, above: bool = False):
+    """A numeric option's type=: a finite value of kind (int or float), at
+    least low, or above it when above is set. The kind is also the JSON kind
+    that _field_flags asks of the option's config field."""
+    def parse(text: str):
+        value = kind(text)  # float() parses "inf" and "nan"
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+        if value < low or (above and value == low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'above' if above else 'at least'} {low:g}, got {text!r}")
         return value
-    if type(value) is float and value.is_integer():
-        return int(value)
-    raise CliError(1, f"{option} must be an integer, got {value!r}")
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
+    parse.kind = kind
+    return parse
 
 
-def _check_options(sub: argparse.ArgumentParser, args: argparse.Namespace, fields: dict) -> None:
-    """Checks and normalizes each option value by its declaration (see the
-    module docstring); a None that no config field set is an unset option."""
+_JSON_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _field_flags(sub: argparse.ArgumentParser, fields: dict) -> "list[str]":
+    """The config fields as the command's flags, each checked for its
+    option's JSON kind first (see the module docstring); a true on/off
+    field is the bare flag and a false one no flag."""
+    flags = []
     for action in sub._actions:
-        value = getattr(args, action.dest, None)  # None for --help
-        if value is None and action.dest not in fields:
+        if action.dest not in fields:
             continue
-        option = action.option_strings[0]
-        if action.type is float:
-            value = _finite(value, option)
-        elif action.type is int:
-            value = _integer(value, option)
-        elif isinstance(action, argparse._StoreTrueAction):
-            if type(value) is not bool:
-                raise CliError(1, f"{option} must be true or false, got {value!r}")
-        elif type(value) is not str:
-            raise CliError(1, f"{option} must be a string, got {value!r}")
-        if action.choices is not None and value not in action.choices:
-            raise CliError(
-                1, f"{option} must be one of {', '.join(action.choices)}, got {value!r}"
-            )
-        setattr(args, action.dest, value)
+        value, option = fields[action.dest], action.option_strings[0]
+        kind = bool if action.nargs == 0 else getattr(action.type, "kind", str)
+        if kind is int and type(value) is float and value.is_integer():
+            value = int(value)
+        if type(value) is not kind and not (kind is float and type(value) is int):
+            raise CliError(1, f"{option} must be {_JSON_KINDS[kind]}, got {value!r}")
+        if value is not False:  # only an on/off field can be False here
+            flags.append(option if kind is bool else f"{option}={value}")
+    return flags
 
 
 def _require_seed(seed: "int | None", why: str) -> int:
@@ -233,11 +231,6 @@ def _emit_table(out, command: str, fields, columns: str, rows) -> None:
 
 
 def _cmd_modulate(args: argparse.Namespace) -> int:
-    for option, value in (("--power", args.power), ("--sample-rate", args.sample_rate)):
-        if not value > 0:
-            raise CliError(1, f"{option} must be positive, got {_fmt(value)}")
-    if args.max_attempts < 1:
-        raise CliError(1, f"--max-attempts must be at least 1, got {args.max_attempts}")
     layout = args.layout or REFERENCE_LAYOUT
     codebook = _get_codebook(args.codebook)
     seed = _require_seed(args.seed, "tone phases are random")
@@ -245,12 +238,7 @@ def _cmd_modulate(args: argparse.Namespace) -> int:
         raise CliError(1, "--out is required")
 
     rng = np.random.default_rng(seed)
-    word_index = args.word
-    if args.random:
-        if word_index is not None:
-            raise CliError(1, "--word and --random are mutually exclusive")
-        word_index = rng.integers(codebook.size)
-    word_index = int(word_index or 0)
+    word_index = int(rng.integers(codebook.size)) if args.random else args.word or 0
     if not 0 <= word_index < codebook.size:
         raise CliError(
             1, f"codeword index {word_index} out of range 0..{codebook.size - 1}"
@@ -291,8 +279,6 @@ def _cmd_impair(args: argparse.Namespace) -> int:
         raise CliError(1, "--in is required")
     if args.out is None:
         raise CliError(1, "--out is required")
-    if args.interference_offset < 0:
-        raise CliError(1, "interference offset must be nonnegative")
     frame, meta = read_iq(args.in_path)
     layout = _input_layout(meta, args)
     if args.snr is not None and len(frame) != layout.frame_len:
@@ -374,6 +360,9 @@ def _cmd_spot(args: argparse.Namespace) -> int:
     if args.out is not None:
         print(f"windows_total: {report.windows_total}")
         print(f"windows_gated: {report.windows_gated}")
+        print(f"windows_below_gamma: {report.windows_below_gamma}")
+        print(f"windows_com_rejected: {report.windows_com_rejected}")
+        print(f"candidates: {report.candidates}")
         print(f"events: {len(report.events)}")
         print(f"out: {args.out}")
     return 0
@@ -417,8 +406,6 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
 def _cmd_leakage(args: argparse.Namespace) -> int:
     layout = args.layout or REFERENCE_LAYOUT
-    if args.max_offset < 1:
-        raise CliError(1, "max offset must be at least 1")
     fields = [
         ("layout", _layout_summary(layout)),
         ("max_offset", args.max_offset),
@@ -490,7 +477,7 @@ def _add_command(commands, name: str, func, summary: str,
     sub = commands.add_parser(name, help=summary)
     sub.add_argument("--config", help="JSON config document; flags override its fields")
     if seed:
-        sub.add_argument("--seed", type=int, help="randomness seed (required for stochastic runs)")
+        sub.add_argument("--seed", type=_number(int, 0), help="randomness seed (required for stochastic runs)")
     sub.add_argument("--out", help="output path (tables default to stdout)")
     sub.set_defaults(func=func)
     if layout:
@@ -510,34 +497,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(commands, "modulate", _cmd_modulate,
                      "synthesize one tag frame to an IQ file", layout=True, seed=True)
-    p.add_argument("--word", type=int, help="codeword index (default: 0, or drawn from the seed with --random)")
-    p.add_argument("--random", action="store_true", help="pick the codeword from the seed")
-    p.add_argument("--power", type=float, default=1.0,
+    word = p.add_mutually_exclusive_group()
+    word.add_argument("--word", type=_number(int), help="codeword index (default: 0)")
+    word.add_argument("--random", action="store_true", help="draw the codeword index from the seed")
+    p.add_argument("--power", type=_number(float, 0, above=True), default=1.0,
                    help="total spectral power (default %(default)s)")
-    p.add_argument("--papr-cap", dest="papr_cap", type=float, help="redraw phases until PAPR <= cap dB")
-    p.add_argument("--max-attempts", dest="max_attempts", type=int, default=100,
+    p.add_argument("--papr-cap", dest="papr_cap", type=_number(float), help="redraw phases until PAPR <= cap dB")
+    p.add_argument("--max-attempts", dest="max_attempts", type=_number(int, 1), default=100,
                    help="draw budget for --papr-cap (default %(default)s)")
-    p.add_argument("--sample-rate", dest="sample_rate", type=float, default=1.0,
+    p.add_argument("--sample-rate", dest="sample_rate", type=_number(float, 0, above=True), default=1.0,
                    help="metadata sample rate (default %(default)s)")
     _add_codebook(p)
 
     p = _add_command(commands, "impair", _cmd_impair, "apply fading, cfo, interference "
                      "and noise to an IQ file", layout=True, seed=True)
     p.add_argument("--in", dest="in_path", help="input IQ file")
-    p.add_argument("--snr", type=float, help="target SNR in dB (input must be one tag frame)")
-    p.add_argument("--cfo", type=float, default=0.0,
+    p.add_argument("--snr", type=_number(float), help="target SNR in dB (input must be one tag frame)")
+    p.add_argument("--cfo", type=_number(float), default=0.0,
                    help="carrier offset in thin-carrier widths (default %(default)s)")
     p.add_argument("--fading", choices=FADING_MODELS, default="none",
                    help="fading model (default %(default)s)")
-    p.add_argument("--sir", type=float, help="add data-like interference at this SIR dB")
-    p.add_argument("--interference-offset", dest="interference_offset", type=int, default=0,
+    p.add_argument("--sir", type=_number(float), help="add data-like interference at this SIR dB")
+    p.add_argument("--interference-offset", dest="interference_offset", type=_number(int, 0), default=0,
                    help="interference start sample (default %(default)s)")
 
     p = _add_command(commands, "spot", _cmd_spot, "run the detector over an IQ file", layout=True)
     p.add_argument("--in", dest="in_path", help="input IQ file")
-    p.add_argument("--gamma", type=float, default=0.62,
+    p.add_argument("--gamma", type=_number(float), default=0.62,
                    help="detection threshold (default %(default)s)")
-    p.add_argument("--carrier-sense", dest="carrier_sense", type=float, default=-1.0,
+    p.add_argument("--carrier-sense", dest="carrier_sense", type=_number(float), default=-1.0,
                    help="carrier sense gate in dB over the noise floor (default %(default)s)")
     p.add_argument("--denominator", choices=STRENGTH_DENOMINATORS, default="band",
                    help="strength denominator convention (default %(default)s)")
@@ -551,36 +539,36 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated threshold grid (default %(default)s)")
     p.add_argument("--fading", choices=FADING_ANALYSIS_MODELS, default="wideband",
                    help="analysis fading model (default %(default)s)")
-    p.add_argument("--trials", type=int, default=0,
+    p.add_argument("--trials", type=_number(int), default=0,
                    help="Monte Carlo trials per point (default %(default)s: closed forms only)")
     p.add_argument("--include-null-noise", dest="include_null_noise", action="store_true",
                    help="use the all-carrier strength denominator")
     _add_codebook(p)
 
     p = _add_command(commands, "leakage", _cmd_leakage, "off-grid tone leakage tables", layout=True)
-    p.add_argument("--max-offset", dest="max_offset", type=int, default=8,
+    p.add_argument("--max-offset", dest="max_offset", type=_number(int, 1), default=8,
                    help="largest offset row (default %(default)s)")
 
     p = _add_command(commands, "sweep", _cmd_sweep, "active-carrier count optimization table",
                      seed=True)
-    p.add_argument("--carriers", type=int, default=56,
+    p.add_argument("--carriers", type=_number(int), default=56,
                    help="total wide carriers (default %(default)s)")
-    p.add_argument("--snr", type=float, default=0.0, help="per-tone SNR in dB (default %(default)s)")
-    p.add_argument("--trials", type=int, default=0,
+    p.add_argument("--snr", type=_number(float), default=0.0, help="per-tone SNR in dB (default %(default)s)")
+    p.add_argument("--trials", type=_number(int), default=0,
                    help="Monte Carlo cross-check trials per split (default %(default)s)")
 
     p = _add_command(commands, "range", _cmd_range, "range gain from an SNR advantage")
-    p.add_argument("--snr-gap", dest="snr_gap", type=float, default=20.0,
+    p.add_argument("--snr-gap", dest="snr_gap", type=_number(float), default=20.0,
                    help="SNR advantage in dB (default %(default)s)")
     p.add_argument("--exponents", default="3,6",
                    help="comma-separated path loss exponents (default %(default)s)")
 
     p = _add_command(commands, "overhead", _cmd_overhead, "tag airtime overhead for a payload size")
-    p.add_argument("--payload-bytes", dest="payload_bytes", type=int, default=1500,
+    p.add_argument("--payload-bytes", dest="payload_bytes", type=_number(int), default=1500,
                    help="payload size (default %(default)s)")
-    p.add_argument("--sync-frames", dest="sync_frames", type=int, default=6,
+    p.add_argument("--sync-frames", dest="sync_frames", type=_number(int), default=6,
                    help="sync frames per packet (default %(default)s)")
-    p.add_argument("--tag-frames", dest="tag_frames", type=int, default=8,
+    p.add_argument("--tag-frames", dest="tag_frames", type=_number(int), default=8,
                    help="frames a tag occupies (default %(default)s)")
 
     p = _add_command(commands, "codebook-verify", _cmd_codebook_verify,
@@ -592,22 +580,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
         args = parser.parse_args(argv)
-        sub = parser.commands[args.command]
-        fields = {}
         if args.config is not None:
-            # config fields, checked as given, become the command's defaults: flags win
+            # the fields become flags put before the given ones, which win
             fields = _config_fields(args)
-            _check_options(sub, argparse.Namespace(**fields), fields)
-            sub.set_defaults(**fields)
-            args = parser.parse_args(argv)
-        _check_options(sub, args, fields)
-        if "layout" in fields:
-            try:
-                args.layout = layout_from_dict(fields["layout"])
-            except ValueError as exc:
-                raise CliError(1, f"bad layout in config: {exc}") from exc
+            flags = _field_flags(parser.commands[args.command], fields)
+            args = parser.parse_args([args.command, *flags, *argv[1:]])
+            if "layout" in fields:
+                try:
+                    args.layout = layout_from_dict(fields["layout"])
+                except ValueError as exc:
+                    raise CliError(1, f"bad layout in config: {exc}") from exc
         return args.func(args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)

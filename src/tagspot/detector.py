@@ -159,11 +159,17 @@ def noise_tracker_update(current_estimate: "float | None", interval_power: float
 
 @dataclass(frozen=True)
 class SpotReport:
-    """Events plus interval accounting from one spotter run."""
+    """Events plus interval accounting from one spotter run: each window is
+    gated, at or below gamma, rejected by its center of mass, or a
+    candidate, so those four counts sum to windows_total, and overlap
+    suppression keeps at most `candidates` events."""
 
     events: "tuple[DetectionEvent, ...]"
     windows_total: int
     windows_gated: int
+    windows_below_gamma: int
+    windows_com_rejected: int
+    candidates: int
 
 
 def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
@@ -195,7 +201,7 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
 
     candidates: "list[DetectionEvent]" = []
     noise_estimate: "float | None" = None
-    windows_gated = 0
+    windows_gated = windows_below_gamma = windows_com_rejected = 0
     for first in range(0, windows_total, _CHUNK_WINDOWS):
         count = min(_CHUNK_WINDOWS, windows_total - first)
         lo = first * hop
@@ -217,19 +223,20 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
                 scores = strengths(wide, config)
                 best = int(scores.argmax())
                 strength = float(scores[best])
-                if strength > gamma:
+                if strength <= gamma:
+                    windows_below_gamma += 1
+                else:
                     position = center_of_mass(wide, layout)
                     if abs(position) <= com_bound:
                         candidates.append(DetectionEvent(
                             lo + k * hop, best, strength, position, snr_estimate_db))
+                    else:
+                        windows_com_rejected += 1
                     continue
             noise_estimate = noise_tracker_update(noise_estimate, power)
 
-    return SpotReport(
-        events=tuple(_suppress(candidates, n)),
-        windows_total=windows_total,
-        windows_gated=windows_gated,
-    )
+    return SpotReport(tuple(_suppress(candidates, n)), windows_total, windows_gated,
+                      windows_below_gamma, windows_com_rejected, len(candidates))
 
 
 def _suppress(candidates: "list[DetectionEvent]", n: int) -> "list[DetectionEvent]":

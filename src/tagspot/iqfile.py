@@ -15,7 +15,7 @@ as a float, 1.0 when the sidecar has none.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +29,9 @@ def sidecar_path(path: "str | Path") -> Path:
 
 
 def _sample_rate(rate, where: str) -> float:
-    """rate as a float; it must be a finite positive int or float (not bool)."""
-    if type(rate) not in (int, float) or not (math.isfinite(rate) and rate > 0):
+    """rate as a float; it must be a positive int or float (not bool) that a
+    float holds finitely (math.isfinite would overflow on a larger int)."""
+    if type(rate) not in (int, float) or not 0 < rate <= sys.float_info.max:
         raise ValueError(f"{where}: sample_rate must be a finite positive number, got {rate!r}")
     return float(rate)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import tagspot
+from tagspot import cli
 from tagspot.analysis import AnalysisModel, pd_single, pf_single
 from tagspot.carriers import REFERENCE_LAYOUT, layout_to_dict
 from tagspot.channel import noise_power_for_snr
@@ -180,6 +181,11 @@ def test_spot_finds_the_modulated_word(tmp_path, capsys):
     assert "# windows_total:" in text
     summary = capsys.readouterr().out
     assert "events: 1" in summary
+    # every window ends in one outcome, and suppression keeps some candidates
+    counts = dict(line.split(": ") for line in summary.splitlines())
+    outcomes = ("windows_gated", "windows_below_gamma", "windows_com_rejected", "candidates")
+    assert sum(int(counts[name]) for name in outcomes) == int(counts["windows_total"])
+    assert int(counts["candidates"]) >= 1
 
     # without a sidecar the spotter reads the samples on the reference layout
     sidecar_path(source).unlink()
@@ -469,6 +475,7 @@ def test_malformed_layout_and_sidecar_exit_with_code_1(tmp_path, capsys):
         {"sample_rate": 0},
         {"sample_rate": -1},
         {"sample_rate": True},
+        {"sample_rate": 10**400},  # past float range: math.isfinite would overflow
     ]
     for change in bad_metadata:
         side.write_text(json.dumps({**good, **change}))
@@ -491,6 +498,9 @@ def test_malformed_layout_and_sidecar_exit_with_code_1(tmp_path, capsys):
     config.write_text(json.dumps({"config_version": 1, "layout": {"cp_fraction": 2.0}}))
     argv = ["modulate", "--word", "3", "--seed", "1", "--out", str(tmp_path / "long.iq")]
     assert "cp_fraction" in _fails_with_one_line(argv + ["--config", str(config)], capsys)
+    config.write_text(json.dumps({"config_version": 1, "layout": {"cp_fraction": 10**400}}))
+    err = _fails_with_one_line(["leakage", "--config", str(config)], capsys)
+    assert "cp_fraction" in err
 
 
 def test_a_layout_without_groups_exits_with_code_1(tmp_path, capsys):
@@ -562,18 +572,22 @@ def test_missing_paths_exit_with_code_1(tmp_path, capsys, argv, named):
         (["spot", "--in", "{tag}", "--gamma=nan"], "--gamma"),
         (["spot", "--in", "{tag}", "--carrier-sense=-inf"], "--carrier-sense"),
         (["sweep", "--carriers", "3", "--config", "{config}"], "--snr"),
+        (["sweep", "--carriers", "3", "--config", "{huge}"], "--snr"),
     ],
     ids=["sweep-snr", "curves-snr-nan", "curves-snr-inf", "curves-gamma", "curves-gamma-empty",
          "curves-snr-unparsable", "range-snr-gap",
          "range-exponents", "modulate-power", "modulate-papr-cap", "modulate-sample-rate",
          "impair-snr", "impair-snr-two-frames", "impair-sir", "impair-cfo", "spot-gamma",
-         "spot-carrier-sense", "sweep-config-snr"],
+         "spot-carrier-sense", "sweep-config-snr", "sweep-config-huge-snr"],
 )
 def test_non_finite_numbers_exit_with_code_1(tmp_path, capsys, argv, named):
     config = tmp_path / "inf.json"
     config.write_text(json.dumps({"config_version": 1, "snr": float("inf")}))
+    # an integer past float range, which math.isfinite cannot take
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"config_version": 1, "snr": 10**400}))
     paths = {"tag": _modulate(tmp_path), "out": tmp_path / "o.iq", "config": config,
-             "two": tmp_path / "two.iq"}
+             "huge": huge, "two": tmp_path / "two.iq"}
     # two tag frames back to back: --snr calibrates on exactly one
     tag, _ = read_iq(paths["tag"])
     write_iq(paths["two"], IqFrame(np.tile(tag.samples, 2)), layout=LAY)
@@ -591,8 +605,10 @@ def test_non_finite_numbers_exit_with_code_1(tmp_path, capsys, argv, named):
         (["--power=-1"], "--power"),
         (["--papr-cap", "6", "--max-attempts=0"], "--max-attempts"),
         (["--sample-rate=0"], "--sample-rate"),
+        (["--seed=-1"], "--seed"),
     ],
-    ids=["power-zero", "power-negative", "max-attempts-zero", "sample-rate-zero"],
+    ids=["power-zero", "power-negative", "max-attempts-zero", "sample-rate-zero",
+         "seed-negative"],
 )
 def test_out_of_range_modulate_options_exit_with_code_1(tmp_path, capsys, flags, named):
     out = tmp_path / "o.iq"
@@ -644,6 +660,71 @@ def test_integral_config_numbers_are_integers(tmp_path):
     assert cli_main(["curves", "--config", str(config), "--out", str(from_config)]) == 0
     assert cli_main(["curves", "--trials", "20", "--seed", "3", "--out", str(from_flags)]) == 0
     assert from_config.read_bytes() == from_flags.read_bytes()
+
+
+# one value per option of every command other than its default: the flags
+# that give it and the same value as a config field (the JSON kinds include
+# an integral float for an int option and an int for a float option)
+FIELD_FLAGS = [
+    *[(command, "out", ["--out", "o.txt"], "o.txt") for command in cli.build_parser().commands],
+    *[(command, "seed", ["--seed", "7"], 7.0) for command in ("modulate", "impair", "curves", "sweep")],
+    *[(command, "codebook", ["--codebook", "cb.txt"], "cb.txt")
+      for command in ("modulate", "spot", "curves", "codebook-verify")],
+    *[(command, "in_path", ["--in", "t.iq"], "t.iq") for command in ("impair", "spot")],
+    ("modulate", "word", ["--word", "3"], 3),
+    ("modulate", "random", ["--random"], True),
+    ("modulate", "power", ["--power", "2.5"], 2.5),
+    ("modulate", "papr_cap", ["--papr-cap", "6"], 6),
+    ("modulate", "max_attempts", ["--max-attempts", "5"], 5.0),
+    ("modulate", "sample_rate", ["--sample-rate", "2e6"], 2000000),
+    ("impair", "snr", ["--snr=-2.5"], -2.5),
+    ("impair", "cfo", ["--cfo", "0.3"], 0.3),
+    ("impair", "fading", ["--fading", "narrowband"], "narrowband"),
+    ("impair", "sir", ["--sir", "10"], 10),
+    ("impair", "interference_offset", ["--interference-offset", "40"], 40),
+    ("spot", "gamma", ["--gamma", "0.5"], 0.5),
+    ("spot", "carrier_sense", ["--carrier-sense=-3"], -3),
+    ("spot", "denominator", ["--denominator", "all"], "all"),
+    ("curves", "snr", ["--snr=-4,0"], "-4,0"),
+    ("curves", "gamma", ["--gamma", "0.5,0.6"], "0.5,0.6"),
+    ("curves", "fading", ["--fading", "narrowband"], "narrowband"),
+    ("curves", "trials", ["--trials", "20"], 20.0),
+    ("curves", "include_null_noise", ["--include-null-noise"], True),
+    ("leakage", "max_offset", ["--max-offset", "3"], 3),
+    ("sweep", "carriers", ["--carriers", "16"], 16),
+    ("sweep", "snr", ["--snr=-3"], -3),
+    ("sweep", "trials", ["--trials", "100"], 100),
+    ("range", "snr_gap", ["--snr-gap", "10"], 10),
+    ("range", "exponents", ["--exponents", "2,4"], "2,4"),
+    ("overhead", "payload_bytes", ["--payload-bytes", "100"], 100),
+    ("overhead", "sync_frames", ["--sync-frames", "2"], 2),
+    ("overhead", "tag_frames", ["--tag-frames", "3"], 3),
+]
+
+
+def test_the_field_flag_table_covers_every_option():
+    declared = {(name, action.dest) for name, sub in cli.build_parser().commands.items()
+                for action in sub._actions if action.dest not in ("help", "config")}
+    assert sorted((command, dest) for command, dest, *_ in FIELD_FLAGS) == sorted(declared)
+
+
+@pytest.mark.parametrize("command, dest, flags, value", FIELD_FLAGS,
+                         ids=[f"{command}-{dest}" for command, dest, *_ in FIELD_FLAGS])
+def test_a_field_is_its_flag(tmp_path, monkeypatch, command, dest, flags, value):
+    # the command is replaced, so it sees only the namespace main hands it
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_" + command.replace("-", "_"),
+                        lambda args: seen.append(vars(args)) or 0)
+    config = tmp_path / "field.json"
+    config.write_text(json.dumps({"config_version": 1, dest: value}))
+    assert cli.main([command, *flags]) == 0
+    assert cli.main([command, "--config", str(config)]) == 0
+    assert cli.main([command]) == 0
+    from_flags, from_field, bare = (
+        {key: (type(v), v) for key, v in args.items() if key != "config"} for args in seen
+    )
+    assert from_field == from_flags
+    assert from_flags[dest] != bare[dest]
 
 
 def test_io_errors_exit_with_code_2(tmp_path):

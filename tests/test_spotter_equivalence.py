@@ -51,8 +51,8 @@ def _reference_suppress(candidates, n):
 
 
 def _reference_spot_report(samples, config):
-    """Events, windows_total and windows_gated of the per-window loop, and
-    the number of windows above gamma that failed the center-of-mass test."""
+    """Events of the per-window loop, and its window counts under the names
+    of the SpotReport fields: every window, then one count per outcome."""
     layout = config.layout
     n = layout.fft_size
     stream = samples.samples
@@ -61,11 +61,10 @@ def _reference_spot_report(samples, config):
     root_n = np.sqrt(n)
     candidates = []
     noise_estimate = None
-    windows_total = 0
-    windows_gated = 0
-    com_rejects = 0
+    counts = dict.fromkeys(("windows_total", "windows_gated", "windows_below_gamma",
+                            "windows_com_rejected", "candidates"), 0)
     for start in range(0, len(stream) - n + 1, layout.cp_len):
-        windows_total += 1
+        counts["windows_total"] += 1
         window = stream[start : start + n]
         power = float(np.mean(np.abs(window) ** 2))
         if noise_estimate is None or noise_estimate == 0:
@@ -75,7 +74,7 @@ def _reference_spot_report(samples, config):
         else:
             snr_estimate_db = 10.0 * np.log10(power / noise_estimate)
         if snr_estimate_db <= config.carrier_sense_snr_db or power == 0:
-            windows_gated += 1
+            counts["windows_gated"] += 1
             noise_estimate = noise_tracker_update(noise_estimate, power)
             continue
         wide = _reference_fold(np.fft.fft(window) / root_n, layout)
@@ -85,23 +84,24 @@ def _reference_spot_report(samples, config):
         strength = float(numerators[best] / denominator)
         position = center_of_mass(wide, layout)
         if strength <= config.gamma:
+            counts["windows_below_gamma"] += 1
             noise_estimate = noise_tracker_update(noise_estimate, power)
         elif abs(position) <= config.com_bound:
+            counts["candidates"] += 1
             candidates.append((start, best, strength, position, snr_estimate_db))
         else:
-            com_rejects += 1
+            counts["windows_com_rejected"] += 1
     events = tuple(
         DetectionEvent(start, idx, strength, position, snr_db)
         for start, idx, strength, position, snr_db in _reference_suppress(candidates, n)
     )
-    return events, windows_total, windows_gated, com_rejects
+    return events, counts
 
 
 def _assert_same_as_reference(stream, config):
     report = spot_report(stream, config)
-    events, total, gated, _ = _reference_spot_report(stream, config)
-    assert report.windows_total == total
-    assert report.windows_gated == gated
+    events, counts = _reference_spot_report(stream, config)
+    assert {name: getattr(report, name) for name in counts} == counts
     assert report.events == events  # tuple equality: floats bit for bit
     return report
 
@@ -188,8 +188,7 @@ def test_center_of_mass_rejects_leave_the_noise_floor_frozen(codebook):
     stream = IqFrame(samples)
 
     report = _assert_same_as_reference(stream, config)
-    *_, com_rejects = _reference_spot_report(stream, config)
-    assert com_rejects > 10
+    assert report.windows_com_rejected > 10
     # the rejected tone windows leave the floor frozen, so nothing after the
     # tone is gated and the 2 dB tag after it is found
     assert report.windows_gated == 0
@@ -241,7 +240,11 @@ def test_the_spotter_matches_its_oracle_on_drawn_layouts_and_gates(layout, data)
     snr_db = data.draw(st.sampled_from([-3.0, 3.0, 20.0]))
     stream = _tagged_stream(layout, codebook, total, tags, snr_db,
                             seed=data.draw(st.integers(0, 2**32 - 1)), zero=zero)
-    _assert_same_as_reference(stream, config)
+    report = _assert_same_as_reference(stream, config)
+    outcomes = (report.windows_gated + report.windows_below_gamma
+                + report.windows_com_rejected + report.candidates)
+    assert outcomes == report.windows_total
+    assert len(report.events) <= report.candidates
 
 
 @given(
