@@ -209,9 +209,10 @@ def _numerator_mixture(
         comp = stats.poisson(0.5 * dof_x * r)
     else:
         comp = stats.nbinom(0.5 * dof_x, 1.0 / (1.0 + r))
-    k_lo = max(int(comp.ppf(1e-16)) - 2, 0)
-    k_hi = int(comp.isf(1e-16)) + 3
-    k = np.arange(k_lo, k_hi)
+    k_lo, k_hi = comp.ppf(1e-16), comp.isf(1e-16)
+    if not (math.isfinite(k_lo) and math.isfinite(k_hi)):  # scipy's Poisson gives NaN at 90 dB
+        raise ValueError(f"snr {model.snr_db:g} dB is past the {model.fading} closed form's range")
+    k = np.arange(max(int(k_lo) - 2, 0), int(k_hi) + 3)
     weights = comp.pmf(k)
     # renormalize: pmf rounding at large means drifts the sum off 1
     return weights / weights.sum(), base + 2.0 * k

@@ -58,18 +58,10 @@ from .waveform import (
 CONFIG_VERSION = 1
 
 
-class CliError(Exception):
-    """Carries the process exit code alongside the message."""
-
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
-        self.code = code
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; the contract reserves 2 for I/O
     def error(self, message: str) -> None:
-        raise CliError(1, f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _fmt(value) -> str:
@@ -88,7 +80,7 @@ def _unique_fields(pairs: "list[tuple[str, object]]") -> dict:
     doc = {}
     for key, value in pairs:
         if key in doc:
-            raise CliError(1, f"config repeats the field {key!r}")
+            raise ValueError(f"config repeats the field {key!r}")
         doc[key] = value
     return doc
 
@@ -99,22 +91,18 @@ def _config_fields(args: argparse.Namespace) -> dict:
     try:
         doc = json.loads(Path(args.config).read_text(), object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as exc:
-        raise CliError(1, f"config is not valid JSON: {exc}") from exc
+        raise ValueError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise CliError(1, "config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     version = doc.pop("config_version", None)
     if isinstance(version, bool) or version != CONFIG_VERSION:
-        raise CliError(
-            1, f"config must declare config_version: {CONFIG_VERSION}"
-        )
+        raise ValueError(f"config must declare config_version: {CONFIG_VERSION}")
     command = doc.pop("command", args.command)
     if command != args.command:
-        raise CliError(1, f"config is for {command!r}, not {args.command!r}")
+        raise ValueError(f"config is for {command!r}, not {args.command!r}")
     unknown = sorted(set(doc) - (set(vars(args)) - {"config", "func"}))
     if unknown:
-        raise CliError(
-            1, f"unknown config fields for {args.command}: {', '.join(unknown)}"
-        )
+        raise ValueError(f"unknown config fields for {args.command}: {', '.join(unknown)}")
     return doc
 
 
@@ -125,36 +113,40 @@ def _input_layout(meta: dict, args: argparse.Namespace) -> CarrierLayout:
         return args.layout or REFERENCE_LAYOUT
     layout = layout_from_dict(meta["layout"])
     if args.layout is not None and args.layout != layout:
-        raise CliError(1, "config layout differs from the layout in the input's sidecar")
+        raise ValueError("config layout differs from the layout in the input's sidecar")
     return layout
 
 
-def _parse_grid(text: str, name: str) -> "list[float]":
-    try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise CliError(1, f"bad {name} grid {text!r}: {exc}") from exc
-    if not values:
-        raise CliError(1, f"{name} grid is empty")
-    if not all(math.isfinite(value) for value in values):
-        raise CliError(1, f"bad {name} grid {text!r}: values must be finite")
-    return values
-
-
-def _number(kind: type, low: float = -math.inf, above: bool = False):
-    """A numeric option's type=: a finite value of kind (int or float), at
-    least low, or above it when above is set. The kind is also the JSON kind
-    that _field_flags asks of the option's config field."""
+def _number(kind: type, low: float = -math.inf, high: float = math.inf, open: bool = False):
+    """A numeric option's type=: a finite value of kind (int or float) in
+    [low, high], or in (low, high) when open is set. The kind is also the
+    JSON kind that _field_flags asks of the option's config field."""
     def parse(text: str):
         value = kind(text)  # float() parses "inf" and "nan"
         if kind is float and not math.isfinite(value):
             raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-        if value < low or (above and value == low):
-            raise argparse.ArgumentTypeError(
-                f"must be {'above' if above else 'at least'} {low:g}, got {text!r}")
+        if value < low or value > high or (open and value in (low, high)):
+            bounds = [f"{'above' if open else 'at least'} {low:g}"] if low > -math.inf else []
+            bounds += [f"{'below' if open else 'at most'} {high:g}"] if high < math.inf else []
+            raise argparse.ArgumentTypeError(f"must be {' and '.join(bounds)}, got {text!r}")
         return value
     parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
     parse.kind = kind
+    return parse
+
+
+def _grid(low: float = -math.inf, high: float = math.inf, open: bool = False):
+    """A grid option's type=: comma-separated values, at least one, each
+    checked by _number(float, low, high, open). Its JSON kind is a string."""
+    element = _number(float, low, high, open)
+
+    def parse(text: str) -> "list[float]":
+        values = [element(part) for part in text.split(",") if part.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"must list at least one value, got {text!r}")
+        return values
+    parse.__name__ = "grid"
+    parse.kind = str
     return parse
 
 
@@ -174,7 +166,7 @@ def _field_flags(sub: argparse.ArgumentParser, fields: dict) -> "list[str]":
         if kind is int and type(value) is float and value.is_integer():
             value = int(value)
         if type(value) is not kind and not (kind is float and type(value) is int):
-            raise CliError(1, f"{option} must be {_JSON_KINDS[kind]}, got {value!r}")
+            raise ValueError(f"{option} must be {_JSON_KINDS[kind]}, got {value!r}")
         if value is not False:  # only an on/off field can be False here
             flags.append(option if kind is bool else f"{option}={value}")
     return flags
@@ -182,7 +174,7 @@ def _field_flags(sub: argparse.ArgumentParser, fields: dict) -> "list[str]":
 
 def _require_seed(seed: "int | None", why: str) -> int:
     if seed is None:
-        raise CliError(1, f"--seed is required: {why}")
+        raise ValueError(f"--seed is required: {why}")
     return seed
 
 
@@ -192,7 +184,7 @@ def _get_codebook(path: "str | None") -> Codebook:
     try:
         return load_codebook(path)
     except CodebookError as exc:
-        raise CliError(1, f"bad codebook: {exc}") from exc
+        raise ValueError(f"bad codebook: {exc}") from exc
 
 
 def _header_lines(command: str, fields: "list[tuple[str, object]]") -> "list[str]":
@@ -235,14 +227,12 @@ def _cmd_modulate(args: argparse.Namespace) -> int:
     codebook = _get_codebook(args.codebook)
     seed = _require_seed(args.seed, "tone phases are random")
     if args.out is None:
-        raise CliError(1, "--out is required")
+        raise ValueError("--out is required")
 
     rng = np.random.default_rng(seed)
     word_index = int(rng.integers(codebook.size)) if args.random else args.word or 0
     if not 0 <= word_index < codebook.size:
-        raise CliError(
-            1, f"codeword index {word_index} out of range 0..{codebook.size - 1}"
-        )
+        raise ValueError(f"codeword index {word_index} out of range 0..{codebook.size - 1}")
 
     mask = codeword_to_mask(codebook.words[word_index], layout)
     # without a cap the first draw is accepted
@@ -276,13 +266,13 @@ def _cmd_modulate(args: argparse.Namespace) -> int:
 
 def _cmd_impair(args: argparse.Namespace) -> int:
     if args.in_path is None:
-        raise CliError(1, "--in is required")
+        raise ValueError("--in is required")
     if args.out is None:
-        raise CliError(1, "--out is required")
+        raise ValueError("--out is required")
     frame, meta = read_iq(args.in_path)
     layout = _input_layout(meta, args)
     if args.snr is not None and len(frame) != layout.frame_len:
-        raise CliError(1, f"--snr needs one tag frame ({layout.frame_len} samples), got {len(frame)}")
+        raise ValueError(f"--snr needs one tag frame ({layout.frame_len} samples), got {len(frame)}")
     if args.snr is not None or args.sir is not None or args.fading != "none":
         _require_seed(args.seed, "noise, fading and interference draw randomness")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
@@ -329,7 +319,7 @@ def _cmd_impair(args: argparse.Namespace) -> int:
 
 def _cmd_spot(args: argparse.Namespace) -> int:
     if args.in_path is None:
-        raise CliError(1, "--in is required")
+        raise ValueError("--in is required")
     frame, meta = read_iq(args.in_path)
     layout = _input_layout(meta, args)
     codebook = _get_codebook(args.codebook)
@@ -371,23 +361,20 @@ def _cmd_spot(args: argparse.Namespace) -> int:
 def _cmd_curves(args: argparse.Namespace) -> int:
     layout = args.layout or REFERENCE_LAYOUT
     codebook = _get_codebook(args.codebook)
-    snr_grid = _parse_grid(args.snr, "snr")
-    gamma_grid = _parse_grid(args.gamma, "gamma")
-    trials = args.trials
     # --include-null-noise is this command's spelling of denominator="all"
     denominator = "all" if args.include_null_noise else "band"
     seed = 0
-    pms = [float("nan")] * len(snr_grid)
-    if trials > 0:
+    pms = [float("nan")] * len(args.snr)
+    if args.trials > 0:
         seed = _require_seed(args.seed, "Monte Carlo columns are requested")
         # one misclassification draw for the whole grid, made before the
         # family draws so the two are never in memory together
-        pms = [pm for pm, _ in pm_mc(snr_grid, codebook, layout, args.fading, trials, seed)]
-    curves = build_roc(snr_grid, gamma_grid, layout, args.fading, codebook, trials, seed,
+        pms = [pm for pm, _ in pm_mc(args.snr, codebook, layout, args.fading, args.trials, seed)]
+    curves = build_roc(args.snr, args.gamma, layout, args.fading, codebook, args.trials, seed,
                        denominator)
     rows = [
-        (gamma, snr_db, pd, pf, pm, trials, low, high, flagged)
-        for snr_db, pm, curve in zip(snr_grid, pms, curves)
+        (gamma, snr_db, pd, pf, pm, args.trials, low, high, flagged)
+        for snr_db, pm, curve in zip(args.snr, pms, curves)
         for gamma, pd, pf, low, high, flagged in curve
     ]
 
@@ -396,7 +383,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
         ("codebook", codebook.name),
         ("layout", _layout_summary(layout)),
         ("include_null_noise", denominator == "all"),
-        ("trials", trials),
+        ("trials", args.trials),
         ("seed", "none" if args.seed is None else args.seed),
     ]
     columns = "gamma snr_db pd pf pm trials pf_ci_low pf_ci_high flagged"
@@ -441,7 +428,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_range(args: argparse.Namespace) -> int:
-    rows = [(d, range_gain(args.snr_gap, d)) for d in _parse_grid(args.exponents, "exponents")]
+    rows = [(d, range_gain(args.snr_gap, d)) for d in args.exponents]
     columns = "path_loss_exponent range_gain"
     _emit_table(args.out, "range", [("snr_gap_db", args.snr_gap)], columns, rows)
     return 0
@@ -500,12 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
     word = p.add_mutually_exclusive_group()
     word.add_argument("--word", type=_number(int), help="codeword index (default: 0)")
     word.add_argument("--random", action="store_true", help="draw the codeword index from the seed")
-    p.add_argument("--power", type=_number(float, 0, above=True), default=1.0,
+    p.add_argument("--power", type=_number(float, 0, open=True), default=1.0,
                    help="total spectral power (default %(default)s)")
     p.add_argument("--papr-cap", dest="papr_cap", type=_number(float), help="redraw phases until PAPR <= cap dB")
     p.add_argument("--max-attempts", dest="max_attempts", type=_number(int, 1), default=100,
                    help="draw budget for --papr-cap (default %(default)s)")
-    p.add_argument("--sample-rate", dest="sample_rate", type=_number(float, 0, above=True), default=1.0,
+    p.add_argument("--sample-rate", dest="sample_rate", type=_number(float, 0, open=True), default=1.0,
                    help="metadata sample rate (default %(default)s)")
     _add_codebook(p)
 
@@ -523,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(commands, "spot", _cmd_spot, "run the detector over an IQ file", layout=True)
     p.add_argument("--in", dest="in_path", help="input IQ file")
-    p.add_argument("--gamma", type=_number(float), default=0.62,
+    p.add_argument("--gamma", type=_number(float, 0, 1, open=True), default=0.62,
                    help="detection threshold (default %(default)s)")
     p.add_argument("--carrier-sense", dest="carrier_sense", type=_number(float), default=-1.0,
                    help="carrier sense gate in dB over the noise floor (default %(default)s)")
@@ -533,13 +520,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(commands, "curves", _cmd_curves,
                      "detection and false-alarm tables over snr/gamma grids", layout=True, seed=True)
-    p.add_argument("--snr", default="0", help="comma-separated SNR grid in dB, default "
-                   "%(default)s (write --snr=-4,0,4 when the grid starts negative)")
-    p.add_argument("--gamma", default="0.62",
+    p.add_argument("--snr", type=_grid(), default="0", help="comma-separated SNR grid in dB, "
+                   "default %(default)s (write --snr=-4,0,4 when the grid starts negative)")
+    p.add_argument("--gamma", type=_grid(0, 1, open=True), default="0.62",
                    help="comma-separated threshold grid (default %(default)s)")
     p.add_argument("--fading", choices=FADING_ANALYSIS_MODELS, default="wideband",
                    help="analysis fading model (default %(default)s)")
-    p.add_argument("--trials", type=_number(int), default=0,
+    p.add_argument("--trials", type=_number(int, 0), default=0,
                    help="Monte Carlo trials per point (default %(default)s: closed forms only)")
     p.add_argument("--include-null-noise", dest="include_null_noise", action="store_true",
                    help="use the all-carrier strength denominator")
@@ -551,24 +538,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(commands, "sweep", _cmd_sweep, "active-carrier count optimization table",
                      seed=True)
-    p.add_argument("--carriers", type=_number(int), default=56,
+    p.add_argument("--carriers", type=_number(int, 2), default=56,
                    help="total wide carriers (default %(default)s)")
     p.add_argument("--snr", type=_number(float), default=0.0, help="per-tone SNR in dB (default %(default)s)")
-    p.add_argument("--trials", type=_number(int), default=0,
+    p.add_argument("--trials", type=_number(int, 0), default=0,
                    help="Monte Carlo cross-check trials per split (default %(default)s)")
 
     p = _add_command(commands, "range", _cmd_range, "range gain from an SNR advantage")
     p.add_argument("--snr-gap", dest="snr_gap", type=_number(float), default=20.0,
                    help="SNR advantage in dB (default %(default)s)")
-    p.add_argument("--exponents", default="3,6",
+    p.add_argument("--exponents", type=_grid(0, open=True), default="3,6",
                    help="comma-separated path loss exponents (default %(default)s)")
 
     p = _add_command(commands, "overhead", _cmd_overhead, "tag airtime overhead for a payload size")
-    p.add_argument("--payload-bytes", dest="payload_bytes", type=_number(int), default=1500,
+    p.add_argument("--payload-bytes", dest="payload_bytes", type=_number(int, 1), default=1500,
                    help="payload size (default %(default)s)")
-    p.add_argument("--sync-frames", dest="sync_frames", type=_number(int), default=6,
+    p.add_argument("--sync-frames", dest="sync_frames", type=_number(int, 0), default=6,
                    help="sync frames per packet (default %(default)s)")
-    p.add_argument("--tag-frames", dest="tag_frames", type=_number(int), default=8,
+    p.add_argument("--tag-frames", dest="tag_frames", type=_number(int, 1), default=8,
                    help="frames a tag occupies (default %(default)s)")
 
     p = _add_command(commands, "codebook-verify", _cmd_codebook_verify,
@@ -592,11 +579,8 @@ def main(argv: "list[str] | None" = None) -> int:
                 try:
                     args.layout = layout_from_dict(fields["layout"])
                 except ValueError as exc:
-                    raise CliError(1, f"bad layout in config: {exc}") from exc
+                    raise ValueError(f"bad layout in config: {exc}") from exc
         return args.func(args)
-    except CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 1

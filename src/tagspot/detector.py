@@ -110,14 +110,6 @@ class DetectionEvent(NamedTuple):
             f"{self.snr_estimate_db:.9g}\t1"
         )
 
-    @staticmethod
-    def from_line(line: str) -> "DetectionEvent":
-        parts = line.split("\t")
-        if len(parts) != 6 or parts[5] != "1":
-            raise ValueError(f"malformed event line: {line!r}")
-        return DetectionEvent(int(parts[0]), int(parts[1]), float(parts[2]),
-                              float(parts[3]), float(parts[4]))
-
 
 def fold_spectrum(spectrum: np.ndarray, layout: CarrierLayout) -> np.ndarray:
     """Wide-carrier powers of one spectrum in ascending frequency order, as
@@ -269,13 +261,3 @@ def serialize_events(events: "list[DetectionEvent]") -> str:
              "snr_estimate_db\tcom_valid"]
     lines.extend(e.to_line() for e in events)
     return "\n".join(lines) + "\n"
-
-
-def parse_events(text: str) -> "list[DetectionEvent]":
-    events = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        events.append(DetectionEvent.from_line(line))
-    return events

@@ -18,9 +18,9 @@ from tagspot.carriers import REFERENCE_LAYOUT, layout_to_dict
 from tagspot.channel import noise_power_for_snr
 from tagspot.cli import main as cli_main
 from tagspot.codebook import builtin_codebook, serialize_codebook
-from tagspot.detector import parse_events
 from tagspot.iqfile import read_iq, sidecar_path, write_iq
 from tagspot.waveform import IqFrame, mean_power
+from events import parse_events
 from layouts import ODD
 
 LAY = REFERENCE_LAYOUT
@@ -533,10 +533,42 @@ def test_layout_in_config_is_checked_before_the_command_and_against_the_sidecar(
 
 
 def test_negative_counts_exit_with_code_1(capsys):
-    _fails_with_one_line(["curves", "--trials", "-5"], capsys)
-    _fails_with_one_line(["sweep", "--carriers", "4", "--trials", "-3"], capsys)
-    _fails_with_one_line(["overhead", "--sync-frames", "-6", "--tag-frames", "-1"], capsys)
-    _fails_with_one_line(["leakage", "--max-offset", "0"], capsys)
+    for argv, named in [
+        (["curves", "--trials", "-5"], "--trials"),
+        (["sweep", "--carriers", "4", "--trials", "-3"], "--trials"),
+        (["overhead", "--sync-frames", "-6", "--tag-frames", "-1"], "--sync-frames"),
+        (["leakage", "--max-offset", "0"], "--max-offset"),
+        # analysis checks these bounds too, but the option names them first
+        (["overhead", "--payload-bytes", "0"], "--payload-bytes"),
+        (["overhead", "--tag-frames", "0"], "--tag-frames"),
+        (["overhead", "--sync-frames", "-1"], "--sync-frames"),
+        (["sweep", "--carriers", "1"], "--carriers"),
+        (["curves", "--trials", "-1"], "--trials"),
+        (["sweep", "--trials", "-1"], "--trials"),
+    ]:
+        assert named in _fails_with_one_line(argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["range", "--exponents=0,3"], "--exponents"),
+        (["curves", "--gamma=1.5"], "--gamma"),
+        (["curves", "--gamma=0.62,0"], "--gamma"),
+        # the input is absent, which would exit 2: the option is checked first
+        (["spot", "--in", "absent.iq", "--gamma", "1.5"], "--gamma"),
+        (["spot", "--in", "absent.iq", "--gamma", "0"], "--gamma"),
+    ],
+    ids=["range-exponents-zero", "curves-gamma-above-one", "curves-gamma-zero",
+         "spot-gamma-above-one", "spot-gamma-zero"],
+)
+def test_values_outside_an_open_interval_exit_with_code_1(capsys, argv, named):
+    assert named in _fails_with_one_line(argv, capsys)
+
+
+def test_narrowband_closed_form_past_its_range_names_the_snr(capsys):
+    # scipy's Poisson mixture bounds are NaN from 90 dB: no closed form there
+    assert "snr" in _fails_with_one_line(["curves", "--fading", "narrowband", "--snr=100"], capsys)
 
 
 @pytest.mark.parametrize(
@@ -555,13 +587,13 @@ def test_missing_paths_exit_with_code_1(tmp_path, capsys, argv, named):
     "argv, named",
     [
         (["sweep", "--carriers", "3", "--snr=inf"], "--snr"),
-        (["curves", "--snr=nan"], "snr grid"),
-        (["curves", "--snr=0,inf", "--trials", "100", "--seed", "1"], "snr grid"),
-        (["curves", "--gamma=0.5,nan"], "gamma grid"),
-        (["curves", "--gamma=,"], "gamma grid"),
-        (["curves", "--snr=a"], "snr grid"),
+        (["curves", "--snr=nan"], "--snr"),
+        (["curves", "--snr=0,inf", "--trials", "100", "--seed", "1"], "--snr"),
+        (["curves", "--gamma=0.5,nan"], "--gamma"),
+        (["curves", "--gamma=,"], "--gamma"),
+        (["curves", "--snr=a"], "--snr"),
         (["range", "--snr-gap=nan"], "--snr-gap"),
-        (["range", "--exponents=3,inf"], "exponents grid"),
+        (["range", "--exponents=3,inf"], "--exponents"),
         (["modulate", "--seed", "1", "--power=inf", "--out", "{out}"], "--power"),
         (["modulate", "--seed", "1", "--papr-cap=nan", "--out", "{out}"], "--papr-cap"),
         (["modulate", "--seed", "1", "--sample-rate=inf", "--out", "{out}"], "--sample-rate"),

@@ -15,12 +15,12 @@ from tagspot.detector import (
     center_of_mass,
     fold_spectrum,
     noise_tracker_update,
-    parse_events,
     serialize_events,
     spot_report,
     strengths,
 )
 from tagspot.waveform import IqFrame, build_tag_spectrum, synthesize_tag
+from events import parse_events
 from layouts import ODD
 
 LAY = REFERENCE_LAYOUT
@@ -270,19 +270,18 @@ def test_spot_rejects_short_streams(codebook):
 
 
 def test_event_serialization_roundtrip():
+    # the exact bytes event files carry; perfbench pins their digests
     events = [
         DetectionEvent(128, 7, 0.73125, -0.25, 3.5),
         DetectionEvent(512, 41, 0.951234567, 1.0, 12.25),
+        DetectionEvent(0, 3, 1 / 3, -1e-12, np.inf),  # a stream that opens with a tag
     ]
-    parsed = parse_events(serialize_events(events))
-    assert len(parsed) == 2
-    for original, back in zip(events, parsed):
-        assert back.interval_start == original.interval_start
-        assert back.codeword_index == original.codeword_index
-        assert back.strength == pytest.approx(original.strength, rel=1e-8)
-        assert back.com_position == pytest.approx(original.com_position, rel=1e-8)
-        assert back.snr_estimate_db == pytest.approx(original.snr_estimate_db, rel=1e-8)
-    # every event passed the center-of-mass test: its sixth column is 1
-    for line in ("1\t2\t3", "128\t7\t0.7\t-0.2\t3.5\t0"):
-        with pytest.raises(ValueError):
-            DetectionEvent.from_line(line)
+    text = serialize_events(events)
+    assert text == (
+        "# interval_start\tcodeword_index\tstrength\tcom_position\tsnr_estimate_db\tcom_valid\n"
+        "128\t7\t0.73125\t-0.25\t3.5\t1\n"
+        "512\t41\t0.951234567\t1\t12.25\t1\n"
+        "0\t3\t0.333333333\t-1e-12\tinf\t1\n"
+    )
+    assert serialize_events([]) == text.splitlines(keepends=True)[0]
+    assert parse_events(text)[:2] == events[:2]  # nine digits hold these exactly
