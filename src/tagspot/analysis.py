@@ -35,9 +35,14 @@ draws (see _row_blocks), so a (draws, carriers) temporary spans one block,
 about 1.8 MB on the reference layout, rather than the chunk's 14.7 MB; the
 blocks draw and score exactly what one whole-chunk pass would.
 
-scipy is imported by the functions that use it, on their first call, so
-importing this module (and the CLI, whose spot and calculator commands
-never need scipy) does not pay scipy's start-up time and memory.
+Of scipy only scipy.special is loaded, by the functions that use it, on
+their first call: the mixture weights and bounds, Beta and F tails and
+quantiles, and the Wilson interval's normal quantile are all its ufuncs.
+Importing this module (and the CLI, whose spot and calculator commands
+need no statistics) therefore costs nothing of scipy, and the first
+analysis call adds about 26 MB of resident memory and 0.2-0.3 s over
+numpy alone, where scipy's statistics subpackage would add about 72 MB
+and 0.8 s (fresh Python 3.11 interpreters, scipy 1.17.1, 2-core Xeon).
 """
 
 from __future__ import annotations
@@ -61,6 +66,9 @@ _MC_CHUNK = 1 << 15
 #: bit (1- and 7-row blocks did not), so blocking changes no result; the
 #: whole-chunk oracles in tests/test_analysis.py check this.
 _MC_BLOCK = 1 << 12
+
+#: Most components a closed-form mixture may span: 32 MiB per float64 array.
+_MIXTURE_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -195,25 +203,47 @@ def _numerator_mixture(
     nbinom(k; dof_x / 2, 1 / (1 + r)). With a flat channel it is
     noncentral chi-square ncx2(dof_x, dof_x * r), whose expansion has
     Poisson(dof_x * r / 2) weights. Adding the independent guard-bin sum
-    chi2(dof_y) shifts every component's dof by dof_y. Weights are
-    positive and sum to 1, so truncating at cumulative mass 1 - 2e-16
-    bounds the error at machine level.
+    chi2(dof_y) shifts every component's dof by dof_y.
+
+    The index range runs from the floor of the 1e-16 quantile to the
+    ceiling of the 1 - 1e-16 one (special.nbdtrik / special.pdtrik), two
+    more each side, so truncation drops at most 2.2e-16 of the mass
+    (1 - 1e-16 rounds to 1 - 2**-53, an upper tail of 1.1e-16). Weights
+    are exp of the log-pmf (gammaln, xlogy, xlog1py), positive and
+    renormalized to sum to 1. The range is checked against _MIXTURE_BUDGET
+    before any array is built. On the reference layout the wideband span
+    grows in proportion to r and passes the budget from about 41 dB (3.5M
+    components at 40 dB), the narrowband one as sqrt(r), from about 85 dB,
+    and pdtrik returns NaN from 90 dB.
     """
     r = model.p_over_n
     base = float(dof_x + dof_y)
     if r == 0:
         return np.ones(1), np.asarray([base])
-    from scipy import stats
+    from scipy import special
 
+    tails = [1e-16, 1.0 - 1e-16]
     if model.fading == "narrowband":
-        comp = stats.poisson(0.5 * dof_x * r)
+        mu = 0.5 * dof_x * r
+        k_lo, k_hi = special.pdtrik(tails, mu)
     else:
-        comp = stats.nbinom(0.5 * dof_x, 1.0 / (1.0 + r))
-    k_lo, k_hi = comp.ppf(1e-16), comp.isf(1e-16)
-    if not (math.isfinite(k_lo) and math.isfinite(k_hi)):  # scipy's Poisson gives NaN at 90 dB
-        raise ValueError(f"snr {model.snr_db:g} dB is past the {model.fading} closed form's range")
+        n, p = 0.5 * dof_x, 1.0 / (1.0 + r)
+        k_lo, k_hi = special.nbdtrik(tails, n, p)
+    k_lo, k_hi = np.floor(k_lo), np.ceil(k_hi)
+    if not k_hi - k_lo <= _MIXTURE_BUDGET:  # NaN bounds fail this too
+        raise ValueError(
+            f"snr {model.snr_db:g} dB is past the {model.fading} closed form's range "
+            f"({k_hi - k_lo:.4g} mixture components, budget {_MIXTURE_BUDGET})"
+        )
     k = np.arange(max(int(k_lo) - 2, 0), int(k_hi) + 3)
-    weights = comp.pmf(k)
+    if model.fading == "narrowband":
+        log_pmf = special.xlogy(k, mu) - special.gammaln(k + 1) - mu
+    else:
+        log_pmf = (
+            special.gammaln(n + k) - special.gammaln(k + 1) - special.gammaln(n)
+            + n * math.log(p) + special.xlog1py(k, -p)
+        )
+    weights = np.exp(log_pmf)
     # renormalize: pmf rounding at large means drifts the sum off 1
     return weights / weights.sum(), base + 2.0 * k
 
@@ -306,13 +336,19 @@ def _row_blocks(m: int) -> "list[slice]":
 
 
 def _wilson(hits: int, trials: int) -> "tuple[float, tuple[float, float]]":
-    """Hit fraction and its 95% Wilson interval."""
-    from scipy import stats
+    """Hit fraction and its 95% Wilson interval, Newcombe's (1998) closed
+    form in the expression order of scipy's binomtest(...).proportion_ci(
+    method="wilson"), so both bounds equal scipy's bit for bit."""
+    from scipy import special
 
-    ci = stats.binomtest(hits, trials).proportion_ci(
-        confidence_level=0.95, method="wilson"
-    )
-    return hits / trials, (float(ci.low), float(ci.high))
+    p = hits / trials
+    z = special.ndtri(0.5 + 0.5 * 0.95)
+    denom = 2 * (trials + z**2)
+    center = (2 * trials * p + z**2) / denom
+    delta = z / denom * math.sqrt(4 * trials * p * (1 - p) + z**2)
+    low = 0.0 if hits == 0 else center - delta
+    high = 1.0 if hits == trials else center + delta
+    return p, (float(low), float(high))
 
 
 @functools.lru_cache(maxsize=1)
@@ -510,7 +546,7 @@ def sweep_active_carriers(
         raise ValueError("need at least two carriers")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    from scipy import stats
+    from scipy import special
 
     alpha = REFERENCE_LAYOUT.thin_per_wide
     r = 10.0 ** (snr_db / 10.0)
@@ -518,10 +554,10 @@ def sweep_active_carriers(
     for q in range(1, n_carriers):
         dfn = 2 * alpha * q
         dfd = 2 * alpha * (n_carriers - q)
-        median = stats.f.ppf(0.5, dfn, dfd)
+        median = special.fdtri(dfn, dfd, 0.5)
         t0 = (1.0 + r) * median
         gamma0 = t0 / (1.0 + t0)
-        pf = float(stats.f.sf(t0, dfn, dfd))
+        pf = float(special.fdtrc(dfn, dfd, t0))
         pf_mc = low = high = math.nan
         if trials > 0:
             hits = 0

@@ -330,6 +330,85 @@ def test_sweep_monte_carlo_cross_check():
         sweep_active_carriers(8, 0.0, trials=-3)
 
 
+# ---------------------------------------------------------------------------
+# scipy.special evaluations against scipy.stats oracles
+
+
+@pytest.mark.parametrize(
+    "hits, trials",
+    [(hits, n) for n in (1, 2, 7, 500, 200_000) for hits in sorted({0, 1, n // 2, n - 1, n})],
+)
+def test_wilson_equals_the_binomtest_interval(hits, trials):
+    assert analysis._wilson(hits, trials) == _wilson_oracle(hits, trials)
+
+
+@pytest.mark.parametrize("n_carriers, snr_db", [(56, 0.0), (9, 3.0)])
+def test_sweep_closed_form_equals_the_f_distribution(n_carriers, snr_db):
+    alpha = LAY.thin_per_wide
+    gain = 1.0 + 10.0 ** (snr_db / 10.0)
+    for q, gamma0, pf, *_ in sweep_active_carriers(n_carriers, snr_db):
+        dfn, dfd = 2 * alpha * q, 2 * alpha * (n_carriers - q)
+        t0 = gain * stats.f.ppf(0.5, dfn, dfd)
+        assert gamma0 == t0 / (1.0 + t0)
+        assert pf == stats.f.sf(t0, dfn, dfd)
+
+
+def _pd_single_stats_oracle(gamma, model, denominator):
+    """pd_single's mixture from scipy.stats: pmf weights between the ppf
+    and isf bounds at 1e-16, each tail a Beta survival function."""
+    lay = model.layout
+    dof_x = 2 * lay.active_thin_per_wide * lay.groups
+    dof_y = 2 * (lay.thin_per_wide - lay.active_thin_per_wide) * lay.groups
+    dof_z = 2 * lay.thin_per_wide * len(lay.denominator_wide(denominator)) - dof_x - dof_y
+    r = model.p_over_n
+    if model.fading == "narrowband":
+        comp = stats.poisson(0.5 * dof_x * r)
+    else:
+        comp = stats.nbinom(0.5 * dof_x, 1.0 / (1.0 + r))
+    k = np.arange(max(int(comp.ppf(1e-16)) - 2, 0), int(comp.isf(1e-16)) + 3)
+    pmf = comp.pmf(k)
+    tails = stats.beta.sf(gamma, (dof_x + dof_y) / 2.0 + k, dof_z / 2.0)
+    return min(float(pmf @ tails / pmf.sum()), 1.0)
+
+
+@pytest.mark.parametrize(
+    "fading, denominator, snr_db",
+    [(fading, denominator, snr_db)
+     for fading in ("wideband", "narrowband")
+     for denominator in ("band", "all")
+     for snr_db in (-10.0, -2.0, 0.0, 2.0, 10.0)]
+    # 30 dB once per fading: the wideband mixture spans 353k components there
+    + [("wideband", "band", 30.0), ("narrowband", "all", 30.0)],
+)
+def test_pd_single_matches_the_stats_mixture(fading, denominator, snr_db):
+    # the log-pmf weights round gammaln terms of about 2e3 at -2 dB, some
+    # 5e-13 relative per weight, where scipy.stats' negative-binomial pmf is
+    # good to a few ulp; over 1,476 points (both fadings and conventions,
+    # -10 to 30 dB, 9 gammas) the two mixtures differ by at most 5.3e-15
+    model = AnalysisModel(snr_db=snr_db, fading=fading)
+    assert pd_single(0.62, model, denominator) == pytest.approx(
+        _pd_single_stats_oracle(0.62, model, denominator), rel=0, abs=1e-13
+    )
+
+
+@pytest.mark.parametrize(
+    "fading, snr_db",
+    [("wideband", 41.0), ("wideband", 60.0), ("narrowband", 85.0), ("narrowband", 100.0)],
+)
+def test_mixture_over_its_budget_raises_before_allocating(fading, snr_db):
+    # wideband spans 4.4M components at 41 dB and 353M at 60 dB (2.8 GB per
+    # float64 array); narrowband 4.4M at 85 dB, and pdtrik is NaN at 100 dB
+    model = AnalysisModel(snr_db=snr_db, fading=fading)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"snr {snr_db:g} dB is past the {fading}"):
+            pd_single(0.62, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_range_gain_pins():
     assert range_gain(20.0, 3.0) == pytest.approx(4.64158883, abs=1e-8)
     assert range_gain(20.0, 6.0) == pytest.approx(2.15443469, abs=1e-8)

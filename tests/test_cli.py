@@ -571,6 +571,12 @@ def test_narrowband_closed_form_past_its_range_names_the_snr(capsys):
     assert "snr" in _fails_with_one_line(["curves", "--fading", "narrowband", "--snr=100"], capsys)
 
 
+def test_wideband_closed_form_over_its_budget_names_the_snr(capsys):
+    # the negative-binomial mixture would span 353M components at 60 dB, a
+    # 2.8 GB float64 array each for its indices, weights, dofs and tails
+    assert "snr 60 dB" in _fails_with_one_line(["curves", "--snr=60"], capsys)
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [(["spot"], "--in"), (["impair", "--out", "{out}"], "--in"), (["impair", "--in", "{tag}"], "--out")],
@@ -866,29 +872,36 @@ steps = [
     run("range", "--out", workdir + "/range.txt"),
     run("overhead", "--out", workdir + "/overhead.txt"),
     run("codebook-verify"),
-    run("curves", "--snr", "0", "--gamma", "0.55,0.62", "--trials", "500",
-        "--seed", "13", "--out", workdir + "/curves.txt"),
+    *(run(*argv, "--out", f"{workdir}/{name}.txt")
+      for name, argv in json.loads(sys.argv[2]).items()),
 ]
 print(json.dumps(steps))
 """
 
+_ANALYSIS_ARGV = {
+    "curves": ["curves", "--snr", "0", "--gamma", "0.55,0.62", "--trials", "500", "--seed", "13"],
+    "sweep": ["sweep", "--carriers", "8", "--snr", "0", "--trials", "500", "--seed", "13"],
+}
+
 
 def test_spot_and_calculator_commands_do_not_load_scipy(tmp_path):
     """spot and the commands that need no statistics start without scipy,
-    and curves loads it on first use with unchanged rows."""
+    and curves and sweep load scipy.special on first use, never
+    scipy.stats, with unchanged rows."""
     src = str(Path(tagspot.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path), json.dumps(_ANALYSIS_ARGV)],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         timeout=120, check=True,
     )
     steps = json.loads(proc.stdout.splitlines()[-1])
-    assert [code for code, _ in steps] == [0] * 7
-    assert all(loaded == [] for _, loaded in steps[:-1])
-    assert "scipy.stats" in steps[-1][1]
-    # the same bytes as the same curves command run in this process
-    out = tmp_path / "curves-here.txt"
-    assert cli_main(["curves", "--snr", "0", "--gamma", "0.55,0.62", "--trials",
-                     "500", "--seed", "13", "--out", str(out)]) == 0
-    assert (tmp_path / "curves.txt").read_bytes() == out.read_bytes()
+    assert [code for code, _ in steps] == [0] * 8
+    assert all(loaded == [] for _, loaded in steps[:-2])
+    for _, loaded in steps[-2:]:
+        assert "scipy.special" in loaded and "scipy.stats" not in loaded
+    # the same bytes as the same commands run in this process
+    for name, argv in _ANALYSIS_ARGV.items():
+        out = tmp_path / f"{name}-here.txt"
+        assert cli_main([*argv, "--out", str(out)]) == 0
+        assert (tmp_path / f"{name}.txt").read_bytes() == out.read_bytes()
     assert parse_events((tmp_path / "events.txt").read_text())[0].codeword_index == 4
