@@ -63,7 +63,7 @@ def measured_leak(max_offset: float, trials: int, seed: int) -> float:
         tag = synthesize_tag(build_tag_spectrum(mask, layout, 1.0, rng), layout)
         shifted = apply_cfo(tag, float(rng.uniform(0.0, max_offset)), layout)
         body = shifted.samples[layout.cp_len :]
-        wide = fold_spectrum(spectrum_of_body(body, layout), layout)
+        wide = fold_spectrum(np.abs(spectrum_of_body(body, layout)) ** 2, layout)
         own = wide[mask].sum()
         lost += 1.0 - own / wide.sum()
     return lost / trials

@@ -8,14 +8,14 @@ identical power spectrum).
 
 Per interval the pipeline is: carrier-sense gate on total power against a
 tracked noise floor, unitary FFT to an ascending-order spectrum
-(waveform.spectrum_of_body), fold to wide-carrier powers, tag strength
-for every codeword, then a candidate requires max strength above gamma and
-a valid center of mass, so each window is gated, at or below gamma,
-rejected by its center of mass, or a candidate DetectionEvent. Most
-windows hold only noise and stop at gamma, so the center of mass is
-computed only above it. A candidate is kept only when no overlapping
-interval produced a candidate of strictly larger strength (ties resolve
-to the earliest interval, then the lowest codeword index).
+(waveform.spectrum_of_body), thin-bin powers |bin|^2, fold to wide-carrier
+powers, tag strength for every codeword, then a candidate requires max
+strength above gamma and a valid center of mass, so each window is gated,
+at or below gamma, rejected by its center of mass, or a candidate
+DetectionEvent. Most windows hold only noise and stop at gamma, so the
+center of mass is computed only above it. A candidate is kept only when no
+overlapping interval produced a candidate of strictly larger strength (ties
+resolve to the earliest interval, then the lowest codeword index).
 
 DetectorConfig.denominator names the strength convention (see carriers):
 "band" divides in-mask power by the non-null carriers' power, "all" by
@@ -23,15 +23,17 @@ every wide carrier's. The null carriers contribute pure noise to the ratio,
 so "band" reaches a given detection probability at a lower SNR; it is the
 operational default. The analysis module models both under the same name.
 
-Cost is linear in the stream. The front end takes the windows in chunks of
-_CHUNK_WINDOWS: one strided view, one vectorized power pass and one
-spectrum_of_body call per chunk, so memory stays bounded by the chunk
-whatever the stream length. A scalar pass over the chunk then runs the gate
-and noise-tracker recurrence, which is sequential in time, and folds and
-scores each window that passes the gate. Overlap suppression is a forward
-scan over the candidates, sorted by start: each candidate is compared only
-with those less than fft_size samples after it, O(C * fft_size / cp_len)
-for C candidates instead of comparing every pair.
+Cost is linear in the stream. The windows are one strided view of the
+stream, taken in chunks of _CHUNK_WINDOWS, so memory stays bounded by the
+chunk whatever the stream length. Each chunk makes each pass once: it
+squares the magnitudes of the samples its windows span, averages them into
+window powers, transforms its windows in one spectrum_of_body call and
+squares the magnitudes of those spectra. A scalar pass over the chunk then
+runs the gate and noise-tracker recurrence, which is sequential in time, and
+folds and scores each window that passes the gate. Overlap suppression is a
+forward scan over the candidates, sorted by start: each candidate is
+compared only with those less than fft_size samples after it,
+O(C * fft_size / cp_len) for C candidates instead of comparing every pair.
 """
 
 from __future__ import annotations
@@ -111,15 +113,18 @@ class DetectionEvent(NamedTuple):
         )
 
 
-def fold_spectrum(spectrum: np.ndarray, layout: CarrierLayout) -> np.ndarray:
-    """Wide-carrier powers of one spectrum in ascending frequency order, as
-    waveform.spectrum_of_body returns it. Sums are exact regroupings, so
+def fold_spectrum(thin_powers: np.ndarray, layout: CarrierLayout) -> np.ndarray:
+    """Wide-carrier powers from one spectrum's thin-bin powers, |bin|^2 in
+    ascending frequency order (np.abs(spectrum) ** 2 of what
+    waveform.spectrum_of_body returns). Complex input is refused, so a
+    spectrum cannot be folded unsquared. Sums are exact regroupings, so
     total power is conserved bit for bit up to float summation order."""
-    bins = np.asarray(spectrum)
-    if bins.shape != (layout.fft_size,):
-        raise ValueError(f"expected {layout.fft_size} bins, got {bins.shape}")
-    power = np.abs(bins) ** 2
-    return power.reshape(layout.wide_total, layout.thin_per_wide).sum(axis=1)
+    power = np.asarray(thin_powers)
+    if power.shape != (layout.fft_size,):
+        raise ValueError(f"expected {layout.fft_size} bins, got {power.shape}")
+    if power.dtype.kind == "c":
+        raise ValueError("fold_spectrum takes thin-bin powers, not complex bins")
+    return np.add.reduce(power.reshape(layout.wide_total, layout.thin_per_wide), axis=1)
 
 
 def strengths(wide: np.ndarray, config: DetectorConfig) -> np.ndarray:
@@ -127,7 +132,7 @@ def strengths(wide: np.ndarray, config: DetectorConfig) -> np.ndarray:
     under the config's convention. Masks lie in the band, so a window with
     no power in the denominator carriers scores 0 for every codeword."""
     numerators = config.masks @ wide
-    denominator = wide[config.denominator_wide].sum()
+    denominator = np.add.reduce(wide[config.denominator_wide])
     return numerators / denominator if denominator > 0 else numerators
 
 
@@ -190,6 +195,7 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
     com_bound = config.com_bound
     gate_db = config.carrier_sense_snr_db
     windows_total = (len(stream) - n) // hop + 1
+    windows = sliding_window_view(stream, n)[::hop]
 
     candidates: "list[DetectionEvent]" = []
     noise_estimate: "float | None" = None
@@ -197,9 +203,13 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
     for first in range(0, windows_total, _CHUNK_WINDOWS):
         count = min(_CHUNK_WINDOWS, windows_total - first)
         lo = first * hop
-        views = sliding_window_view(stream[lo : lo + (count - 1) * hop + n], n)[::hop]
-        powers = np.mean(np.abs(views) ** 2, axis=1).tolist()
-        spectra = spectrum_of_body(views, layout)
+        # each sample and each bin is squared once; a window's power sums
+        # the same squares in the same order as squaring the window itself
+        span = np.abs(stream[lo : lo + (count - 1) * hop + n])
+        np.square(span, out=span)
+        powers = np.mean(sliding_window_view(span, n)[::hop], axis=1).tolist()
+        thin = np.abs(spectrum_of_body(windows[first : first + count], layout))
+        np.square(thin, out=thin)
         for k, power in enumerate(powers):
             # carrier-sense SNR estimate: interval power over tracked floor
             if power == 0:
@@ -211,7 +221,7 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
             if snr_estimate_db <= gate_db:
                 windows_gated += 1
             else:
-                wide = fold_spectrum(spectra[k], layout)
+                wide = fold_spectrum(thin[k], layout)
                 scores = strengths(wide, config)
                 best = int(scores.argmax())
                 strength = float(scores[best])

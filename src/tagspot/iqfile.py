@@ -5,7 +5,8 @@ sample. Metadata travels in a JSON sidecar at ``<path>.json`` holding the
 sample rate, optionally the carrier layout, and any extra fields the writer
 supplies. Reading a file and writing it back reproduces the bytes exactly,
 signed zeros included; note the float32 quantization happens once, on the
-first write.
+first write. Both directions convert in blocks of _BLOCK_FLOATS values, so
+beside the complex128 samples they hold one block, never a copy of the file.
 
 The sample rate is metadata only, and IqFrame does not carry it: write_iq
 checks and writes it, and read_iq checks it and returns it in the metadata
@@ -15,6 +16,7 @@ as a float, 1.0 when the sidecar has none.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -22,6 +24,9 @@ import numpy as np
 
 from .carriers import CarrierLayout, layout_to_dict
 from .waveform import IqFrame
+
+#: float32 values (half as many samples) converted per block: 1 MiB of file.
+_BLOCK_FLOATS = 1 << 18
 
 
 def sidecar_path(path: "str | Path") -> Path:
@@ -55,10 +60,12 @@ def write_iq(
         meta.update(extra)
     text = json.dumps(meta, sort_keys=True, indent=2) + "\n"
     samples = frame.samples
-    interleaved = np.empty(2 * samples.size, dtype="<f4")
-    interleaved[0::2] = samples.real.astype(np.float32)
-    interleaved[1::2] = samples.imag.astype(np.float32)
-    path.write_bytes(interleaved.tobytes())
+    step = _BLOCK_FLOATS // 2
+    with path.open("wb") as fh:
+        for lo in range(0, samples.size, step):
+            # complex128 is interleaved float64 I/Q pairs in memory
+            block = np.ascontiguousarray(samples[lo : lo + step]).view(np.float64)
+            fh.write(block.astype("<f4"))
     side = sidecar_path(path)
     side.write_text(text)
     return side
@@ -68,16 +75,25 @@ def read_iq(path: "str | Path") -> "tuple[IqFrame, dict]":
     """Read samples plus sidecar metadata. The metadata always holds a
     checked "sample_rate" float (1.0 when the sidecar is absent or has none)."""
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) % 8 != 0:
-        raise ValueError(
-            f"{path}: length {len(raw)} is not a whole number of float32 I/Q pairs"
-        )
-    if len(raw) == 0:
-        raise ValueError(f"{path}: empty IQ file")
-    # interleaved I/Q float64 pairs are complex128's memory layout: one
-    # upcast copy, no arithmetic, so every value (and -0.0) is kept
-    samples = np.frombuffer(raw, dtype="<f4").astype(np.float64).view(np.complex128)
+    with path.open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size % 8 != 0:
+            raise ValueError(
+                f"{path}: length {size} is not a whole number of float32 I/Q pairs"
+            )
+        if size == 0:
+            raise ValueError(f"{path}: empty IQ file")
+        # interleaved I/Q float64 pairs are complex128's memory layout: each
+        # block is upcast in place, no arithmetic, so every value (and -0.0)
+        # is kept
+        samples = np.empty(size // 8, dtype=np.complex128)
+        flat = samples.view(np.float64)
+        block = np.empty(min(_BLOCK_FLOATS, flat.size), dtype="<f4")
+        for lo in range(0, flat.size, block.size):
+            part = block[: flat.size - lo]
+            if fh.readinto(part) != part.nbytes:
+                raise ValueError(f"{path}: file ended before its {size} bytes were read")
+            flat[lo : lo + part.size] = part
     meta: dict = {}
     side = sidecar_path(path)
     if side.exists():

@@ -116,12 +116,14 @@ def spectrum_of_body(body: np.ndarray, layout: CarrierLayout) -> np.ndarray:
     """Forward unitary transform of transform bodies stacked on the last
     axis, each spectrum in ascending order; one body gives one spectrum.
 
-    Inverse of synthesize_tag restricted to the body samples.
+    Inverse of synthesize_tag restricted to the body samples. The 1/sqrt(n)
+    scaling happens inside the transform (norm="ortho"), which gives the
+    same bits as dividing the unscaled transform by sqrt(n) afterwards.
     """
     body = np.asarray(body, dtype=np.complex128)
     if body.shape[-1:] != (layout.fft_size,):
         raise ValueError(f"body shape {body.shape} does not end in fft_size {layout.fft_size}")
-    return _ascending(np.fft.fft(body)) / np.sqrt(layout.fft_size)
+    return _ascending(np.fft.fft(body, norm="ortho"))
 
 
 def papr(frame: IqFrame) -> float:

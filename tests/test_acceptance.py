@@ -86,7 +86,7 @@ def _measured_offset_leak(max_offset, trials, seed):
         mask = codeword_to_mask(word, LAY)
         tag = synthesize_tag(build_tag_spectrum(mask, LAY, 1.0, rng), LAY)
         shifted = apply_cfo(tag, float(rng.uniform(0.0, max_offset)), LAY)
-        wide = fold_spectrum(spectrum_of_body(shifted.samples[LAY.cp_len :], LAY), LAY)
+        wide = fold_spectrum(np.abs(spectrum_of_body(shifted.samples[LAY.cp_len :], LAY)) ** 2, LAY)
         own = wide[mask].sum()
         lost += 1.0 - own / wide.sum()
     return lost / trials
@@ -150,7 +150,7 @@ def _interferer_band_density(seed):
     densities = []
     for offset in range(0, len(stream) - LAY.fft_size + 1, LAY.cp_len):
         window = stream.samples[offset : offset + LAY.fft_size]
-        wide = fold_spectrum(spectrum_of_body(window, LAY), LAY)
+        wide = fold_spectrum(np.abs(spectrum_of_body(window, LAY)) ** 2, LAY)
         densities.append(float(wide[band].sum()) / bins)
     return float(np.mean(densities))
 
@@ -230,7 +230,7 @@ def test_criterion_10_property_suite(tmp_path, codebook):
     # folding conserves power
     bins = rng.normal(size=LAY.fft_size) + 1j * rng.normal(size=LAY.fft_size)
     total = float(np.sum(np.abs(bins) ** 2))
-    assert abs(float(fold_spectrum(bins, LAY).sum()) - total) < 1e-12 * total
+    assert abs(float(fold_spectrum(np.abs(bins) ** 2, LAY).sum()) - total) < 1e-12 * total
 
     # reruns are byte-identical end to end
     first, second = tmp_path / "a.iq", tmp_path / "b.iq"

@@ -177,7 +177,7 @@ def _window_strength_sim(snr_db, fading, trials, seed):
             frame = apply_fading(frame, _CHANNEL_FADING[fading], rng, LAY)
         noisy = apply_awgn(frame, n, rng)
         body = noisy.samples[LAY.cp_len :]
-        wide = fold_spectrum(spectrum_of_body(body, LAY), LAY)
+        wide = fold_spectrum(np.abs(spectrum_of_body(body, LAY)) ** 2, LAY)
         out[i] = strengths(wide, _WORD_CONFIG)[0]
     return out
 
@@ -188,7 +188,7 @@ def _noise_strength_sim(trials, seed):
     for i in range(trials):
         noise = rng.normal(scale=np.sqrt(0.5), size=(LAY.fft_size, 2))
         window = noise[:, 0] + 1j * noise[:, 1]
-        wide = fold_spectrum(spectrum_of_body(window, LAY), LAY)
+        wide = fold_spectrum(np.abs(spectrum_of_body(window, LAY)) ** 2, LAY)
         out[i] = strengths(wide, _WORD_CONFIG)[0]
     return out
 

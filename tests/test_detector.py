@@ -1,5 +1,6 @@
 """Spotter pipeline: folding, strength, gating, suppression, serialization."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -41,12 +42,15 @@ def _stream_with_tag(codebook, word_index, offset, snr_db, total=2560, seed=0):
 def test_fold_conserves_power():
     rng = np.random.default_rng(40)
     bins = rng.normal(size=512) + 1j * rng.normal(size=512)
-    wide = fold_spectrum(bins, LAY)
+    wide = fold_spectrum(np.abs(bins) ** 2, LAY)
     assert wide.shape == (64,)
     total = float(np.sum(np.abs(bins) ** 2))
     assert abs(float(wide.sum()) - total) < 1e-12 * total
     with pytest.raises(ValueError):
-        fold_spectrum(bins[:100], LAY)
+        fold_spectrum(np.abs(bins[:100]) ** 2, LAY)
+    # complex bins are refused, so a spectrum is never folded unsquared
+    with pytest.raises(ValueError, match="thin-bin powers"):
+        fold_spectrum(bins, LAY)
 
 
 def _config(codebook, denominator):
@@ -260,6 +264,23 @@ def test_config_builds_its_masks_once(codebook, monkeypatch):
     assert np.array_equal(cfg.masks, mask_matrix(codebook, LAY))
     with pytest.raises(ValueError):
         cfg.masks[0, 0] = 1.0
+
+
+def test_spot_working_set_does_not_grow_with_the_stream(codebook):
+    # the windows are one strided view of the stream, and every temporary
+    # spans one chunk of windows, so a 4x longer stream peaks no higher
+    config = DetectorConfig(layout=LAY, codebook=codebook, carrier_sense_snr_db=-np.inf)
+    rng = np.random.default_rng(41)
+    peaks = []
+    for size in (250_000, 1_000_000):
+        stream = IqFrame(rng.normal(size=size) + 1j * rng.normal(size=size))
+        tracemalloc.start()
+        try:
+            spot_report(stream, config)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 0.25 and peaks[1] < 4
 
 
 def test_spot_rejects_short_streams(codebook):

@@ -1,10 +1,12 @@
 """IQ file format: interleaved float32 samples plus a JSON sidecar."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tagspot.carriers import REFERENCE_LAYOUT, layout_from_dict
-from tagspot.iqfile import read_iq, sidecar_path, write_iq
+from tagspot.iqfile import _BLOCK_FLOATS, read_iq, sidecar_path, write_iq
 from tagspot.waveform import IqFrame
 
 
@@ -25,6 +27,29 @@ def test_roundtrip_is_exact_after_float32_quantization(tmp_path):
     ) + 1j * frame.samples.imag.astype(np.float32).astype(np.float64)
     assert np.array_equal(back.samples, expected)
     assert meta["sample_rate"] == 1.0
+
+
+def test_roundtrip_crosses_block_boundaries_in_bounded_memory(tmp_path):
+    # more than two blocks of samples, and not a whole number of blocks
+    frame = _random_frame(7, size=5 * _BLOCK_FLOATS // 4 + 3)
+    path = tmp_path / "long.iq"
+    write_iq(path, frame)
+    assert path.stat().st_size == 8 * len(frame)
+    tracemalloc.start()
+    try:
+        back, _ = read_iq(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the samples plus one block, not a copy of the file beside them
+    assert peak <= back.samples.nbytes + 2 * 2**20
+    interleaved = frame.samples.view(np.float64).astype(np.float32)
+    assert np.array_equal(back.samples.view(np.float64), interleaved.astype(np.float64))
+    write_iq(tmp_path / "again.iq", back)
+    assert (tmp_path / "again.iq").read_bytes() == path.read_bytes()
+    # a strided frame is written as its samples, not as the memory under them
+    write_iq(tmp_path / "strided.iq", IqFrame(back.samples[::3]))
+    assert np.array_equal(read_iq(tmp_path / "strided.iq")[0].samples, back.samples[::3])
 
 
 def test_rewrite_is_byte_identical(tmp_path):

@@ -79,10 +79,10 @@ def test_every_window_of_a_frame_has_the_same_wide_powers():
     # the prefix makes any in-frame window a cyclic rotation of the body
     rng = np.random.default_rng(4)
     frame = synthesize_tag(build_tag_spectrum(MASK, LAY, 1.0, rng), LAY)
-    reference = fold_spectrum(spectrum_of_body(frame.samples[: LAY.fft_size], LAY), LAY)
+    reference = fold_spectrum(np.abs(spectrum_of_body(frame.samples[: LAY.fft_size], LAY)) ** 2, LAY)
     for start in (1, 63, 128):
         window = frame.samples[start : start + LAY.fft_size]
-        wide = fold_spectrum(spectrum_of_body(window, LAY), LAY)
+        wide = fold_spectrum(np.abs(spectrum_of_body(window, LAY)) ** 2, LAY)
         assert np.allclose(wide, reference, rtol=1e-9, atol=1e-12)
 
 
@@ -264,6 +264,18 @@ def test_ascending_is_fftshift_and_natural_undoes_it(layout):
         assert np.array_equal(_ascending(_natural(x)), x)
 
 
+@pytest.mark.parametrize("layout", [LAY, ODD], ids=["reference", "odd"])
+def test_spectrum_of_body_scales_inside_the_transform_bit_for_bit(layout):
+    # the pinned digests and results/ were made by dividing the unscaled
+    # transform by sqrt(n); scaling inside it must give the same bits
+    n = layout.fft_size
+    rng = np.random.default_rng(n)
+    stack = rng.normal(size=(64, n)) + 1j * rng.normal(size=(64, n))
+    for body in (stack[0], stack):
+        expected = _ascending(np.fft.fft(body)) / np.sqrt(n)
+        assert np.array_equal(spectrum_of_body(body, layout), expected)
+
+
 @given(VALID_LAYOUTS, st.integers(0, 2**32 - 1))
 def test_tag_frames_keep_the_transform_convention_on_any_valid_layout(layout, seed):
     rng = np.random.default_rng(seed)
@@ -282,4 +294,4 @@ def test_tag_frames_keep_the_transform_convention_on_any_valid_layout(layout, se
     total = float(np.sum(np.abs(spectrum) ** 2))
     assert float(np.sum(np.abs(body) ** 2)) == pytest.approx(total, rel=1e-12)
     # folding a window's bins regroups them, so total power is conserved
-    assert float(fold_spectrum(spectrum_of_body(body, layout), layout).sum()) == pytest.approx(total, rel=1e-12)
+    assert float(fold_spectrum(np.abs(spectrum_of_body(body, layout)) ** 2, layout).sum()) == pytest.approx(total, rel=1e-12)
