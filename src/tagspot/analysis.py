@@ -29,8 +29,9 @@ r = (alpha/beta) * 10^(snr_db/10).
 All Monte Carlo estimators draw with numpy's seeded Generator in fixed-size
 chunks whose seeds derive from (seed, chunk index); results are therefore
 reproducible and independent of how the chunks would be scheduled. Binomial
-uncertainties are 95% Wilson intervals. The family, pairs-bound and
-misclassification estimators walk each chunk in row blocks of _MC_BLOCK
+uncertainties are 95% Wilson intervals. The family false alarm and the
+pairs bound share one noise-only walk, _max_ratios. It and the
+misclassification estimator take each chunk in row blocks of _MC_BLOCK
 draws (see _row_blocks), so a (draws, carriers) temporary spans one block,
 about 1.8 MB on the reference layout, rather than the chunk's 14.7 MB; the
 blocks draw and score exactly what one whole-chunk pass would.
@@ -47,10 +48,11 @@ and 0.8 s (fresh Python 3.11 interpreters, scipy 1.17.1, 2-core Xeon).
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -142,26 +144,21 @@ def expected_offset_leak(
         raise ValueError("max_offset must be positive")
     u, wu = _unit_gauss_nodes(64)
     deltas = max_offset * u
-    partner: "dict[int, int]" = {}
-    for a, b in layout.group_map:
-        partner[a] = b
-        partner[b] = a
     k_grid = np.arange(layout.fft_size, dtype=np.float64)
     offsets = np.asarray(layout.active_thin_offsets, dtype=np.float64)
     alpha = layout.thin_per_wide
+    band_half = np.repeat(np.isin(np.arange(layout.wide_total), layout.band_wide) * 0.5, alpha)
     retained = np.zeros(u.size)
-    for w in layout.band_wide:
-        weights = np.zeros(layout.fft_size)
-        for v in layout.band_wide:
-            weights[v * alpha : (v + 1) * alpha] = 0.5
-        weights[w * alpha : (w + 1) * alpha] = 1.0
-        pw = partner[w]
-        weights[pw * alpha : (pw + 1) * alpha] = 0.0
-        sources = w * alpha + offsets
-        # args: (delta, tone, bin)
-        args = k_grid[None, None, :] - sources[None, :, None] - deltas[:, None, None]
-        spread = np.sinc(args) ** 2
-        retained += (spread * weights[None, None, :]).sum(axis=2).mean(axis=1)
+    for a, b in layout.group_map:
+        for w, pw in ((a, b), (b, a)):  # sources in band order
+            weights = band_half.copy()
+            weights[w * alpha : (w + 1) * alpha] = 1.0
+            weights[pw * alpha : (pw + 1) * alpha] = 0.0
+            sources = w * alpha + offsets
+            # args: (delta, tone, bin)
+            args = k_grid[None, None, :] - sources[None, :, None] - deltas[:, None, None]
+            spread = np.sinc(args) ** 2
+            retained += (spread * weights[None, None, :]).sum(axis=2).mean(axis=1)
     retained /= len(layout.band_wide)
     return float(np.sum(wu * (1.0 - retained)))
 
@@ -351,18 +348,39 @@ def _wilson(hits: int, trials: int) -> "tuple[float, tuple[float, float]]":
     return p, (float(low), float(high))
 
 
+def _max_ratios(
+    best_of: "Callable[[np.ndarray], np.ndarray]",
+    layout: CarrierLayout, trials: int, seed: int, denominator: str,
+) -> "Iterator[np.ndarray]":
+    """The noise-only walk: per chunk, each draw's largest in-mask sum over
+    the power outside it, in draw order, where best_of maps a row block of
+    chi2(2 alpha) band powers to each row's largest in-mask sum. Under
+    "all" each chunk adds the null carriers' summed power, one more
+    chi-square drawn after the band's, so "band" keeps the same draws. The
+    chunk divides once: x / (T - x) never decreases in x, even rounded, so
+    the ratio of the largest sum is the largest ratio. Yielding chunks
+    keeps a consumer that only counts at one chunk's working set.
+    """
+    dof_wide = 2 * layout.thin_per_wide
+    dof_extra = dof_wide * (len(layout.denominator_wide(denominator)) - 2 * layout.groups)
+    for rng, m in _mc_chunks(trials, seed):
+        best, total = np.empty(m), np.empty(m)
+        for block in _row_blocks(m):
+            draws = rng.chisquare(dof_wide, size=(block.stop - block.start, 2 * layout.groups))
+            best[block] = best_of(draws)
+            np.sum(draws, axis=1, out=total[block])
+        if dof_extra:
+            total += rng.chisquare(dof_extra, size=m)
+        best /= total - best
+        yield best
+
+
 @functools.lru_cache(maxsize=1)
 def _family_max_ratios(
     codebook: Codebook, layout: CarrierLayout, trials: int, seed: int, denominator: str
 ) -> np.ndarray:
     """Each noise-only draw's largest in-mask/out-of-mask ratio over the
-    family, sorted ascending and read-only.
-
-    Under "all" each chunk adds the null carriers' summed power, one more
-    chi-square drawn after the band's, so "band" keeps the same draws.
-    Each row block keeps only every draw's largest in-mask sum and its
-    total, and the chunk divides once: x / (T - x) never decreases in x,
-    even rounded, so the ratio of the largest sum is the largest ratio.
+    family (see _max_ratios), sorted ascending and read-only.
 
     The ratios depend on neither gamma nor SNR, so every point of a
     build_roc grid thresholds the same array, and build_roc clears this
@@ -370,22 +388,9 @@ def _family_max_ratios(
     the last draws until a call with other arguments replaces them or the
     caller clears the memo.
     """
-    dof_wide = 2 * layout.thin_per_wide
-    dof_extra = dof_wide * (len(layout.denominator_wide(denominator)) - 2 * layout.groups)
     masks = _band_mask_matrix(codebook, layout)
-    out = np.empty(trials)
-    lo = 0
-    for rng, m in _mc_chunks(trials, seed):
-        best = out[lo : lo + m]
-        total = np.empty(m)
-        for block in _row_blocks(m):
-            draws = rng.chisquare(dof_wide, size=(block.stop - block.start, 2 * layout.groups))
-            np.max(draws @ masks.T, axis=1, out=best[block])
-            np.sum(draws, axis=1, out=total[block])
-        if dof_extra:
-            total += rng.chisquare(dof_extra, size=m)
-        best /= total - best
-        lo += m
+    walk = _max_ratios(lambda draws: np.max(draws @ masks.T, axis=1), layout, trials, seed, denominator)
+    out = np.concatenate(list(walk))
     out.sort()
     out.flags.writeable = False
     return out
@@ -421,20 +426,16 @@ def pf_pairs_bound(
 ) -> "tuple[float, tuple[float, float]]":
     """False alarm probability of the full exponential-size code: per group
     take the stronger carrier into the numerator and the weaker into the
-    denominator. Upper-bounds pf_family_mc for every codebook, draw by draw
-    when run with the same seed and trial count (the draws coincide). Only
-    the "band" convention is modeled; no caller needs "all"."""
+    denominator. It is the family's walk (_max_ratios) with each draw's
+    pair maxima, which no codeword's in-mask sum exceeds, so with the same
+    seed and trial count it upper-bounds pf_family_mc for every codebook
+    draw by draw. Only the "band" convention is modeled."""
     t = gamma / (1.0 - gamma)
-    dof_wide = 2 * layout.thin_per_wide
-    hits = 0
-    for rng, m in _mc_chunks(trials, seed):
-        for block in _row_blocks(m):
-            draws = rng.chisquare(dof_wide, size=(block.stop - block.start, 2 * layout.groups))
-            pairs = draws.reshape(-1, layout.groups, 2)
-            numerator = pairs.max(axis=2).sum(axis=1)
-            denominator = pairs.min(axis=2).sum(axis=1)
-            hits += int(np.count_nonzero(numerator / denominator > t))
-    return _wilson(hits, trials)
+    walk = _max_ratios(
+        lambda draws: draws.reshape(len(draws), layout.groups, 2).max(axis=2).sum(axis=1),
+        layout, trials, seed, "band",
+    )
+    return _wilson(sum(int(np.count_nonzero(ratios > t)) for ratios in walk), trials)
 
 
 def pm_mc(
@@ -451,14 +452,12 @@ def pm_mc(
     in the module docstring. Returns one (estimate, 95% Wilson interval)
     per SNR.
 
-    The grid shares one draw: each chunk draws the words, tone noise and
-    guard noise once and scores every SNR from them. Narrowband draws each
-    SNR's noncentral tones from the generator state that follows the
-    shared draws, so every SNR sees the stream a single-SNR run would.
-    Each row block scores every SNR; wideband draws the block's guard
-    noise there (every guard draw follows every tone draw), narrowband
-    draws the chunk's guard up front and resumes each SNR's tone stream
-    where its previous block left it.
+    The grid shares one draw. Each chunk's generator draws the sent words,
+    the tone-bin noise and, narrowband only, the guard noise; each row
+    block scores every SNR, wideband after drawing the block's guard noise
+    from the same generator. Narrowband copies the generator once per SNR
+    after the shared draws and draws that SNR's noncentral tones from its
+    copy, so every SNR reads the stream a single-SNR run would.
     """
     if fading not in FADING_ANALYSIS_MODELS:
         raise ValueError(
@@ -468,10 +467,7 @@ def pm_mc(
         raise ValueError("the SNR grid must not be empty")
     if not all(math.isfinite(snr_db) for snr_db in snr_dbs):
         raise ValueError(f"every SNR must be finite, got {list(snr_dbs)}")
-    rs = [
-        AnalysisModel(layout=layout, snr_db=snr_db, fading=fading).p_over_n
-        for snr_db in snr_dbs
-    ]
+    rs = [AnalysisModel(layout, snr_db, fading).p_over_n for snr_db in snr_dbs]
     masks = _band_mask_matrix(codebook, layout).astype(bool)
     beta2 = 2 * layout.active_thin_per_wide
     guard2 = 2 * (layout.thin_per_wide - layout.active_thin_per_wide)
@@ -483,7 +479,7 @@ def pm_mc(
         chunk_guard = None
         if fading == "narrowband" and guard2 > 0:
             chunk_guard = rng.chisquare(guard2, size=(m, wides))
-        tone_states = [rng.bit_generator.state] * len(rs)
+        tone_rngs = [copy.deepcopy(rng) for _ in rs] if fading == "narrowband" else []
         misses = [0] * len(rs)
         for block in _row_blocks(m):
             noise = tone_noise[block]
@@ -502,9 +498,7 @@ def pm_mc(
                     powers += 1.0
                     powers *= noise
                 else:
-                    rng.bit_generator.state = tone_states[i]
-                    powers = rng.noncentral_chisquare(beta2, beta2 * r, size=noise.shape)
-                    tone_states[i] = rng.bit_generator.state
+                    powers = tone_rngs[i].noncentral_chisquare(beta2, beta2 * r, size=noise.shape)
                     np.copyto(powers, noise, where=~active)
                 powers += guard
                 decoded = np.argmax(powers @ masks.T, axis=1)

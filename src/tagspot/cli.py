@@ -47,7 +47,7 @@ from .carriers import CarrierLayout, REFERENCE_LAYOUT, STRENGTH_DENOMINATORS, la
 from .channel import FADING_MODELS, apply_awgn, apply_cfo, apply_fading, gain_for_sir, mix, noise_power_for_snr
 from .codebook import Codebook, CodebookError, builtin_codebook, codeword_to_mask, load_codebook, verify_min_distance
 from .detector import DetectorConfig, serialize_events, spot_report
-from .iqfile import read_iq, write_iq
+from .iqfile import _unique_fields, read_iq, write_iq
 from .waveform import (
     interference_frame_len,
     mean_power,
@@ -75,23 +75,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _unique_fields(pairs: "list[tuple[str, object]]") -> dict:
-    """A config's JSON object at any depth; no field may be given twice."""
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise ValueError(f"config repeats the field {key!r}")
-        doc[key] = value
-    return doc
-
-
 def _config_fields(args: argparse.Namespace) -> dict:
     """The --config document's parameter fields, checked against the
     command: every field must name one of its parameters."""
     try:
         doc = json.loads(Path(args.config).read_text(), object_pairs_hook=_unique_fields)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # json.JSONDecodeError is one
+        raise ValueError(f"config {args.config}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
     version = doc.pop("config_version", None)

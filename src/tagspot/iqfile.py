@@ -3,10 +3,11 @@
 Format: headerless little-endian 32-bit floats, interleaved I then Q per
 sample. Metadata travels in a JSON sidecar at ``<path>.json`` holding the
 sample rate, optionally the carrier layout, and any extra fields the writer
-supplies. Reading a file and writing it back reproduces the bytes exactly,
-signed zeros included; note the float32 quantization happens once, on the
-first write. Both directions convert in blocks of _BLOCK_FLOATS values, so
-beside the complex128 samples they hold one block, never a copy of the file.
+supplies; like a --config document, it may repeat no field at any depth.
+Reading a file and writing it back reproduces the bytes exactly, signed
+zeros included; note the float32 quantization happens once, on the first
+write. Both directions convert in blocks of _BLOCK_FLOATS values, so beside
+the complex128 samples they hold one block, never a copy of the file.
 
 The sample rate is metadata only, and IqFrame does not carry it: write_iq
 checks and writes it, and read_iq checks it and returns it in the metadata
@@ -31,6 +32,16 @@ _BLOCK_FLOATS = 1 << 18
 
 def sidecar_path(path: "str | Path") -> Path:
     return Path(str(path) + ".json")
+
+
+def _unique_fields(pairs: "list[tuple[str, object]]") -> dict:
+    """json's object_pairs_hook for sidecars and --config: no field twice at any depth."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeats the field {key!r}")
+        doc[key] = value
+    return doc
 
 
 def _sample_rate(rate, where: str) -> float:
@@ -97,7 +108,10 @@ def read_iq(path: "str | Path") -> "tuple[IqFrame, dict]":
     meta: dict = {}
     side = sidecar_path(path)
     if side.exists():
-        meta = json.loads(side.read_text())
+        try:
+            meta = json.loads(side.read_text(), object_pairs_hook=_unique_fields)
+        except ValueError as exc:  # json.JSONDecodeError is one
+            raise ValueError(f"{side}: {exc}") from exc
         if not isinstance(meta, dict):
             raise ValueError(f"{side}: metadata must be a JSON object")
     meta["sample_rate"] = _sample_rate(meta.get("sample_rate", 1.0), str(side))

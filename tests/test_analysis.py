@@ -730,6 +730,20 @@ def test_pf_pairs_bound_matches_the_whole_chunk_loop(trials):
         assert got[0] > 0  # the threshold resolves hits
 
 
+def test_pairs_bound_upper_bounds_the_family_draw_by_draw(codebook):
+    # the pairs bound and the family walk the same noise draws; each group's
+    # stronger carrier sums to at least any codeword's in-mask sum
+    masks = analysis._band_mask_matrix(codebook, LAY)
+    family = analysis._max_ratios(
+        lambda draws: np.max(draws @ masks.T, axis=1), LAY, 200_000, 94, "band"
+    )
+    pairs = analysis._max_ratios(
+        lambda draws: draws.reshape(len(draws), LAY.groups, 2).max(axis=2).sum(axis=1),
+        LAY, 200_000, 94, "band",
+    )
+    assert np.all(np.concatenate(list(pairs)) >= np.concatenate(list(family)))
+
+
 @settings(max_examples=100)
 @given(
     st.one_of(

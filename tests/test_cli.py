@@ -463,6 +463,21 @@ def _fails_with_one_line(argv, capsys):
     return err
 
 
+def test_sidecar_follows_the_config_repeated_field_rule(tmp_path, capsys):
+    source = _modulate(tmp_path)
+    side = sidecar_path(source)
+    layout = json.dumps(json.loads(side.read_text())["layout"])
+    for name, text in [
+        ("sample_rate", '{"sample_rate": 2.0, "sample_rate": 5.0, "layout": {"groups": 1}, "layout": {}}'),
+        ("groups", '{"layout": ' + layout[:-1] + ', "groups": 28}}'),
+    ]:
+        side.write_text(text)
+        err = _fails_with_one_line(["spot", "--in", str(source)], capsys)
+        assert repr(name) in err and str(side) in err
+    side.write_text("{not json")
+    assert str(side) in _fails_with_one_line(["spot", "--in", str(source)], capsys)
+
+
 def test_malformed_layout_and_sidecar_exit_with_code_1(tmp_path, capsys):
     source = _modulate(tmp_path)
     side = sidecar_path(source)

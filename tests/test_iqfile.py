@@ -105,6 +105,25 @@ def test_sample_rate_is_checked_where_it_is_written_and_read(tmp_path):
     assert rate == 2e6 and type(rate) is float
 
 
+def test_sidecar_repeats_no_field_and_names_itself(tmp_path):
+    path = tmp_path / "twice.iq"
+    write_iq(path, _random_frame(7), layout=REFERENCE_LAYOUT)
+    side = sidecar_path(path)
+    for name, text in [
+        ("sample_rate", '{"sample_rate": 2.0, "sample_rate": 5.0}'),
+        ("layout", '{"layout": {"groups": 1}, "layout": {}}'),
+        ("groups", '{"layout": {"groups": 28, "groups": 28}}'),
+    ]:
+        side.write_text(text)
+        with pytest.raises(ValueError, match=repr(name)) as err:
+            read_iq(path)
+        assert str(side) in str(err.value)
+    side.write_text("{not json")
+    with pytest.raises(ValueError) as err:
+        read_iq(path)
+    assert str(side) in str(err.value)
+
+
 def test_read_rejects_ragged_or_empty_files(tmp_path):
     ragged = tmp_path / "ragged.iq"
     ragged.write_bytes(b"\x00" * 12)  # one and a half sample pairs
