@@ -27,7 +27,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from tagspot.codebook import Codebook, save_codebook, verify_min_distance
+from tagspot.codebook import Codebook, serialize_codebook, verify_min_distance
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "tagspot" / "data"
 NAME = "conference-28-56-13"
@@ -121,7 +121,7 @@ def main() -> int:
     )
     OUT.mkdir(parents=True, exist_ok=True)
     out_path = OUT / f"{NAME}.txt"
-    save_codebook(cb, out_path)
+    out_path.write_text(serialize_codebook(cb))
     print(f"wrote {out_path}")
     return 0
 

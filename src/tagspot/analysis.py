@@ -167,10 +167,6 @@ def expected_offset_leak(
 # single-tag closed forms
 
 
-def _denominator_dof(layout: CarrierLayout, denominator: str) -> int:
-    return 2 * layout.thin_per_wide * len(layout.denominator_wide(denominator))
-
-
 def pf_single(
     gamma: float,
     layout: CarrierLayout = REFERENCE_LAYOUT,
@@ -267,7 +263,7 @@ def pd_single(
     lay = model.layout
     dof_x = 2 * lay.active_thin_per_wide * lay.groups
     dof_y = 2 * (lay.thin_per_wide - lay.active_thin_per_wide) * lay.groups
-    dof_z = _denominator_dof(lay, denominator) - dof_x - dof_y
+    dof_z = 2 * lay.thin_per_wide * len(lay.denominator_wide(denominator)) - dof_x - dof_y
     weights, dofs = _numerator_mixture(model, dof_x, dof_y)
     tails = special.betaincc(dofs / 2.0, dof_z / 2.0, gamma)
     # rounding in the mixture can overshoot 1 by a few ulp-scale terms
@@ -306,12 +302,6 @@ def gamma_equivalent_snr_db(
 
 # ---------------------------------------------------------------------------
 # family Monte Carlo
-
-def _band_mask_matrix(codebook: Codebook, layout: CarrierLayout) -> np.ndarray:
-    masks = mask_matrix(codebook, layout)
-    band = np.asarray(layout.band_wide)
-    return masks[:, band].astype(np.float64)
-
 
 def _mc_chunks(trials: int, seed: int) -> "Iterator[tuple[np.random.Generator, int]]":
     """Chunks of at most _MC_CHUNK draws, each with a generator seeded by
@@ -388,7 +378,7 @@ def _family_max_ratios(
     the last draws until a call with other arguments replaces them or the
     caller clears the memo.
     """
-    masks = _band_mask_matrix(codebook, layout)
+    masks = mask_matrix(codebook, layout)[:, layout.band_wide].astype(np.float64)
     walk = _max_ratios(lambda draws: np.max(draws @ masks.T, axis=1), layout, trials, seed, denominator)
     out = np.concatenate(list(walk))
     out.sort()
@@ -468,7 +458,7 @@ def pm_mc(
     if not all(math.isfinite(snr_db) for snr_db in snr_dbs):
         raise ValueError(f"every SNR must be finite, got {list(snr_dbs)}")
     rs = [AnalysisModel(layout, snr_db, fading).p_over_n for snr_db in snr_dbs]
-    masks = _band_mask_matrix(codebook, layout).astype(bool)
+    masks = mask_matrix(codebook, layout)[:, layout.band_wide]
     beta2 = 2 * layout.active_thin_per_wide
     guard2 = 2 * (layout.thin_per_wide - layout.active_thin_per_wide)
     wides = 2 * layout.groups
@@ -573,12 +563,19 @@ def range_gain(snr_gap_db: float, path_loss_exponent: float) -> float:
     loss: 10^(gap / (10 d))."""
     if not path_loss_exponent > 0:
         raise ValueError("path loss exponent must be positive")
-    return float(10.0 ** (snr_gap_db / (10.0 * path_loss_exponent)))
+    try:
+        gain = float(10.0 ** (snr_gap_db / (10.0 * path_loss_exponent)))
+    except OverflowError:
+        gain = math.inf
+    if gain == math.inf:  # 10.0 ** inf is inf, not an OverflowError
+        raise ValueError(f"SNR gap {snr_gap_db:g} dB at path loss exponent "
+                         f"{path_loss_exponent:g} gives a range gain past the float range")
+    return gain
 
 
 def payload_frames(payload_bytes: int) -> int:
     """Data frames a payload occupies at 12 payload bytes per frame."""
-    return math.ceil(payload_bytes / 12)
+    return -(-payload_bytes // 12)  # an exact ceiling: no float in between
 
 
 def overhead(payload_bytes: int, sync_frames: int = 6, tag_frames: int = 8) -> float:

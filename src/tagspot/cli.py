@@ -24,7 +24,6 @@ Exit codes: 0 success, 1 validation error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -45,9 +44,9 @@ from .analysis import (
 )
 from .carriers import CarrierLayout, REFERENCE_LAYOUT, STRENGTH_DENOMINATORS, layout_from_dict
 from .channel import FADING_MODELS, apply_awgn, apply_cfo, apply_fading, gain_for_sir, mix, noise_power_for_snr
-from .codebook import Codebook, CodebookError, builtin_codebook, codeword_to_mask, load_codebook, verify_min_distance
+from .codebook import Codebook, builtin_codebook, codeword_to_mask, load_codebook, verify_min_distance
 from .detector import DetectorConfig, serialize_events, spot_report
-from .iqfile import _unique_fields, read_iq, write_iq
+from .iqfile import read_iq, read_json_object, write_iq
 from .waveform import (
     interference_frame_len,
     mean_power,
@@ -56,6 +55,10 @@ from .waveform import (
 )
 
 CONFIG_VERSION = 1
+
+# the bound of every dB option: 10^(+-300/10) keeps each power ratio made
+# from a dB value a finite, nonzero float
+_DB_LIMIT = 300.0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,12 +81,7 @@ def _fmt(value) -> str:
 def _config_fields(args: argparse.Namespace) -> dict:
     """The --config document's parameter fields, checked against the
     command: every field must name one of its parameters."""
-    try:
-        doc = json.loads(Path(args.config).read_text(), object_pairs_hook=_unique_fields)
-    except ValueError as exc:  # json.JSONDecodeError is one
-        raise ValueError(f"config {args.config}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("config must be a JSON object")
+    doc = read_json_object(args.config)
     version = doc.pop("config_version", None)
     if isinstance(version, bool) or version != CONFIG_VERSION:
         raise ValueError(f"config must declare config_version: {CONFIG_VERSION}")
@@ -169,12 +167,7 @@ def _require_seed(seed: "int | None", why: str) -> int:
 
 
 def _get_codebook(path: "str | None") -> Codebook:
-    if path is None:
-        return builtin_codebook()
-    try:
-        return load_codebook(path)
-    except CodebookError as exc:
-        raise ValueError(f"bad codebook: {exc}") from exc
+    return builtin_codebook() if path is None else load_codebook(path)
 
 
 def _header_lines(command: str, fields: "list[tuple[str, object]]") -> "list[str]":
@@ -212,7 +205,7 @@ def _emit_table(out, command: str, fields, columns: str, rows) -> None:
 # commands
 
 
-def _cmd_modulate(args: argparse.Namespace) -> int:
+def _cmd_modulate(args: argparse.Namespace) -> None:
     layout = args.layout or REFERENCE_LAYOUT
     codebook = _get_codebook(args.codebook)
     seed = _require_seed(args.seed, "tone phases are random")
@@ -251,10 +244,9 @@ def _cmd_modulate(args: argparse.Namespace) -> int:
     if args.papr_cap is not None:
         print(f"papr_cap_met: {_fmt(bool(limited.met_cap))}")
     print(f"out: {args.out}")
-    return 0
 
 
-def _cmd_impair(args: argparse.Namespace) -> int:
+def _cmd_impair(args: argparse.Namespace) -> None:
     if args.in_path is None:
         raise ValueError("--in is required")
     if args.out is None:
@@ -268,11 +260,10 @@ def _cmd_impair(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
 
     in_power = mean_power(frame)
-    # documented order: fading, then cfo, then interference, then noise
-    if args.fading != "none":
-        frame = apply_fading(frame, args.fading, rng, layout)
-    if args.cfo:
-        frame = apply_cfo(frame, args.cfo, layout)
+    # documented order: fading, then cfo, then interference, then noise;
+    # fading "none" and cfo 0 return the frame untouched and draw nothing
+    frame = apply_fading(frame, args.fading, rng, layout)
+    frame = apply_cfo(frame, args.cfo, layout)
     tag = frame  # --snr refers to the tag alone, before interference
     if args.sir is not None:
         span = max(len(frame) - args.interference_offset, 1)
@@ -304,10 +295,9 @@ def _cmd_impair(args: argparse.Namespace) -> int:
     if in_power > 0 and out_power > 0:
         print(f"power_ratio_db: {_fmt(10.0 * math.log10(out_power / in_power))}")
     print(f"out: {args.out}")
-    return 0
 
 
-def _cmd_spot(args: argparse.Namespace) -> int:
+def _cmd_spot(args: argparse.Namespace) -> None:
     if args.in_path is None:
         raise ValueError("--in is required")
     frame, meta = read_iq(args.in_path)
@@ -345,10 +335,9 @@ def _cmd_spot(args: argparse.Namespace) -> int:
         print(f"candidates: {report.candidates}")
         print(f"events: {len(report.events)}")
         print(f"out: {args.out}")
-    return 0
 
 
-def _cmd_curves(args: argparse.Namespace) -> int:
+def _cmd_curves(args: argparse.Namespace) -> None:
     layout = args.layout or REFERENCE_LAYOUT
     codebook = _get_codebook(args.codebook)
     # --include-null-noise is this command's spelling of denominator="all"
@@ -378,10 +367,9 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     ]
     columns = "gamma snr_db pd pf pm trials pf_ci_low pf_ci_high flagged"
     _emit_table(args.out, "curves", fields, columns, rows)
-    return 0
 
 
-def _cmd_leakage(args: argparse.Namespace) -> int:
+def _cmd_leakage(args: argparse.Namespace) -> None:
     layout = args.layout or REFERENCE_LAYOUT
     fields = [
         ("layout", _layout_summary(layout)),
@@ -395,10 +383,9 @@ def _cmd_leakage(args: argparse.Namespace) -> int:
     ]
     columns = "k single_leak_half_bin block_leak expected_offset_leak"
     _emit_table(args.out, "leakage", fields, columns, rows)
-    return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> None:
     if args.trials > 0:
         _require_seed(args.seed, "Monte Carlo columns are requested")
     seed = args.seed if args.seed is not None else 0
@@ -414,32 +401,28 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ]
     columns = "q gamma0 pf pf_mc pf_mc_ci_low pf_mc_ci_high"
     _emit_table(args.out, "sweep", fields, columns, rows)
-    return 0
 
 
-def _cmd_range(args: argparse.Namespace) -> int:
+def _cmd_range(args: argparse.Namespace) -> None:
     rows = [(d, range_gain(args.snr_gap, d)) for d in args.exponents]
     columns = "path_loss_exponent range_gain"
     _emit_table(args.out, "range", [("snr_gap_db", args.snr_gap)], columns, rows)
-    return 0
 
 
-def _cmd_overhead(args: argparse.Namespace) -> int:
+def _cmd_overhead(args: argparse.Namespace) -> None:
     payload, sync_frames, tag_frames = args.payload_bytes, args.sync_frames, args.tag_frames
     fraction = overhead(payload, sync_frames=sync_frames, tag_frames=tag_frames)
     row = (payload, payload_frames(payload), sync_frames, tag_frames, fraction)
     columns = "payload_bytes payload_frames sync_frames tag_frames overhead"
     _emit_table(args.out, "overhead", [], columns, [row])
-    return 0
 
 
-def _cmd_codebook_verify(args: argparse.Namespace) -> int:
+def _cmd_codebook_verify(args: argparse.Namespace) -> None:
     codebook = _get_codebook(args.codebook)  # rejects a violated declared distance
     _emit(args.out, f"name: {codebook.name}\nsize: {codebook.size}\n"
           f"word_length: {codebook.word_length}\n"
           f"declared_min_distance: {codebook.min_distance}\n"
           f"verified_min_distance: {verify_min_distance(codebook.words)}\nstatus: ok\n")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -489,12 +472,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(commands, "impair", _cmd_impair, "apply fading, cfo, interference "
                      "and noise to an IQ file", layout=True, seed=True)
     p.add_argument("--in", dest="in_path", help="input IQ file")
-    p.add_argument("--snr", type=_number(float), help="target SNR in dB (input must be one tag frame)")
+    p.add_argument("--snr", type=_number(float, -_DB_LIMIT, _DB_LIMIT),
+                   help="target SNR in dB (input must be one tag frame)")
     p.add_argument("--cfo", type=_number(float), default=0.0,
                    help="carrier offset in thin-carrier widths (default %(default)s)")
     p.add_argument("--fading", choices=FADING_MODELS, default="none",
                    help="fading model (default %(default)s)")
-    p.add_argument("--sir", type=_number(float), help="add data-like interference at this SIR dB")
+    p.add_argument("--sir", type=_number(float, -_DB_LIMIT, _DB_LIMIT),
+                   help="add data-like interference at this SIR dB")
     p.add_argument("--interference-offset", dest="interference_offset", type=_number(int, 0), default=0,
                    help="interference start sample (default %(default)s)")
 
@@ -510,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(commands, "curves", _cmd_curves,
                      "detection and false-alarm tables over snr/gamma grids", layout=True, seed=True)
-    p.add_argument("--snr", type=_grid(), default="0", help="comma-separated SNR grid in dB, "
+    p.add_argument("--snr", type=_grid(-_DB_LIMIT, _DB_LIMIT), default="0", help="comma-separated SNR grid in dB, "
                    "default %(default)s (write --snr=-4,0,4 when the grid starts negative)")
     p.add_argument("--gamma", type=_grid(0, 1, open=True), default="0.62",
                    help="comma-separated threshold grid (default %(default)s)")
@@ -530,12 +515,13 @@ def build_parser() -> argparse.ArgumentParser:
                      seed=True)
     p.add_argument("--carriers", type=_number(int, 2), default=56,
                    help="total wide carriers (default %(default)s)")
-    p.add_argument("--snr", type=_number(float), default=0.0, help="per-tone SNR in dB (default %(default)s)")
+    p.add_argument("--snr", type=_number(float, -_DB_LIMIT, _DB_LIMIT), default=0.0,
+                   help="per-tone SNR in dB (default %(default)s)")
     p.add_argument("--trials", type=_number(int, 0), default=0,
                    help="Monte Carlo cross-check trials per split (default %(default)s)")
 
     p = _add_command(commands, "range", _cmd_range, "range gain from an SNR advantage")
-    p.add_argument("--snr-gap", dest="snr_gap", type=_number(float), default=20.0,
+    p.add_argument("--snr-gap", dest="snr_gap", type=_number(float, -_DB_LIMIT, _DB_LIMIT), default=20.0,
                    help="SNR advantage in dB (default %(default)s)")
     p.add_argument("--exponents", type=_grid(0, open=True), default="3,6",
                    help="comma-separated path loss exponents (default %(default)s)")
@@ -570,13 +556,14 @@ def main(argv: "list[str] | None" = None) -> int:
                     args.layout = layout_from_dict(fields["layout"])
                 except ValueError as exc:
                     raise ValueError(f"bad layout in config: {exc}") from exc
-        return args.func(args)
+        args.func(args)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

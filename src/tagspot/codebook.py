@@ -147,7 +147,11 @@ def parse_codebook(text: str) -> Codebook:
 
 
 def load_codebook(path: "str | Path") -> Codebook:
-    return parse_codebook(Path(path).read_text())
+    """Read and parse a codebook file; every ValueError names the path."""
+    try:
+        return parse_codebook(Path(path).read_text())
+    except ValueError as exc:  # a CodebookError or a UnicodeDecodeError
+        raise CodebookError(f"{path}: {exc}") from exc
 
 
 def serialize_codebook(cb: Codebook) -> str:
@@ -159,10 +163,6 @@ def serialize_codebook(cb: Codebook) -> str:
     ]
     lines.extend(sorted(cb.words))
     return "\n".join(lines) + "\n"
-
-
-def save_codebook(cb: Codebook, path: "str | Path") -> None:
-    Path(path).write_text(serialize_codebook(cb))
 
 
 def builtin_codebook() -> Codebook:

@@ -44,6 +44,18 @@ def _unique_fields(pairs: "list[tuple[str, object]]") -> dict:
     return doc
 
 
+def read_json_object(path: "str | Path") -> dict:
+    """The JSON object a sidecar or --config file holds, no field repeated
+    at any depth; every ValueError names the path."""
+    try:
+        doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_fields)
+    except ValueError as exc:  # json.JSONDecodeError is one
+        raise ValueError(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: must be a JSON object")
+    return doc
+
+
 def _sample_rate(rate, where: str) -> float:
     """rate as a float; it must be a positive int or float (not bool) that a
     float holds finitely (math.isfinite would overflow on a larger int)."""
@@ -59,7 +71,8 @@ def write_iq(
     extra: "dict | None" = None,
     sample_rate: float = 1.0,
 ) -> Path:
-    """Write samples and sidecar, metadata checked first; returns the sidecar path."""
+    """Write samples and sidecar, metadata and the float32 range checked
+    first; returns the sidecar path."""
     path = Path(path)
     meta: dict = {"sample_rate": _sample_rate(sample_rate, str(path))}
     if layout is not None:
@@ -71,6 +84,12 @@ def write_iq(
         meta.update(extra)
     text = json.dumps(meta, sort_keys=True, indent=2) + "\n"
     samples = frame.samples
+    # casting to float32 is monotone, so a sample casts to inf only if the
+    # largest magnitude does; .real and .imag are views, not copies
+    peak = max(max(part.max(), -part.min()) for part in (samples.real, samples.imag))
+    with np.errstate(over="ignore"):
+        if np.isinf(np.float32(peak)):
+            raise ValueError(f"{path}: a sample is past the float32 range")
     step = _BLOCK_FLOATS // 2
     with path.open("wb") as fh:
         for lo in range(0, samples.size, step):
@@ -105,14 +124,10 @@ def read_iq(path: "str | Path") -> "tuple[IqFrame, dict]":
             if fh.readinto(part) != part.nbytes:
                 raise ValueError(f"{path}: file ended before its {size} bytes were read")
             flat[lo : lo + part.size] = part
-    meta: dict = {}
     side = sidecar_path(path)
-    if side.exists():
-        try:
-            meta = json.loads(side.read_text(), object_pairs_hook=_unique_fields)
-        except ValueError as exc:  # json.JSONDecodeError is one
-            raise ValueError(f"{side}: {exc}") from exc
-        if not isinstance(meta, dict):
-            raise ValueError(f"{side}: metadata must be a JSON object")
+    meta = read_json_object(side) if side.exists() else {}
     meta["sample_rate"] = _sample_rate(meta.get("sample_rate", 1.0), str(side))
-    return IqFrame(samples), meta
+    try:
+        return IqFrame(samples), meta
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

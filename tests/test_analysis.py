@@ -23,6 +23,7 @@ from tagspot.analysis import (
     leakage_block,
     leakage_single,
     overhead,
+    payload_frames,
     pd_single,
     pf_family_mc,
     pf_pairs_bound,
@@ -417,6 +418,12 @@ def test_range_gain_pins():
         range_gain(20.0, 0.0)
 
 
+def test_payload_frames_is_an_exact_integer_ceiling():
+    # a float quotient would give 83333333333333327872
+    assert payload_frames(10**21) == 83333333333333333334
+    assert payload_frames(12) == 1 and payload_frames(13) == 2
+
+
 def test_overhead_pins():
     assert overhead(1500) == 8 / 131
     assert overhead(750) == 8 / 69  # 62.5 data frames round up to 63
@@ -733,7 +740,7 @@ def test_pf_pairs_bound_matches_the_whole_chunk_loop(trials):
 def test_pairs_bound_upper_bounds_the_family_draw_by_draw(codebook):
     # the pairs bound and the family walk the same noise draws; each group's
     # stronger carrier sums to at least any codeword's in-mask sum
-    masks = analysis._band_mask_matrix(codebook, LAY)
+    masks = mask_matrix(codebook, LAY)[:, LAY.band_wide].astype(np.float64)
     family = analysis._max_ratios(
         lambda draws: np.max(draws @ masks.T, axis=1), LAY, 200_000, 94, "band"
     )

@@ -652,6 +652,54 @@ def test_non_finite_numbers_exit_with_code_1(tmp_path, capsys, argv, named):
 
 
 @pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["sweep", "--snr", "4000"], ["--snr"]),
+        (["curves", "--snr=4000"], ["--snr"]),
+        (["range", "--snr-gap", "1e6", "--exponents", "0.001"], ["--snr-gap"]),
+        (["impair", "--in", "{tag}", "--seed", "1", "--sir", "4000", "--out", "{out}"], ["--sir"]),
+        (["impair", "--in", "{tag}", "--seed", "1", "--snr=-4000", "--out", "{out}"], ["--snr"]),
+        (["impair", "--in", "{tag}", "--seed", "1", "--sir=-4000", "--out", "{out}"], ["--sir"]),
+        # within the bound, but 10^(300 / (10 * 0.001)) is past the float range
+        (["range", "--snr-gap", "300", "--exponents", "0.001"], ["gap 300", "exponent 0.001"]),
+    ],
+    ids=["sweep-snr", "curves-snr", "range-snr-gap", "impair-sir", "impair-snr-negative",
+         "impair-sir-negative", "range-gain-overflow"],
+)
+def test_decibel_options_are_bounded_at_300_db(tmp_path, capsys, argv, named):
+    paths = {"tag": _modulate(tmp_path), "out": tmp_path / "o.iq"}
+    capsys.readouterr()
+    err = _fails_with_one_line([arg.format(**paths) for arg in argv], capsys)
+    assert all(name in err for name in named)
+    assert not paths["out"].exists()
+
+
+def test_modulate_never_writes_samples_past_float32(tmp_path, capsys):
+    out = tmp_path / "big.iq"
+    argv = ["modulate", "--seed", "1", "--power", "1e308", "--out", str(out)]
+    assert str(out) in _fails_with_one_line(argv, capsys)
+    assert not out.exists() and not sidecar_path(out).exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe", b"name: bad\nword_length: 4\nmin_distance: 4\n0000\n0011\n"],
+    ids=["not-utf8", "violated-distance"],
+)
+def test_codebook_errors_name_the_file(tmp_path, capsys, content):
+    book = tmp_path / "book.txt"
+    book.write_bytes(content)
+    assert str(book) in _fails_with_one_line(["codebook-verify", "--codebook", str(book)], capsys)
+
+
+def test_a_config_that_is_not_an_object_names_the_file(tmp_path, capsys):
+    config = tmp_path / "list.json"
+    config.write_text("[1]")
+    err = _fails_with_one_line(["leakage", "--config", str(config)], capsys)
+    assert err == f"{config}: must be a JSON object\n"
+
+
+@pytest.mark.parametrize(
     "flags, named",
     [
         (["--power=0"], "--power"),

@@ -166,3 +166,23 @@ def test_rewrite_keeps_signed_zeros_and_extremes(tmp_path):
     write_iq(second, back)
     assert second.read_bytes() == first.read_bytes()
     assert np.signbit(back.samples.real[0]) and np.signbit(back.samples.imag[1])
+
+
+def test_write_refuses_samples_past_float32_and_leaves_no_file(tmp_path):
+    path = tmp_path / "big.iq"
+    # 3.5e38 and -1e300 cast to float32 infinities; 3.4028235e38 is its largest value
+    for value in (3.5e38, -1e300j):
+        with pytest.raises(ValueError, match="float32") as err:
+            write_iq(path, IqFrame(np.array([1.0, value])))
+        assert str(path) in str(err.value)
+        assert not path.exists() and not sidecar_path(path).exists()
+    write_iq(path, IqFrame(np.array([3.4028235e38, -3.4028235e38j])))
+    assert np.isfinite(read_iq(path)[0].samples).all()
+
+
+def test_read_names_the_file_whose_samples_are_not_finite(tmp_path):
+    path = tmp_path / "inf.iq"
+    _write_raw(path, [(np.inf, 0.0)])
+    with pytest.raises(ValueError, match="finite") as err:
+        read_iq(path)
+    assert str(path) in str(err.value)
