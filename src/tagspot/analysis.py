@@ -211,7 +211,9 @@ def _numerator_mixture(
     """
     r = model.p_over_n
     base = float(dof_x + dof_y)
-    if r == 0:
+    # below about -162 dB 1 / (1 + r) rounds to 1, where the wideband
+    # mixture is its k = 0 term alone and nbdtrik's bounds are meaningless
+    if r == 0 or (model.fading != "narrowband" and 1.0 / (1.0 + r) == 1.0):
         return np.ones(1), np.asarray([base])
     from scipy import special
 

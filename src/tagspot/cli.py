@@ -56,10 +56,6 @@ from .waveform import (
 
 CONFIG_VERSION = 1
 
-# the bound of every dB option: 10^(+-300/10) keeps each power ratio made
-# from a dB value a finite, nonzero float
-_DB_LIMIT = 300.0
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; the contract reserves 2 for I/O
@@ -75,7 +71,13 @@ def _fmt(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.9g}"
-    return str(value)
+    return "none" if value is None else str(value)
+
+
+def _lines(fields, prefix: str = "") -> str:
+    """One "key: value" line per (key, value) field: every header, summary
+    and report line the CLI writes."""
+    return "".join(f"{prefix}{key}: {_fmt(value)}\n" for key, value in fields)
 
 
 def _config_fields(args: argparse.Namespace) -> dict:
@@ -94,15 +96,19 @@ def _config_fields(args: argparse.Namespace) -> dict:
     return doc
 
 
-def _input_layout(meta: dict, args: argparse.Namespace) -> CarrierLayout:
-    """The layout an input file's sidecar declares, which a config layout
-    must equal; the config layout (or the reference one) without it."""
+def _read_input(args: argparse.Namespace) -> tuple:
+    """The --in file's frame and sidecar, and its layout: the one the
+    sidecar declares, which a config layout must equal, or without one the
+    config layout (or the reference one)."""
+    if args.in_path is None:
+        raise ValueError("--in is required")
+    frame, meta = read_iq(args.in_path)
     if "layout" not in meta:
-        return args.layout or REFERENCE_LAYOUT
+        return frame, meta, args.layout or REFERENCE_LAYOUT
     layout = layout_from_dict(meta["layout"])
     if args.layout is not None and args.layout != layout:
         raise ValueError("config layout differs from the layout in the input's sidecar")
-    return layout
+    return frame, meta, layout
 
 
 def _number(kind: type, low: float = -math.inf, high: float = math.inf, open: bool = False):
@@ -121,6 +127,12 @@ def _number(kind: type, low: float = -math.inf, high: float = math.inf, open: bo
     parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
     parse.kind = kind
     return parse
+
+
+# the bound of every dB option: 10^(+-300/10) keeps each power ratio made
+# from a dB value a finite, nonzero float
+_DB_LIMIT = 300.0
+_DB = _number(float, -_DB_LIMIT, _DB_LIMIT)
 
 
 def _grid(low: float = -math.inf, high: float = math.inf, open: bool = False):
@@ -160,20 +172,21 @@ def _field_flags(sub: argparse.ArgumentParser, fields: dict) -> "list[str]":
     return flags
 
 
-def _require_seed(seed: "int | None", why: str) -> int:
-    if seed is None:
+def _seed(args: argparse.Namespace, why: "str | None") -> int:
+    """The run's seed, 0 when none was given; why says what the run draws
+    at random, and None that it draws nothing, so needs no seed."""
+    if why is not None and args.seed is None:
         raise ValueError(f"--seed is required: {why}")
-    return seed
+    return 0 if args.seed is None else args.seed
 
 
 def _get_codebook(path: "str | None") -> Codebook:
     return builtin_codebook() if path is None else load_codebook(path)
 
 
-def _header_lines(command: str, fields: "list[tuple[str, object]]") -> "list[str]":
-    lines = [f"# command: {command}", f"# config_version: {CONFIG_VERSION}"]
-    lines.extend(f"# {key}: {_fmt(value)}" for key, value in fields)
-    return lines
+def _header(command: str, fields) -> str:
+    """A table's or event file's "# key: value" header."""
+    return _lines([("command", command), ("config_version", CONFIG_VERSION), *fields], "# ")
 
 
 def _layout_summary(layout: CarrierLayout) -> str:
@@ -196,9 +209,8 @@ def _emit(out: "str | None", text: str) -> None:
 
 def _emit_table(out, command: str, fields, columns: str, rows) -> None:
     """Header fields, then the columns line, then one line per row."""
-    header = _header_lines(command, [*fields, ("columns", columns)])
-    body = [" ".join(_fmt(v) for v in row) for row in rows]
-    _emit(out, "\n".join(header + body) + "\n")
+    body = "".join(" ".join(_fmt(v) for v in row) + "\n" for row in rows)
+    _emit(out, _header(command, [*fields, ("columns", columns)]) + body)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +220,7 @@ def _emit_table(out, command: str, fields, columns: str, rows) -> None:
 def _cmd_modulate(args: argparse.Namespace) -> None:
     layout = args.layout or REFERENCE_LAYOUT
     codebook = _get_codebook(args.codebook)
-    seed = _require_seed(args.seed, "tone phases are random")
+    seed = _seed(args, "tone phases are random")
     if args.out is None:
         raise ValueError("--out is required")
 
@@ -237,27 +249,21 @@ def _cmd_modulate(args: argparse.Namespace) -> None:
         extra["attempts"] = limited.attempts
     write_iq(args.out, frame, layout=layout, extra=extra, sample_rate=args.sample_rate)
 
-    print(f"codeword_index: {word_index}")
-    print(f"samples: {len(frame)}")
-    print(f"total_power: {_fmt(args.power)}")
-    print(f"papr_db: {_fmt(papr_db)}")
-    if args.papr_cap is not None:
-        print(f"papr_cap_met: {_fmt(bool(limited.met_cap))}")
-    print(f"out: {args.out}")
+    capped = [("papr_cap_met", bool(limited.met_cap))] if args.papr_cap is not None else []
+    sys.stdout.write(_lines([("codeword_index", word_index), ("samples", len(frame)),
+                             ("total_power", args.power), ("papr_db", papr_db), *capped,
+                             ("out", args.out)]))
 
 
 def _cmd_impair(args: argparse.Namespace) -> None:
-    if args.in_path is None:
-        raise ValueError("--in is required")
     if args.out is None:
         raise ValueError("--out is required")
-    frame, meta = read_iq(args.in_path)
-    layout = _input_layout(meta, args)
+    frame, meta, layout = _read_input(args)
     if args.snr is not None and len(frame) != layout.frame_len:
         raise ValueError(f"--snr needs one tag frame ({layout.frame_len} samples), got {len(frame)}")
-    if args.snr is not None or args.sir is not None or args.fading != "none":
-        _require_seed(args.seed, "noise, fading and interference draw randomness")
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    stochastic = args.snr is not None or args.sir is not None or args.fading != "none"
+    why = "noise, fading and interference draw randomness" if stochastic else None
+    rng = np.random.default_rng(_seed(args, why))
 
     in_power = mean_power(frame)
     # documented order: fading, then cfo, then interference, then noise;
@@ -290,18 +296,14 @@ def _cmd_impair(args: argparse.Namespace) -> None:
     write_iq(args.out, frame, layout=layout, extra=extra, sample_rate=meta["sample_rate"])
 
     out_power = mean_power(frame)
-    print(f"in_power: {_fmt(in_power)}")
-    print(f"out_power: {_fmt(out_power)}")
+    summary = [("in_power", in_power), ("out_power", out_power)]
     if in_power > 0 and out_power > 0:
-        print(f"power_ratio_db: {_fmt(10.0 * math.log10(out_power / in_power))}")
-    print(f"out: {args.out}")
+        summary.append(("power_ratio_db", 10.0 * math.log10(out_power / in_power)))
+    sys.stdout.write(_lines([*summary, ("out", args.out)]))
 
 
 def _cmd_spot(args: argparse.Namespace) -> None:
-    if args.in_path is None:
-        raise ValueError("--in is required")
-    frame, meta = read_iq(args.in_path)
-    layout = _input_layout(meta, args)
+    frame, _, layout = _read_input(args)
     codebook = _get_codebook(args.codebook)
     detector = DetectorConfig(
         layout=layout,
@@ -312,29 +314,20 @@ def _cmd_spot(args: argparse.Namespace) -> None:
     )
     report = spot_report(frame, detector)
 
-    header = _header_lines(
-        "spot",
-        [
-            ("in", args.in_path),
-            ("codebook", codebook.name),
-            ("gamma", args.gamma),
-            ("carrier_sense_snr_db", args.carrier_sense),
-            ("denominator", args.denominator),
-            ("layout", _layout_summary(layout)),
-            ("windows_total", report.windows_total),
-            ("windows_gated", report.windows_gated),
-            ("events", len(report.events)),
-        ],
-    )
-    _emit(args.out, "\n".join(header) + "\n" + serialize_events(list(report.events)))
+    windows = [("windows_total", report.windows_total), ("windows_gated", report.windows_gated)]
+    events = ("events", len(report.events))
+    header = _header("spot", [
+        ("in", args.in_path), ("codebook", codebook.name), ("gamma", args.gamma),
+        ("carrier_sense_snr_db", args.carrier_sense), ("denominator", args.denominator),
+        ("layout", _layout_summary(layout)), *windows, events,
+    ])
+    _emit(args.out, header + serialize_events(list(report.events)))
     if args.out is not None:
-        print(f"windows_total: {report.windows_total}")
-        print(f"windows_gated: {report.windows_gated}")
-        print(f"windows_below_gamma: {report.windows_below_gamma}")
-        print(f"windows_com_rejected: {report.windows_com_rejected}")
-        print(f"candidates: {report.candidates}")
-        print(f"events: {len(report.events)}")
-        print(f"out: {args.out}")
+        sys.stdout.write(_lines([
+            *windows, ("windows_below_gamma", report.windows_below_gamma),
+            ("windows_com_rejected", report.windows_com_rejected), ("candidates", report.candidates),
+            events, ("out", args.out),
+        ]))
 
 
 def _cmd_curves(args: argparse.Namespace) -> None:
@@ -342,10 +335,9 @@ def _cmd_curves(args: argparse.Namespace) -> None:
     codebook = _get_codebook(args.codebook)
     # --include-null-noise is this command's spelling of denominator="all"
     denominator = "all" if args.include_null_noise else "band"
-    seed = 0
+    seed = _seed(args, "Monte Carlo columns are requested" if args.trials > 0 else None)
     pms = [float("nan")] * len(args.snr)
     if args.trials > 0:
-        seed = _require_seed(args.seed, "Monte Carlo columns are requested")
         # one misclassification draw for the whole grid, made before the
         # family draws so the two are never in memory together
         pms = [pm for pm, _ in pm_mc(args.snr, codebook, layout, args.fading, args.trials, seed)]
@@ -361,9 +353,9 @@ def _cmd_curves(args: argparse.Namespace) -> None:
         ("model", args.fading),
         ("codebook", codebook.name),
         ("layout", _layout_summary(layout)),
-        ("include_null_noise", denominator == "all"),
+        ("include_null_noise", args.include_null_noise),
         ("trials", args.trials),
-        ("seed", "none" if args.seed is None else args.seed),
+        ("seed", args.seed),
     ]
     columns = "gamma snr_db pd pf pm trials pf_ci_low pf_ci_high flagged"
     _emit_table(args.out, "curves", fields, columns, rows)
@@ -386,16 +378,14 @@ def _cmd_leakage(args: argparse.Namespace) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
-    if args.trials > 0:
-        _require_seed(args.seed, "Monte Carlo columns are requested")
-    seed = args.seed if args.seed is not None else 0
+    seed = _seed(args, "Monte Carlo columns are requested" if args.trials > 0 else None)
     rows = sweep_active_carriers(args.carriers, args.snr, trials=args.trials, seed=seed)
     best_q, _, best_pf, *_ = min(rows, key=lambda row: row[2])
     fields = [
         ("carriers", args.carriers),
         ("snr_db", args.snr),
         ("trials", args.trials),
-        ("seed", "none" if args.seed is None else args.seed),
+        ("seed", args.seed),
         ("argmin_q", best_q),
         ("argmin_pf", best_pf),
     ]
@@ -419,10 +409,13 @@ def _cmd_overhead(args: argparse.Namespace) -> None:
 
 def _cmd_codebook_verify(args: argparse.Namespace) -> None:
     codebook = _get_codebook(args.codebook)  # rejects a violated declared distance
-    _emit(args.out, f"name: {codebook.name}\nsize: {codebook.size}\n"
-          f"word_length: {codebook.word_length}\n"
-          f"declared_min_distance: {codebook.min_distance}\n"
-          f"verified_min_distance: {verify_min_distance(codebook.words)}\nstatus: ok\n")
+    # one word has no distance to measure
+    verified = verify_min_distance(codebook.words) if codebook.size > 1 else None
+    _emit(args.out, _lines([
+        ("name", codebook.name), ("size", codebook.size), ("word_length", codebook.word_length),
+        ("declared_min_distance", codebook.min_distance), ("verified_min_distance", verified),
+        ("status", "ok"),
+    ]))
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(commands, "impair", _cmd_impair, "apply fading, cfo, interference "
                      "and noise to an IQ file", layout=True, seed=True)
     p.add_argument("--in", dest="in_path", help="input IQ file")
-    p.add_argument("--snr", type=_number(float, -_DB_LIMIT, _DB_LIMIT),
-                   help="target SNR in dB (input must be one tag frame)")
+    p.add_argument("--snr", type=_DB, help="target SNR in dB (input must be one tag frame)")
     p.add_argument("--cfo", type=_number(float), default=0.0,
                    help="carrier offset in thin-carrier widths (default %(default)s)")
     p.add_argument("--fading", choices=FADING_MODELS, default="none",
                    help="fading model (default %(default)s)")
-    p.add_argument("--sir", type=_number(float, -_DB_LIMIT, _DB_LIMIT),
-                   help="add data-like interference at this SIR dB")
+    p.add_argument("--sir", type=_DB, help="add data-like interference at this SIR dB")
     p.add_argument("--interference-offset", dest="interference_offset", type=_number(int, 0), default=0,
                    help="interference start sample (default %(default)s)")
 
@@ -515,13 +506,13 @@ def build_parser() -> argparse.ArgumentParser:
                      seed=True)
     p.add_argument("--carriers", type=_number(int, 2), default=56,
                    help="total wide carriers (default %(default)s)")
-    p.add_argument("--snr", type=_number(float, -_DB_LIMIT, _DB_LIMIT), default=0.0,
+    p.add_argument("--snr", type=_DB, default=0.0,
                    help="per-tone SNR in dB (default %(default)s)")
     p.add_argument("--trials", type=_number(int, 0), default=0,
                    help="Monte Carlo cross-check trials per split (default %(default)s)")
 
     p = _add_command(commands, "range", _cmd_range, "range gain from an SNR advantage")
-    p.add_argument("--snr-gap", dest="snr_gap", type=_number(float, -_DB_LIMIT, _DB_LIMIT), default=20.0,
+    p.add_argument("--snr-gap", dest="snr_gap", type=_DB, default=20.0,
                    help="SNR advantage in dB (default %(default)s)")
     p.add_argument("--exponents", type=_grid(0, open=True), default="3,6",
                    help="comma-separated path loss exponents (default %(default)s)")

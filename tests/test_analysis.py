@@ -124,6 +124,16 @@ def test_pd_reduces_to_pf_without_signal():
             )
 
 
+@pytest.mark.parametrize("fading", ["wideband", "narrowband"])
+def test_pd_at_minus_300_db_is_pf(fading):
+    # from about -163 dB 1 / (1 + r) rounds to 1 and the wideband mixture is
+    # its k = 0 term; special.nbdtrik's bounds there are (1e100, 0)
+    model = AnalysisModel(snr_db=-300.0, fading=fading)
+    assert model.p_over_n > 0.0
+    for gamma in (0.5, 0.62, 0.7):
+        assert pd_single(gamma, model) == pf_single(gamma)
+
+
 def test_pd_is_monotone_in_snr_and_gamma():
     for fading in ("wideband", "narrowband"):
         values = [

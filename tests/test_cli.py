@@ -319,6 +319,65 @@ def test_codebook_verify_writes_its_report_to_out(tmp_path, capsys):
     assert out.read_bytes() == printed.encode()
 
 
+def test_codebook_verify_reports_a_one_word_codebook(tmp_path, capsys):
+    # a codebook that loads is reported on; one word has no distance to verify
+    book = tmp_path / "one.txt"
+    book.write_text("name: one\nword_length: 3\nmin_distance: 1\n010\n")
+    assert cli_main(["codebook-verify", "--codebook", str(book)]) == 0
+    assert capsys.readouterr().out == (
+        "name: one\nsize: 1\nword_length: 3\ndeclared_min_distance: 1\n"
+        "verified_min_distance: none\nstatus: ok\n"
+    )
+
+
+_LAYOUT_LINE = ("# layout: fft_size=512 wide_total=64 thin_per_wide=8 active_thin_per_wide=4 "
+                "groups=28 cp_fraction=0.25 null_wide=0,1,2,32,60,61,62,63\n")
+
+# each run in order, from one working directory, with the whole stdout it prints
+_STDOUT_RUNS = [
+    (["modulate", "--word", "3", "--seed", "11", "--out", "tag.iq"],
+     "codeword_index: 3\nsamples: 640\ntotal_power: 1\npapr_db: 7.66661184\nout: tag.iq\n"),
+    (["modulate", "--seed", "3", "--papr-cap", "20", "--out", "capped.iq"],
+     "codeword_index: 0\nsamples: 640\ntotal_power: 1\npapr_db: 8.7130427\npapr_cap_met: 1\n"
+     "out: capped.iq\n"),
+    (["impair", "--in", "tag.iq", "--fading", "wideband-rayleigh", "--cfo", "0.25", "--snr", "6",
+      "--seed", "7", "--out", "noisy.iq"],
+     "in_power: 0.00202038166\nout_power: 0.00318564661\npower_ratio_db: 1.97764179\n"
+     "out: noisy.iq\n"),
+    (["spot", "--in", "noisy.iq", "--out", "events.txt"],
+     "windows_total: 2\nwindows_gated: 0\nwindows_below_gamma: 0\nwindows_com_rejected: 0\n"
+     "candidates: 2\nevents: 1\nout: events.txt\n"),
+    (["spot", "--in", "tag.iq"],
+     "# command: spot\n# config_version: 1\n# in: tag.iq\n# codebook: conference-28-56-13\n"
+     "# gamma: 0.62\n# carrier_sense_snr_db: -1\n# denominator: band\n" + _LAYOUT_LINE +
+     "# windows_total: 2\n# windows_gated: 0\n# events: 1\n"
+     "# interval_start\tcodeword_index\tstrength\tcom_position\tsnr_estimate_db\tcom_valid\n"
+     "0\t3\t1\t-0.535714302\tinf\t1\n"),
+    (["codebook-verify"],
+     "name: conference-28-56-13\nsize: 56\nword_length: 28\ndeclared_min_distance: 13\n"
+     "verified_min_distance: 13\nstatus: ok\n"),
+    (["curves", "--snr=-4,0", "--gamma", "0.5,0.62"],
+     "# command: curves\n# config_version: 1\n# model: wideband\n# codebook: conference-28-56-13\n"
+     + _LAYOUT_LINE +
+     "# include_null_noise: 0\n# trials: 0\n# seed: none\n"
+     "# columns: gamma snr_db pd pf pm trials pf_ci_low pf_ci_high flagged\n"
+     "0.5 -4 0.999735204 0.5 nan 0 0.5 0.5 0\n"
+     "0.62 -4 0.0545048501 1.28514781e-07 nan 0 1.28514781e-07 1.28514781e-07 0\n"
+     "0.5 0 1 0.5 nan 0 0.5 0.5 0\n"
+     "0.62 0 0.978406205 1.28514781e-07 nan 0 1.28514781e-07 1.28514781e-07 0\n"),
+]
+
+
+def test_the_printed_lines_are_pinned_byte_for_byte(tmp_path, monkeypatch, capsys):
+    """Summaries, reports and stdout tables, whole: the modulate line with
+    and without a PAPR cap, impair's power lines, spot's summary and its
+    event file on stdout, and a curves header with no seed."""
+    monkeypatch.chdir(tmp_path)
+    for argv, printed in _STDOUT_RUNS:
+        assert cli_main(argv) == 0, " ".join(argv)
+        assert capsys.readouterr().out == printed, " ".join(argv)
+
+
 @pytest.mark.parametrize(
     "argv",
     [["spot", "--in", "{tag}"], ["leakage", "--max-offset", "1"], ["range"], ["overhead"],
@@ -590,6 +649,14 @@ def test_wideband_closed_form_over_its_budget_names_the_snr(capsys):
     # the negative-binomial mixture would span 353M components at 60 dB, a
     # 2.8 GB float64 array each for its indices, weights, dofs and tails
     assert "snr 60 dB" in _fails_with_one_line(["curves", "--snr=60"], capsys)
+
+
+def test_wideband_closed_form_runs_down_to_minus_300_db(capsys):
+    # no signal survives -300 dB: every row's detection equals its false alarm
+    assert cli_main(["curves", "--snr=-300", "--gamma", "0.5,0.62,0.7"]) == 0
+    rows = _table_rows(capsys.readouterr().out)
+    assert len(rows) == 3
+    assert all(pd == pf for _, _, pd, pf, *_ in rows)
 
 
 @pytest.mark.parametrize(
