@@ -121,19 +121,23 @@ class CarrierLayout:
         )
 
     @functools.cached_property
-    def group_map(self) -> tuple[tuple[int, int], ...]:
-        """Two-carrier groups: consecutive non-null carriers, paired in
-        ascending frequency order. Group g holds (first, second); a codeword
-        bit of 0 activates the first carrier, 1 the second."""
-        band = self.band_wide
-        return tuple((band[2 * g], band[2 * g + 1]) for g in range(self.groups))
+    def group_map(self) -> np.ndarray:
+        """Two-carrier groups as a read-only (groups, 2) integer array:
+        consecutive non-null carriers, paired in ascending frequency order.
+        Row g holds (first, second); a codeword bit of 0 activates the
+        first carrier, 1 the second."""
+        pairs = np.array(self.band_wide).reshape(self.groups, 2)
+        pairs.flags.writeable = False
+        return pairs
 
     @functools.cached_property
-    def active_thin_offsets(self) -> tuple[int, ...]:
+    def active_thin_offsets(self) -> np.ndarray:
         """Offsets of the active (central) thin carriers inside a wide
-        carrier's span of thin_per_wide bins."""
+        carrier's span of thin_per_wide bins, as a read-only integer array."""
         start = (self.thin_per_wide - self.active_thin_per_wide) // 2
-        return tuple(range(start, start + self.active_thin_per_wide))
+        offsets = np.arange(start, start + self.active_thin_per_wide)
+        offsets.flags.writeable = False
+        return offsets
 
     @functools.cached_property
     def centered_wide(self) -> np.ndarray:

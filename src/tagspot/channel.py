@@ -15,6 +15,8 @@ carrier.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .carriers import CarrierLayout, REFERENCE_LAYOUT
@@ -35,15 +37,17 @@ def noise_power_for_snr(
 
 
 def apply_awgn(frame: IqFrame, n: float, rng: np.random.Generator) -> IqFrame:
-    """Add circular complex Gaussian noise with per-thin-carrier power n."""
-    if n < 0:
-        raise ValueError("noise power must be nonnegative")
+    """Add circular complex Gaussian noise with per-thin-carrier power n.
+
+    Each sample's pair of real draws is read as one complex number in
+    place; that equals draw_0 + 1j * draw_1 except in the sign of a zero,
+    which needs a draw of exactly 0.0."""
+    if not 0 <= n < math.inf:
+        raise ValueError(f"noise power n must be finite and nonnegative, got {n}")
     if n == 0:
         return frame
-    scale = np.sqrt(n / 2.0)
-    noise = rng.normal(scale=scale, size=(len(frame), 2))
-    samples = frame.samples + noise[:, 0] + 1j * noise[:, 1]
-    return IqFrame(samples)
+    noise = rng.normal(scale=np.sqrt(n / 2.0), size=(len(frame), 2))
+    return IqFrame(frame.samples + noise.view(np.complex128)[:, 0])
 
 
 def apply_cfo(
@@ -54,6 +58,8 @@ def apply_cfo(
     A pure per-sample phase spin, so power is preserved exactly; integer
     cfo shifts every thin carrier by that many bins.
     """
+    if not abs(cfo) < math.inf:
+        raise ValueError(f"cfo must be finite, got {cfo}")
     if cfo == 0:
         return frame
     k = np.arange(len(frame))
@@ -89,7 +95,7 @@ def apply_fading(
         )
     spectrum = spectrum_of_body(frame.samples[layout.cp_len :], layout)
     pairs = rng.normal(scale=np.sqrt(0.5), size=(layout.fft_size, 2))
-    return synthesize_tag(spectrum * (pairs[:, 0] + 1j * pairs[:, 1]), layout)
+    return synthesize_tag(spectrum * pairs.view(np.complex128)[:, 0], layout)
 
 
 def mix(frames: "list[tuple[IqFrame, int, complex]]") -> IqFrame:

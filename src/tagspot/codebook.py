@@ -183,9 +183,8 @@ def _masks(words: "Sequence[str]", layout: CarrierLayout) -> np.ndarray:
         raise CodebookError(
             f"word length {bits.shape[1]} != layout groups {layout.groups}"
         )
-    pairs = np.array(layout.group_map)
     out = np.zeros((len(words), layout.wide_total), dtype=bool)
-    out[np.arange(len(words))[:, None], pairs[np.arange(layout.groups), bits]] = True
+    out[np.arange(len(words))[:, None], layout.group_map[np.arange(layout.groups), bits]] = True
     return out
 
 

@@ -23,14 +23,15 @@ every wide carrier's. The null carriers contribute pure noise to the ratio,
 so "band" reaches a given detection probability at a lower SNR; it is the
 operational default. The analysis module models both under the same name.
 
-Cost is linear in the stream. The windows are one strided view of the
-stream, taken in chunks of _CHUNK_WINDOWS, so memory stays bounded by the
-chunk whatever the stream length. Each chunk makes each pass once: it
-squares the magnitudes of the samples its windows span, averages them into
-window powers, transforms its windows in one spectrum_of_body call and
-squares the magnitudes of those spectra. A scalar pass over the chunk then
-runs the gate and noise-tracker recurrence, which is sequential in time, and
-folds and scores each window that passes the gate. Overlap suppression is a
+Cost is linear in the stream. The windows are taken in chunks of
+_CHUNK_WINDOWS, each chunk one read-only strided view of the stream
+(_windows), so memory stays bounded by the chunk whatever the stream length.
+Each chunk makes each pass once: it squares the magnitudes of the samples
+its windows span, averages the same view of those squares into window
+powers, transforms its windows in one spectrum_of_body call and squares the
+magnitudes of those spectra. A scalar pass over the chunk then runs the
+gate and noise-tracker recurrence, which is sequential in time, and folds
+and scores each window that passes the gate. Overlap suppression is a
 forward scan over the candidates, sorted by start: each candidate is
 compared only with those less than fft_size samples after it,
 O(C * fft_size / cp_len) for C candidates instead of comparing every pair.
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .carriers import CarrierLayout
 from .codebook import Codebook, mask_matrix
@@ -195,7 +196,6 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
     com_bound = config.com_bound
     gate_db = config.carrier_sense_snr_db
     windows_total = (len(stream) - n) // hop + 1
-    windows = sliding_window_view(stream, n)[::hop]
 
     candidates: "list[DetectionEvent]" = []
     noise_estimate: "float | None" = None
@@ -207,10 +207,12 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
         # the same squares in the same order as squaring the window itself
         span = np.abs(stream[lo : lo + (count - 1) * hop + n])
         np.square(span, out=span)
-        powers = np.mean(sliding_window_view(span, n)[::hop], axis=1).tolist()
-        thin = np.abs(spectrum_of_body(windows[first : first + count], layout))
+        # np.mean's arithmetic: one sum per window, then one division
+        powers = np.add.reduce(_windows(span, 0, count, n, hop), axis=1)
+        powers /= n
+        thin = np.abs(spectrum_of_body(_windows(stream, lo, count, n, hop), layout))
         np.square(thin, out=thin)
-        for k, power in enumerate(powers):
+        for k, power in enumerate(powers.tolist()):
             # carrier-sense SNR estimate: interval power over tracked floor
             if power == 0:
                 snr_estimate_db = -np.inf
@@ -239,6 +241,20 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
 
     return SpotReport(tuple(_suppress(candidates, n)), windows_total, windows_gated,
                       windows_below_gamma, windows_com_rejected, len(candidates))
+
+
+def _windows(x: np.ndarray, start: int, count: int, n: int, hop: int) -> np.ndarray:
+    """A read-only (count, n) view of the 1-D array x whose row k is
+    x[start + k * hop : start + k * hop + n], whatever x's stride.
+
+    Bounds: count >= 1, n >= 1, hop >= 1, start >= 0 and
+    start + (count - 1) * hop + n <= len(x), so every row lies inside x;
+    anything else raises ValueError rather than view memory outside x.
+    """
+    if min(count, n, hop) < 1 or start < 0 or start + (count - 1) * hop + n > len(x):
+        raise ValueError(f"{count} windows of {n} every {hop} from {start} overrun {len(x)} samples")
+    step = x.strides[0]
+    return as_strided(x[start:], shape=(count, n), strides=(hop * step, step), writeable=False)
 
 
 def _suppress(candidates: "list[DetectionEvent]", n: int) -> "list[DetectionEvent]":

@@ -19,6 +19,7 @@ spectra into frames for tags and interference alike.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ class IqFrame:
         s = np.asarray(self.samples, dtype=np.complex128)
         if s.ndim != 1 or s.size == 0:
             raise ValueError("samples must be a nonempty 1-D array")
-        if not np.all(np.isfinite(s)):
+        if not np.isfinite(s).all():
             raise ValueError("samples must be finite")
         object.__setattr__(self, "samples", s)
 
@@ -74,9 +75,8 @@ def mean_power(frame: IqFrame) -> float:
 def active_thin_bins(mask: np.ndarray, layout: CarrierLayout) -> np.ndarray:
     """Thin-carrier indices carrying tones for a mask (a boolean row over
     the wide carriers), ascending."""
-    offsets = np.asarray(layout.active_thin_offsets)
     wides = np.flatnonzero(mask)
-    return (wides[:, None] * layout.thin_per_wide + offsets[None, :]).ravel()
+    return (wides[:, None] * layout.thin_per_wide + layout.active_thin_offsets[None, :]).ravel()
 
 
 def build_tag_spectrum(
@@ -90,8 +90,8 @@ def build_tag_spectrum(
     central thin carriers; the squared magnitudes sum to total_power."""
     if len(mask) != layout.wide_total:
         raise ValueError(f"mask length {len(mask)} != wide_total {layout.wide_total}")
-    if total_power < 0:
-        raise ValueError("total_power must be nonnegative")
+    if not 0 <= total_power < math.inf:
+        raise ValueError(f"total_power must be finite and nonnegative, got {total_power}")
     bins = active_thin_bins(mask, layout)
     amplitude = np.sqrt(total_power / bins.size)
     phases = rng.random(bins.size) * (2.0 * np.pi)
@@ -107,7 +107,7 @@ def synthesize_tag(spectrum: np.ndarray, layout: CarrierLayout) -> IqFrame:
         raise ValueError(
             f"spectrum shape {spectrum.shape} != ({layout.fft_size},)"
         )
-    if not np.all(np.isfinite(spectrum)):
+    if not np.isfinite(spectrum).all():
         raise ValueError("spectrum must be finite")
     return IqFrame(_ofdm_frames(spectrum, layout.cp_len))
 
@@ -209,18 +209,20 @@ def synthesize_data_interference(
     """
     if n_frames < 1:
         raise ValueError("n_frames must be at least 1")
-    if total_power < 0:
-        raise ValueError("total_power must be nonnegative")
+    if not 0 <= total_power < math.inf:
+        raise ValueError(f"total_power must be finite and nonnegative, got {total_power}")
     body_len = layout.wide_total
     cp = interference_frame_len(layout) - body_len
     occupied = np.asarray(interference_occupied_carriers(layout))
     if occupied.size == 0:
         raise ValueError("a two-carrier layout leaves the data-like interferer no carrier")
-    amplitude = np.sqrt(total_power / occupied.size)
+    # the four constellation points, indexed by symbol: the same bits as
+    # one exp per symbol
+    points = np.sqrt(total_power / occupied.size) * np.exp(
+        1j * (np.arange(4) * (np.pi / 2) + np.pi / 4))
     # one row per frame; the symbols are drawn in the same order as a
     # frame-by-frame loop would draw them
     symbols = rng.integers(0, 4, (n_frames, occupied.size))
-    phases = symbols * (np.pi / 2) + np.pi / 4
     spectra = np.zeros((n_frames, body_len), dtype=np.complex128)
-    spectra[:, occupied] = amplitude * np.exp(1j * phases)
+    spectra[:, occupied] = points[symbols]
     return IqFrame(_ofdm_frames(spectra, cp).ravel())

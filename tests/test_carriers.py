@@ -53,7 +53,7 @@ def test_group_map_pairs_adjacent_band_carriers():
 
 
 def test_active_thin_offsets_are_the_central_block():
-    assert REFERENCE_LAYOUT.active_thin_offsets == (2, 3, 4, 5)
+    assert REFERENCE_LAYOUT.active_thin_offsets.tolist() == [2, 3, 4, 5]
 
 
 DERIVED = ("band_wide", "group_map", "active_thin_offsets", "centered_wide")
