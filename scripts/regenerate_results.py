@@ -24,7 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tagspot.analysis import expected_offset_leak
 from tagspot.carriers import REFERENCE_LAYOUT
-from tagspot.cli import main as cli_main
+from tagspot.cli import _lines, _rows, main as cli_main
 from tagspot.codebook import builtin_codebook, codeword_to_mask
 from tagspot.channel import apply_cfo
 from tagspot.detector import fold_spectrum
@@ -81,18 +81,12 @@ def main() -> int:
             return rc
         print(f"wrote {out}")
 
-    lines = [
-        "# command: leakage time-domain cross-check",
-        f"# trials: {TIME_DOMAIN_TRIALS}",
-        f"# seed: {SEED}",
-        "# columns: max_offset expected measured",
-    ]
-    for k in (1, 2, 4):
-        expected = expected_offset_leak(k)
-        measured = measured_leak(k, TIME_DOMAIN_TRIALS, SEED)
-        lines.append(f"{k} {expected:.9g} {measured:.9g}")
+    # the CLI's writers, with no config_version line: no command makes this table
+    header = _lines([("command", "leakage time-domain cross-check"), ("trials", TIME_DOMAIN_TRIALS),
+                     ("seed", SEED), ("columns", "max_offset expected measured")], "# ")
+    rows = [(k, expected_offset_leak(k), measured_leak(k, TIME_DOMAIN_TRIALS, SEED)) for k in (1, 2, 4)]
     check = RESULTS / TIME_DOMAIN
-    check.write_text("\n".join(lines) + "\n")
+    check.write_text(header + _rows(rows))
     print(f"wrote {check}")
     return 0
 

@@ -613,12 +613,14 @@ def build_roc(
     """Detection curves on an SNR x gamma grid: per SNR in grid order, one
     (gamma, pd, pf, pf_ci_low, pf_ci_high, flagged) row per gamma, gamma
     ascending. pd is closed-form for the transmitted codeword; pf is the
-    closed-form single-codeword false alarm, or with a codebook and trials
-    the family false alarm Monte Carlo, whose points all threshold one
+    closed-form single-codeword false alarm, or with trials the codebook's
+    family false alarm Monte Carlo, whose points all threshold one
     memoized draw, so pd and pf are nonincreasing in gamma. The draw is
     freed when the grid is done, or when a point raises."""
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    if trials > 0 and codebook is None:
+        raise ValueError("trials > 0 needs a codebook: the Monte Carlo pf is its family's")
     gammas = sorted(gammas)
     curves = []
     try:
@@ -627,7 +629,7 @@ def build_roc(
             rows = []
             for gamma in gammas:
                 pd = pd_single(gamma, model, denominator)
-                if codebook is not None and trials > 0:
+                if trials > 0:
                     pf, (low, high) = pf_family_mc(gamma, codebook, layout, trials, seed, denominator)
                 else:
                     pf = low = high = pf_single(gamma, layout, denominator)

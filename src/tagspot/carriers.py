@@ -62,9 +62,12 @@ class CarrierLayout:
         for f in fields(self):
             if f.type == "int" and type(getattr(self, f.name)) is not int:
                 raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
-        if not all(type(w) is int for w in self.null_wide):
-            raise ValueError(f"null_wide must hold integers, got {self.null_wide!r}")
-        object.__setattr__(self, "null_wide", frozenset(self.null_wide))
+        null_wide = tuple(self.null_wide)  # a generator is read once
+        if not all(type(w) is int for w in null_wide):
+            raise ValueError(f"null_wide must hold integers, got {list(null_wide)}")
+        if len(set(null_wide)) != len(null_wide):
+            raise ValueError(f"null_wide repeats a carrier: {sorted(null_wide)}")
+        object.__setattr__(self, "null_wide", frozenset(null_wide))
         # a bound, not math.isfinite, which overflows on an int past float range
         if not (type(self.cp_fraction) in (int, float) and abs(self.cp_fraction) <= sys.float_info.max):
             raise ValueError(f"cp_fraction must be a finite number, got {self.cp_fraction!r}")

@@ -45,7 +45,7 @@ from .analysis import (
 from .carriers import CarrierLayout, REFERENCE_LAYOUT, STRENGTH_DENOMINATORS, layout_from_dict
 from .channel import FADING_MODELS, apply_awgn, apply_cfo, apply_fading, gain_for_sir, mix, noise_power_for_snr
 from .codebook import Codebook, builtin_codebook, codeword_to_mask, load_codebook, verify_min_distance
-from .detector import DetectorConfig, serialize_events, spot_report
+from .detector import DetectorConfig, spot_report
 from .iqfile import read_iq, read_json_object, write_iq
 from .waveform import (
     interference_frame_len,
@@ -64,13 +64,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
-    """Deterministic scalar formatting for tables and summaries."""
+    """Deterministic scalar formatting for every line the CLI writes."""
+    if isinstance(value, (float, np.floating)):  # first: event rows are mostly floats
+        return f"{float(value):.9g}"
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.9g}"
     return "none" if value is None else str(value)
 
 
@@ -78,6 +78,19 @@ def _lines(fields, prefix: str = "") -> str:
     """One "key: value" line per (key, value) field: every header, summary
     and report line the CLI writes."""
     return "".join(f"{prefix}{key}: {_fmt(value)}\n" for key, value in fields)
+
+
+def _rows(rows, sep: str = " ") -> str:
+    """One line per row of a table or event file, its values joined by sep."""
+    return "".join(sep.join(map(_fmt, row)) + "\n" for row in rows)
+
+
+def serialize_events(events) -> str:
+    """An event file's body: a column comment, then one tab-separated row
+    per DetectionEvent. Every event passed the center-of-mass test, so its
+    com_valid column is 1."""
+    columns = "# interval_start\tcodeword_index\tstrength\tcom_position\tsnr_estimate_db\tcom_valid\n"
+    return columns + _rows(((*event, 1) for event in events), "\t")
 
 
 def _config_fields(args: argparse.Namespace) -> dict:
@@ -209,8 +222,7 @@ def _emit(out: "str | None", text: str) -> None:
 
 def _emit_table(out, command: str, fields, columns: str, rows) -> None:
     """Header fields, then the columns line, then one line per row."""
-    body = "".join(" ".join(_fmt(v) for v in row) + "\n" for row in rows)
-    _emit(out, _header(command, [*fields, ("columns", columns)]) + body)
+    _emit(out, _header(command, [*fields, ("columns", columns)]) + _rows(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +333,7 @@ def _cmd_spot(args: argparse.Namespace) -> None:
         ("carrier_sense_snr_db", args.carrier_sense), ("denominator", args.denominator),
         ("layout", _layout_summary(layout)), *windows, events,
     ])
-    _emit(args.out, header + serialize_events(list(report.events)))
+    _emit(args.out, header + serialize_events(report.events))
     if args.out is not None:
         sys.stdout.write(_lines([
             *windows, ("windows_below_gamma", report.windows_below_gamma),

@@ -33,10 +33,6 @@ from .carriers import CarrierLayout
 BUILTIN_CODEBOOK = "conference-28-56-13.txt"
 
 
-class CodebookError(ValueError):
-    """Raised for malformed or internally inconsistent codebook data."""
-
-
 @dataclass(frozen=True)
 class Codebook:
     """An ordered family of binary codewords with a verified distance floor.
@@ -52,29 +48,23 @@ class Codebook:
 
     def __post_init__(self) -> None:
         if not self.name:
-            raise CodebookError("codebook name must be nonempty")
+            raise ValueError("codebook name must be nonempty")
         if self.word_length <= 0:
-            raise CodebookError("word_length must be positive")
+            raise ValueError("word_length must be positive")
         if not 1 <= self.min_distance <= self.word_length:
-            raise CodebookError(
-                f"min_distance {self.min_distance} out of range for "
-                f"word_length {self.word_length}"
-            )
+            raise ValueError(f"min_distance {self.min_distance} out of range for "
+                             f"word_length {self.word_length}")
         if not self.words:
-            raise CodebookError("codebook contains no words")
+            raise ValueError("codebook contains no words")
         length = _word_bits(self.words).shape[1]
         if length != self.word_length:
-            raise CodebookError(
-                f"words have length {length}, expected {self.word_length}"
-            )
+            raise ValueError(f"words have length {length}, expected {self.word_length}")
         # a repeated word is at distance 0, below every legal min_distance
         if len(self.words) >= 2:
             distance, i, j = _closest_pair(self.words)
             if distance < self.min_distance:
-                raise CodebookError(
-                    f"declared min_distance {self.min_distance} violated by words "
-                    f"{i} and {j} at distance {distance}"
-                )
+                raise ValueError(f"declared min_distance {self.min_distance} violated by words "
+                                 f"{i} and {j} at distance {distance}")
 
     @property
     def size(self) -> int:
@@ -85,11 +75,11 @@ def _word_bits(words: "Sequence[str]") -> np.ndarray:
     """Equal-length words of '0' and '1' characters as a (words, length)
     uint8 array of bits."""
     if len({len(w) for w in words}) > 1:
-        raise CodebookError("words differ in length")
+        raise ValueError("words differ in length")
     # bytes below '0' wrap around, so one comparison catches every non-bit
     bits = np.frombuffer("".join(words).encode(), dtype=np.uint8) - ord("0")
     if np.any(bits > 1):
-        raise CodebookError("words contain non-binary characters")
+        raise ValueError("words contain non-binary characters")
     return bits.reshape(len(words), -1)
 
 
@@ -97,7 +87,7 @@ def _closest_pair(words: "Sequence[str]") -> "tuple[int, int, int]":
     """Minimum pairwise Hamming distance and the indices (i, j) of a pair
     of words at that distance, brute forced over all pairs."""
     if len(words) < 2:
-        raise CodebookError("need at least two words to measure a distance")
+        raise ValueError("need at least two words to measure a distance")
     bits = _word_bits(words).astype(np.int64)
     weights = bits.sum(axis=1)
     gram = bits @ bits.T
@@ -124,20 +114,20 @@ def parse_codebook(text: str) -> Codebook:
             key, _, value = line.partition(":")
             key = key.strip()
             if key in header:
-                raise CodebookError(f"line {lineno}: repeated header field {key!r}")
+                raise ValueError(f"line {lineno}: repeated header field {key!r}")
             if words:
-                raise CodebookError(f"line {lineno}: header field after words")
+                raise ValueError(f"line {lineno}: header field after words")
             header[key] = value.strip()
         else:
             words.append(line)
     missing = {"name", "word_length", "min_distance"} - set(header)
     if missing:
-        raise CodebookError(f"missing header fields: {sorted(missing)}")
+        raise ValueError(f"missing header fields: {sorted(missing)}")
     try:
         word_length = int(header["word_length"])
         min_distance = int(header["min_distance"])
     except ValueError as exc:
-        raise CodebookError(f"non-integer header field: {exc}") from exc
+        raise ValueError(f"non-integer header field: {exc}") from exc
     return Codebook(
         name=header["name"],
         word_length=word_length,
@@ -150,8 +140,8 @@ def load_codebook(path: "str | Path") -> Codebook:
     """Read and parse a codebook file; every ValueError names the path."""
     try:
         return parse_codebook(Path(path).read_text())
-    except ValueError as exc:  # a CodebookError or a UnicodeDecodeError
-        raise CodebookError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # a malformed file or a UnicodeDecodeError
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def serialize_codebook(cb: Codebook) -> str:
@@ -180,9 +170,7 @@ def _masks(words: "Sequence[str]", layout: CarrierLayout) -> np.ndarray:
     """
     bits = _word_bits(words)
     if bits.shape[1] != layout.groups:
-        raise CodebookError(
-            f"word length {bits.shape[1]} != layout groups {layout.groups}"
-        )
+        raise ValueError(f"word length {bits.shape[1]} != layout groups {layout.groups}")
     out = np.zeros((len(words), layout.wide_total), dtype=bool)
     out[np.arange(len(words))[:, None], layout.group_map[np.arange(layout.groups), bits]] = True
     return out

@@ -98,20 +98,13 @@ class DetectorConfig:
 
 
 class DetectionEvent(NamedTuple):
-    """A candidate; each passed the center-of-mass test, so com_valid is 1."""
+    """A candidate; each passed the center-of-mass test."""
 
     interval_start: int
     codeword_index: int
     strength: float
     com_position: float
     snr_estimate_db: float
-
-    def to_line(self) -> str:
-        return (
-            f"{self.interval_start}\t{self.codeword_index}\t"
-            f"{self.strength:.9g}\t{self.com_position:.9g}\t"
-            f"{self.snr_estimate_db:.9g}\t1"
-        )
 
 
 def fold_spectrum(thin_powers: np.ndarray, layout: CarrierLayout) -> np.ndarray:
@@ -280,10 +273,3 @@ def _suppress(candidates: "list[DetectionEvent]", n: int) -> "list[DetectionEven
                 dropped[j] = True
     return [c for c, gone in zip(candidates, dropped) if not gone]
 
-
-def serialize_events(events: "list[DetectionEvent]") -> str:
-    """Line-delimited event stream with a column header comment."""
-    lines = ["# interval_start\tcodeword_index\tstrength\tcom_position\t"
-             "snr_estimate_db\tcom_valid"]
-    lines.extend(e.to_line() for e in events)
-    return "\n".join(lines) + "\n"

@@ -93,8 +93,8 @@ def write_iq(
     step = _BLOCK_FLOATS // 2
     with path.open("wb") as fh:
         for lo in range(0, samples.size, step):
-            # complex128 is interleaved float64 I/Q pairs in memory
-            block = np.ascontiguousarray(samples[lo : lo + step]).view(np.float64)
+            # IqFrame stores complex128 C-contiguous: interleaved float64 I/Q pairs
+            block = samples[lo : lo + step].view(np.float64)
             fh.write(block.astype("<f4"))
     side = sidecar_path(path)
     side.write_text(text)

@@ -34,7 +34,8 @@ class IqFrame:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.samples, dtype=np.complex128)
+        # C order: np.abs rounds a negative-stride view's last bit differently
+        s = np.asarray(self.samples, dtype=np.complex128, order="C")
         if s.ndim != 1 or s.size == 0:
             raise ValueError("samples must be a nonempty 1-D array")
         if not np.isfinite(s).all():

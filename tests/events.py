@@ -1,4 +1,4 @@
-"""Reading back the event files that detector.serialize_events writes; the
+"""Reading back the event files that cli.serialize_events writes; the
 library writes them and never reads them."""
 
 from tagspot.detector import DetectionEvent

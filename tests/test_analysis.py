@@ -159,6 +159,9 @@ def test_gamma_equivalent_snr_pin_and_baseline_guard():
         gamma_equivalent_snr_db(0.4375)
     with pytest.raises(ValueError):
         gamma_equivalent_snr_db(0.5, denominator="band")
+    for gamma in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            gamma_equivalent_snr_db(gamma)
 
 
 def test_analysis_model_validation():
@@ -462,6 +465,9 @@ def test_roc_closed_form_curve():
             assert not flagged
     with pytest.raises(ValueError):
         build_roc([1.0], [0.62], LAY, "wideband", trials=-5)
+    # trials without a codebook used to be ignored for the closed-form pf
+    with pytest.raises(ValueError, match="needs a codebook"):
+        build_roc([0.0], [0.6], LAY, "wideband", trials=5000, seed=1)
 
 
 def test_roc_flags_unresolved_monte_carlo_points(codebook):

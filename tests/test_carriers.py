@@ -106,6 +106,8 @@ def test_layout_rejects_inconsistent_geometry():
             CarrierLayout(cp_fraction=longer_than_a_body)
     with pytest.raises(ValueError):
         CarrierLayout(null_wide=frozenset({0, 1, 2, 32, 60, 61, 62, 64}))
+    with pytest.raises(ValueError, match="null_wide repeats"):  # nine entries, eight carriers
+        CarrierLayout(null_wide=[0, 1, 2, 32, 60, 61, 62, 63, 63])
     with pytest.raises(ValueError, match="groups"):
         CarrierLayout(groups=0, wide_total=4, null_wide=frozenset(range(4)), fft_size=32)
 
@@ -131,6 +133,11 @@ def test_layout_rejects_wrong_field_types(fields, named):
         CarrierLayout(**fields)
 
 
+def test_null_wide_may_be_a_generator():
+    # it is read once, for the checks and the stored set alike
+    assert CarrierLayout(null_wide=(w for w in sorted(REFERENCE_LAYOUT.null_wide))) == REFERENCE_LAYOUT
+
+
 def test_layout_dict_roundtrip():
     lay = REFERENCE_LAYOUT
     data = layout_to_dict(lay)
@@ -140,6 +147,7 @@ def test_layout_dict_roundtrip():
         layout_from_dict({"fft_size": 512, "bogus": 1})
     for bad in (None, [512], {"fft_size": "512"}, {"groups": True},
                 {"cp_fraction": float("inf")}, {"cp_fraction": 1e307}, {"null_wide": 3},
-                {"null_wide": [0, 1, 2, 32, 60, 61, 62, 63.7]}, {"null_wide": [[0]]}):
+                {"null_wide": [0, 1, 2, 32, 60, 61, 62, 63.7]}, {"null_wide": [[0]]},
+                {"null_wide": [0, 1, 2, 32, 60, 61, 62, 63, 63]}):
         with pytest.raises(ValueError):
             layout_from_dict(bad)

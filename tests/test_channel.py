@@ -140,4 +140,8 @@ def test_gain_for_sir_hits_the_target_over_the_overlap():
     assert 10 * np.log10(p_sig / p_int) == pytest.approx(7.0, abs=1e-9)
     with pytest.raises(ValueError):
         gain_for_sir(signal, interference, 5000, 7.0)  # no overlap
+    quiet = IqFrame(np.zeros(800, dtype=complex))
+    for pair in ((signal, quiet), (quiet, signal)):  # silence has no SIR to scale to
+        with pytest.raises(ValueError, match="zero power in the overlap"):
+            gain_for_sir(*pair, 100, 7.0)
 

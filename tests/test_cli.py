@@ -544,6 +544,7 @@ def test_malformed_layout_and_sidecar_exit_with_code_1(tmp_path, capsys):
     bad_metadata = [
         {"layout": None},
         {"layout": {**good["layout"], "fft_size": "512"}},
+        {"layout": {**good["layout"], "null_wide": [*good["layout"]["null_wide"], 63]}},
         {"sample_rate": None},
         {"sample_rate": float("inf")},
         {"sample_rate": 0},
@@ -567,6 +568,10 @@ def test_malformed_layout_and_sidecar_exit_with_code_1(tmp_path, capsys):
     config = tmp_path / "frac.json"
     config.write_text(json.dumps({"config_version": 1, "layout": layout}))
     _fails_with_one_line(["leakage", "--max-offset", "1", "--config", str(config)], capsys)
+    # nine entries, one repeated, used to pass as the reference layout's eight
+    config.write_text(json.dumps({"config_version": 1,
+                                  "layout": {"null_wide": [0, 1, 2, 32, 60, 61, 62, 63, 63]}}))
+    assert "null_wide" in _fails_with_one_line(["leakage", "--config", str(config)], capsys)
 
     # a prefix longer than one body used to make a short tag frame
     config.write_text(json.dumps({"config_version": 1, "layout": {"cp_fraction": 2.0}}))

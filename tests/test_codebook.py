@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tagspot.carriers import REFERENCE_LAYOUT
 from tagspot.codebook import (
     Codebook,
-    CodebookError,
     codeword_to_mask,
     mask_matrix,
     parse_codebook,
@@ -42,39 +41,45 @@ def test_parser_ignores_comments_and_blank_lines():
 
 
 def test_declared_distance_is_reverified():
-    with pytest.raises(CodebookError):
+    with pytest.raises(ValueError):
         parse_codebook("name: x\nword_length: 4\nmin_distance: 3\n0000\n0011\n")
     cb = parse_codebook("name: x\nword_length: 4\nmin_distance: 2\n0000\n0011\n")
     assert cb.min_distance == 2
 
 
 def test_a_codebook_built_in_code_cannot_claim_a_false_distance():
-    with pytest.raises(CodebookError, match="violated by words 0 and 1 at distance 2"):
+    with pytest.raises(ValueError, match="violated by words 0 and 1 at distance 2"):
         Codebook(name="x", word_length=4, min_distance=3, words=("0000", "0011"))
-    with pytest.raises(CodebookError, match="violated by words 0 and 2 at distance 0"):
+    with pytest.raises(ValueError, match="violated by words 0 and 2 at distance 0"):
         Codebook(name="x", word_length=4, min_distance=1, words=("0000", "1111", "0000"))
     assert Codebook(name="x", word_length=4, min_distance=2, words=("0000", "0011")).size == 2
 
 
 def test_parser_rejects_malformed_input():
-    with pytest.raises(CodebookError):  # missing name header
+    with pytest.raises(ValueError):  # missing name header
         parse_codebook("word_length: 4\nmin_distance: 2\n0000\n0011\n")
-    with pytest.raises(CodebookError):  # ragged word
+    with pytest.raises(ValueError):  # ragged word
         parse_codebook("name: x\nword_length: 4\nmin_distance: 2\n0000\n001\n")
-    with pytest.raises(CodebookError):  # duplicate word
+    with pytest.raises(ValueError):  # duplicate word
         parse_codebook("name: x\nword_length: 4\nmin_distance: 2\n0000\n0000\n")
-    with pytest.raises(CodebookError):  # non-binary characters
+    with pytest.raises(ValueError):  # non-binary characters
         parse_codebook("name: x\nword_length: 4\nmin_distance: 2\n0000\n0021\n")
-    with pytest.raises(CodebookError):  # header field after words
+    with pytest.raises(ValueError):  # header field after words
         parse_codebook("name: x\nword_length: 4\n0000\nmin_distance: 2\n0011\n")
+    with pytest.raises(ValueError, match="line 2: repeated header field 'name'"):
+        parse_codebook("name: x\nname: y\nword_length: 4\nmin_distance: 2\n0000\n0011\n")
+    with pytest.raises(ValueError, match="non-integer header field"):
+        parse_codebook("name: x\nword_length: four\nmin_distance: 2\n0000\n0011\n")
+    with pytest.raises(ValueError, match="non-integer header field"):
+        parse_codebook("name: x\nword_length: 4\nmin_distance: 2.0\n0000\n0011\n")
 
 
 def test_verify_min_distance_requires_two_words():
-    with pytest.raises(CodebookError):
+    with pytest.raises(ValueError):
         verify_min_distance(("0000",))
-    with pytest.raises(CodebookError):  # non-binary character
+    with pytest.raises(ValueError):  # non-binary character
         verify_min_distance(("0000", "0021"))
-    with pytest.raises(CodebookError):  # words of unequal length
+    with pytest.raises(ValueError):  # words of unequal length
         verify_min_distance(("0000", "001"))
 
 
@@ -84,12 +89,12 @@ def test_codeword_bit_selects_group_carrier():
     ones = codeword_to_mask("1" * 28, lay)
     assert np.flatnonzero(zeros).tolist() == [a for a, _ in lay.group_map]
     assert np.flatnonzero(ones).tolist() == [b for _, b in lay.group_map]
-    with pytest.raises(CodebookError):
+    with pytest.raises(ValueError):
         codeword_to_mask("01", lay)
-    with pytest.raises(CodebookError):
+    with pytest.raises(ValueError):
         codeword_to_mask("0" * 27 + "2", lay)
     short = Codebook(name="x", word_length=4, min_distance=4, words=("0000", "1111"))
-    with pytest.raises(CodebookError):  # words shorter than the layout's groups
+    with pytest.raises(ValueError):  # words shorter than the layout's groups
         mask_matrix(short, lay)
 
 
@@ -104,15 +109,17 @@ def test_mask_difference_doubles_hamming_distance(x, y):
 
 
 def test_codebook_construction_validation():
-    with pytest.raises(CodebookError):
+    with pytest.raises(ValueError):
         Codebook(name="", word_length=4, min_distance=2, words=("0000",))
-    with pytest.raises(CodebookError):
+    with pytest.raises(ValueError, match="word_length must be positive"):
+        Codebook(name="x", word_length=0, min_distance=1, words=("",))
+    with pytest.raises(ValueError):
         Codebook(name="x", word_length=4, min_distance=5, words=("0000",))
-    with pytest.raises(CodebookError):
+    with pytest.raises(ValueError):
         Codebook(name="x", word_length=4, min_distance=2, words=())
-    with pytest.raises(CodebookError):  # words shorter than word_length
+    with pytest.raises(ValueError):  # words shorter than word_length
         Codebook(name="x", word_length=4, min_distance=2, words=("000", "011"))
-    with pytest.raises(CodebookError):  # ragged words
+    with pytest.raises(ValueError):  # ragged words
         Codebook(name="x", word_length=4, min_distance=2, words=("0000", "011"))
-    with pytest.raises(CodebookError):  # non-binary characters
+    with pytest.raises(ValueError):  # non-binary characters
         Codebook(name="x", word_length=4, min_distance=2, words=("0000", "0021"))

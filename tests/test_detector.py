@@ -8,6 +8,7 @@ import pytest
 
 from tagspot import detector
 from tagspot.carriers import CarrierLayout, REFERENCE_LAYOUT
+from tagspot.cli import serialize_events
 from tagspot.channel import apply_awgn, mix, noise_power_for_snr
 from tagspot.codebook import Codebook, codeword_to_mask, mask_matrix
 from tagspot.detector import (
@@ -16,7 +17,6 @@ from tagspot.detector import (
     center_of_mass,
     fold_spectrum,
     noise_tracker_update,
-    serialize_events,
     spot_report,
     strengths,
 )
@@ -194,6 +194,20 @@ def test_two_separated_tags_give_two_events(codebook):
     stream = mix([(a, 0, 1.0), (tag_b, 4000, 1.0)])
     events = spot_report(stream, DetectorConfig(layout=LAY, codebook=codebook)).events
     assert [e.codeword_index for e in events] == [3, 12]
+
+
+def test_a_reversed_view_spots_like_its_copy(codebook):
+    # np.abs rounds a negative-stride view differently in the last bit, so
+    # IqFrame stores its samples C-contiguous and the events match bit for bit
+    a = _stream_with_tag(codebook, 3, offset=1000, snr_db=3.0, total=6000, seed=51)
+    b = _stream_with_tag(codebook, 12, offset=3000, snr_db=3.0, total=6000, seed=52)
+    x = mix([(a, 0, 1.0), (b, 0, 1.0)]).samples
+    frame = IqFrame(x[::-1].copy()[::-1])
+    assert frame.samples.flags.c_contiguous
+    config = DetectorConfig(layout=LAY, codebook=codebook)
+    report = spot_report(frame, config)
+    assert len(report.events) == 2
+    assert report == spot_report(IqFrame(x.copy()), config)
 
 
 def test_overlapping_candidates_are_suppressed_to_one(codebook):

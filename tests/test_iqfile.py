@@ -27,6 +27,9 @@ def test_roundtrip_is_exact_after_float32_quantization(tmp_path):
     ) + 1j * frame.samples.imag.astype(np.float32).astype(np.float64)
     assert np.array_equal(back.samples, expected)
     assert meta["sample_rate"] == 1.0
+    # a strided view is stored C-contiguous, so its blocks view as float pairs
+    write_iq(path, IqFrame(frame.samples[::-2]))
+    assert np.array_equal(read_iq(path)[0].samples, expected[::-2])
 
 
 def test_roundtrip_crosses_block_boundaries_in_bounded_memory(tmp_path):

@@ -154,6 +154,8 @@ def test_iq_frame_validation():
         IqFrame(np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
         IqFrame(np.ones((2, 2)))
+    with pytest.raises(ValueError):  # a scalar is no 1-D array, C order or not
+        IqFrame(np.complex128(1))
 
 
 def test_tag_spectrum_validation():
