@@ -27,7 +27,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from tagspot.codebook import Codebook, serialize_codebook, verify_min_distance
+from tagspot.codebook import Codebook, serialize_codebook
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "tagspot" / "data"
 NAME = "conference-28-56-13"
@@ -106,19 +106,13 @@ def main() -> int:
     args = parser.parse_args()
 
     words = build_words()
-    dmin = verify_min_distance(words)
-    print(f"{len(words)} words, verified min distance {dmin}")
-    assert dmin == 13
+    cb = Codebook(name=NAME, word_length=28, min_distance=13, words=tuple(sorted(words)))
+    print(f"{len(words)} words, verified min distance {cb.measured_distance}")
+    assert cb.measured_distance == 13
 
     if args.prove_maximal:
         prove_maximal(words)
 
-    cb = Codebook(
-        name=NAME,
-        word_length=28,
-        min_distance=dmin,
-        words=tuple(sorted(words)),
-    )
     OUT.mkdir(parents=True, exist_ok=True)
     out_path = OUT / f"{NAME}.txt"
     out_path.write_text(serialize_codebook(cb))

@@ -23,8 +23,7 @@ carriers' noise (chi2 with 2*alpha*len(null_wide) degrees of freedom) to
 R, "band" leaves it out. Both conventions are modeled, so their gap is
 measured rather than assumed away.
 
-SNR follows the channel convention SNR = beta p / (alpha n), so
-r = (alpha/beta) * 10^(snr_db/10).
+SNR follows the channel convention: r is channel.p_over_n(snr_db, layout).
 
 All Monte Carlo estimators draw with numpy's seeded Generator in fixed-size
 chunks whose seeds derive from (seed, chunk index); results are therefore
@@ -57,6 +56,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .carriers import CarrierLayout, REFERENCE_LAYOUT
+from .channel import p_over_n
 from .codebook import Codebook, mask_matrix
 
 FADING_ANALYSIS_MODELS = ("wideband", "narrowband")
@@ -87,16 +87,6 @@ class AnalysisModel:
                 f"fading must be one of {FADING_ANALYSIS_MODELS}, "
                 f"got {self.fading!r}"
             )
-
-    @property
-    def p_over_n(self) -> float:
-        """Per-tone signal power over per-thin-carrier noise power."""
-        lay = self.layout
-        return (
-            lay.thin_per_wide
-            / lay.active_thin_per_wide
-            * 10.0 ** (self.snr_db / 10.0)
-        )
 
 
 def _unit_gauss_nodes(n: int) -> "tuple[np.ndarray, np.ndarray]":
@@ -209,7 +199,7 @@ def _numerator_mixture(
     components at 40 dB), the narrowband one as sqrt(r), from about 85 dB,
     and pdtrik returns NaN from 90 dB.
     """
-    r = model.p_over_n
+    r = p_over_n(model.snr_db, model.layout)
     base = float(dof_x + dof_y)
     # below about -162 dB 1 / (1 + r) rounds to 1, where the wideband
     # mixture is its k = 0 term alone and nbdtrik's bounds are meaningless
@@ -284,7 +274,7 @@ def gamma_equivalent_snr_db(
 
     where D counts the thin bins of the denominator carriers (all fft_size
     bins under "all", the in-band ones under "band"). Solved for r = p/n
-    and converted through SNR = beta p / (alpha n).
+    and converted to dB through channel.p_over_n.
     """
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie strictly between 0 and 1")
@@ -298,8 +288,7 @@ def gamma_equivalent_snr_db(
             f"gamma {gamma} is at or below the flat-spectrum baseline; "
             "no positive SNR balances it"
         )
-    snr_linear = lay.active_thin_per_wide / lay.thin_per_wide * r
-    return float(10.0 * np.log10(snr_linear))
+    return float(10.0 * np.log10(r / p_over_n(0.0, lay)))
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +448,7 @@ def pm_mc(
         raise ValueError("the SNR grid must not be empty")
     if not all(math.isfinite(snr_db) for snr_db in snr_dbs):
         raise ValueError(f"every SNR must be finite, got {list(snr_dbs)}")
-    rs = [AnalysisModel(layout, snr_db, fading).p_over_n for snr_db in snr_dbs]
+    rs = [p_over_n(snr_db, layout) for snr_db in snr_dbs]
     masks = mask_matrix(codebook, layout)[:, layout.band_wide]
     beta2 = 2 * layout.active_thin_per_wide
     guard2 = 2 * (layout.thin_per_wide - layout.active_thin_per_wide)

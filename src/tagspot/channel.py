@@ -6,8 +6,9 @@ and per-thin-carrier noise power n,
 
     SNR = beta * p / (alpha * n)
 
-i.e. signal and noise powers are both accounted per wide carrier. For the
-reference layout (beta 4, alpha 8) this makes p/n = 2 * 10^(snr_db/10).
+i.e. signal and noise powers are both accounted per wide carrier. p_over_n
+is the one home of this rule; for the reference layout (beta 4, alpha 8)
+it makes p/n = 2 * 10^(snr_db/10).
 Noise is calibrated per FFT bin: under the unitary transform, adding
 complex Gaussian samples of variance n puts expected power n in every thin
 carrier.
@@ -25,15 +26,18 @@ from .waveform import IqFrame, spectrum_of_body, synthesize_tag
 FADING_MODELS = ("none", "narrowband", "wideband-rayleigh")
 
 
+def p_over_n(snr_db: float, layout: CarrierLayout) -> float:
+    """Per-tone signal power over per-thin-carrier noise power at snr_db."""
+    return layout.thin_per_wide / layout.active_thin_per_wide * 10.0 ** (snr_db / 10.0)
+
+
 def noise_power_for_snr(
     snr_db: float, per_active_thin_power: float, layout: CarrierLayout
 ) -> float:
     """Per-thin-carrier noise power n giving the requested SNR."""
     if not per_active_thin_power > 0:
         raise ValueError("per-tone signal power must be positive")
-    beta = layout.active_thin_per_wide
-    alpha = layout.thin_per_wide
-    return beta * per_active_thin_power / (alpha * 10.0 ** (snr_db / 10.0))
+    return per_active_thin_power / p_over_n(snr_db, layout)
 
 
 def apply_awgn(frame: IqFrame, n: float, rng: np.random.Generator) -> IqFrame:
@@ -62,6 +66,10 @@ def apply_cfo(
         raise ValueError(f"cfo must be finite, got {cfo}")
     if cfo == 0:
         return frame
+    # the rotation forms 2j pi cfo, then scales it by each k up to len - 1
+    if not math.isfinite(2 * math.pi * cfo * max(len(frame) - 1, 1)):
+        raise ValueError(f"cfo {cfo:g} turns the phase past the float range "
+                         f"over {len(frame)} samples")
     k = np.arange(len(frame))
     rotation = np.exp(2j * np.pi * cfo * k / layout.fft_size)
     return IqFrame(frame.samples * rotation)

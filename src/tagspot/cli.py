@@ -44,7 +44,7 @@ from .analysis import (
 )
 from .carriers import CarrierLayout, REFERENCE_LAYOUT, STRENGTH_DENOMINATORS, layout_from_dict
 from .channel import FADING_MODELS, apply_awgn, apply_cfo, apply_fading, gain_for_sir, mix, noise_power_for_snr
-from .codebook import Codebook, builtin_codebook, codeword_to_mask, load_codebook, verify_min_distance
+from .codebook import Codebook, builtin_codebook, codeword_to_mask, load_codebook
 from .detector import DetectorConfig, spot_report
 from .iqfile import read_iq, read_json_object, write_iq
 from .waveform import (
@@ -244,8 +244,8 @@ def _cmd_modulate(args: argparse.Namespace) -> None:
     mask = codeword_to_mask(codebook.words[word_index], layout)
     # without a cap the first draw is accepted
     cap = math.inf if args.papr_cap is None else args.papr_cap
-    limited = synthesize_tag_papr_limited(mask, layout, args.power, cap, rng, args.max_attempts)
-    frame, papr_db = limited.frame, limited.papr_db
+    frame, papr_db, attempts = synthesize_tag_papr_limited(
+        mask, layout, args.power, cap, rng, args.max_attempts)
 
     extra = {
         "command": "modulate",
@@ -255,13 +255,13 @@ def _cmd_modulate(args: argparse.Namespace) -> None:
         "total_power": args.power,
         "papr_db": round(papr_db, 9),
     }
+    capped = []
     if args.papr_cap is not None:
-        extra["papr_cap_db"] = args.papr_cap
-        extra["papr_cap_met"] = bool(limited.met_cap)
-        extra["attempts"] = limited.attempts
+        met = papr_db <= cap  # the redraw stops at the first draw that meets the cap
+        capped = [("papr_cap_met", met)]
+        extra.update(papr_cap_db=args.papr_cap, papr_cap_met=met, attempts=attempts)
     write_iq(args.out, frame, layout=layout, extra=extra, sample_rate=args.sample_rate)
 
-    capped = [("papr_cap_met", bool(limited.met_cap))] if args.papr_cap is not None else []
     sys.stdout.write(_lines([("codeword_index", word_index), ("samples", len(frame)),
                              ("total_power", args.power), ("papr_db", papr_db), *capped,
                              ("out", args.out)]))
@@ -421,11 +421,10 @@ def _cmd_overhead(args: argparse.Namespace) -> None:
 
 def _cmd_codebook_verify(args: argparse.Namespace) -> None:
     codebook = _get_codebook(args.codebook)  # rejects a violated declared distance
-    # one word has no distance to measure
-    verified = verify_min_distance(codebook.words) if codebook.size > 1 else None
     _emit(args.out, _lines([
         ("name", codebook.name), ("size", codebook.size), ("word_length", codebook.word_length),
-        ("declared_min_distance", codebook.min_distance), ("verified_min_distance", verified),
+        ("declared_min_distance", codebook.min_distance),
+        ("verified_min_distance", codebook.measured_distance),
         ("status", "ok"),
     ]))
 

@@ -22,7 +22,7 @@ built in code, verifies its declared minimum distance on construction.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -38,13 +38,16 @@ class Codebook:
     """An ordered family of binary codewords with a verified distance floor.
 
     The word order is meaningful: detection events refer to codewords by
-    their index in this order.
+    their index in this order. measured_distance is the closest pair's
+    Hamming distance, measured on construction (None for one word); it
+    follows from the words, so equality and hashing leave it out.
     """
 
     name: str
     word_length: int
     min_distance: int
     words: tuple[str, ...]
+    measured_distance: "int | None" = field(default=None, init=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -65,6 +68,7 @@ class Codebook:
             if distance < self.min_distance:
                 raise ValueError(f"declared min_distance {self.min_distance} violated by words "
                                  f"{i} and {j} at distance {distance}")
+            object.__setattr__(self, "measured_distance", distance)
 
     @property
     def size(self) -> int:
@@ -84,10 +88,8 @@ def _word_bits(words: "Sequence[str]") -> np.ndarray:
 
 
 def _closest_pair(words: "Sequence[str]") -> "tuple[int, int, int]":
-    """Minimum pairwise Hamming distance and the indices (i, j) of a pair
-    of words at that distance, brute forced over all pairs."""
-    if len(words) < 2:
-        raise ValueError("need at least two words to measure a distance")
+    """Minimum pairwise Hamming distance of two or more words and the
+    indices (i, j) of a pair at that distance, brute forced over all pairs."""
     bits = _word_bits(words).astype(np.int64)
     weights = bits.sum(axis=1)
     gram = bits @ bits.T
@@ -95,11 +97,6 @@ def _closest_pair(words: "Sequence[str]") -> "tuple[int, int, int]":
     np.fill_diagonal(dist, np.iinfo(np.int64).max)
     i, j = np.unravel_index(np.argmin(dist), dist.shape)
     return int(dist[i, j]), int(i), int(j)
-
-
-def verify_min_distance(words: "Sequence[str]") -> int:
-    """Minimum pairwise Hamming distance, brute forced over all pairs."""
-    return _closest_pair(words)[0]
 
 
 def parse_codebook(text: str) -> Codebook:
@@ -110,7 +107,7 @@ def parse_codebook(text: str) -> Codebook:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if ":" in line and not set(line) <= {"0", "1"}:
+        if ":" in line:
             key, _, value = line.partition(":")
             key = key.strip()
             if key in header:

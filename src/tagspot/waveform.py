@@ -136,16 +136,6 @@ def papr(frame: IqFrame) -> float:
     return float(10.0 * np.log10(power.max() / mean))
 
 
-@dataclass(frozen=True)
-class PaprLimitedTag:
-    """Result of the redraw-until-compliant synthesis loop."""
-
-    frame: IqFrame
-    papr_db: float
-    attempts: int
-    met_cap: bool
-
-
 def synthesize_tag_papr_limited(
     mask: np.ndarray,
     layout: CarrierLayout,
@@ -153,11 +143,13 @@ def synthesize_tag_papr_limited(
     papr_cap_db: float,
     rng: np.random.Generator,
     max_attempts: int = 100,
-) -> PaprLimitedTag:
+) -> "tuple[IqFrame, float, int]":
     """Redraw tag phases until the frame PAPR is at or below the cap.
 
-    After max_attempts draws the lowest-PAPR attempt is returned with
-    met_cap False. total_power must be positive (PAPR is undefined at zero).
+    Returns (frame, papr_db, attempts): the first draw that meets the cap,
+    or after max_attempts draws the lowest-PAPR one, so the cap was met
+    exactly when papr_db <= papr_cap_db. total_power must be positive (PAPR
+    is undefined at zero).
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
@@ -173,8 +165,8 @@ def synthesize_tag_papr_limited(
         if value < best_papr:
             best_frame, best_papr = frame, value
         if value <= papr_cap_db:
-            return PaprLimitedTag(frame, value, attempt, True)
-    return PaprLimitedTag(best_frame, best_papr, max_attempts, False)
+            return frame, value, attempt
+    return best_frame, best_papr, max_attempts
 
 
 def interference_occupied_carriers(layout: CarrierLayout) -> tuple[int, ...]:

@@ -33,7 +33,7 @@ from tagspot.analysis import (
     sweep_active_carriers,
 )
 from tagspot.carriers import CarrierLayout, REFERENCE_LAYOUT
-from tagspot.channel import apply_awgn, apply_fading, noise_power_for_snr
+from tagspot.channel import apply_awgn, apply_fading, noise_power_for_snr, p_over_n
 from tagspot.codebook import Codebook, codeword_to_mask, mask_matrix
 from tagspot.detector import DetectorConfig, fold_spectrum, strengths
 from tagspot.waveform import IqFrame, build_tag_spectrum, spectrum_of_body, synthesize_tag
@@ -114,9 +114,9 @@ def test_pd_single_pins():
 
 
 def test_pd_reduces_to_pf_without_signal():
+    assert p_over_n(-math.inf, LAY) == 0.0
     for fading in ("wideband", "narrowband"):
         model = AnalysisModel(snr_db=-math.inf, fading=fading)
-        assert model.p_over_n == 0.0
         for gamma in (0.45, 0.5, 0.55, 0.62):
             assert pd_single(gamma, model) == pf_single(gamma)
             assert pd_single(gamma, model, denominator="all") == pf_single(
@@ -129,7 +129,7 @@ def test_pd_at_minus_300_db_is_pf(fading):
     # from about -163 dB 1 / (1 + r) rounds to 1 and the wideband mixture is
     # its k = 0 term; special.nbdtrik's bounds there are (1e100, 0)
     model = AnalysisModel(snr_db=-300.0, fading=fading)
-    assert model.p_over_n > 0.0
+    assert p_over_n(model.snr_db, LAY) > 0.0
     for gamma in (0.5, 0.62, 0.7):
         assert pd_single(gamma, model) == pf_single(gamma)
 
@@ -165,7 +165,7 @@ def test_gamma_equivalent_snr_pin_and_baseline_guard():
 
 
 def test_analysis_model_validation():
-    assert AnalysisModel(snr_db=0.0).p_over_n == 2.0
+    assert p_over_n(0.0, LAY) == 2.0
     with pytest.raises(ValueError):
         AnalysisModel(fading="rician")
 
@@ -374,7 +374,7 @@ def _pd_single_stats_oracle(gamma, model, denominator):
     dof_x = 2 * lay.active_thin_per_wide * lay.groups
     dof_y = 2 * (lay.thin_per_wide - lay.active_thin_per_wide) * lay.groups
     dof_z = 2 * lay.thin_per_wide * len(lay.denominator_wide(denominator)) - dof_x - dof_y
-    r = model.p_over_n
+    r = p_over_n(model.snr_db, lay)
     if model.fading == "narrowband":
         comp = stats.poisson(0.5 * dof_x * r)
     else:
@@ -682,7 +682,7 @@ def test_curves_draws_the_family_once_and_frees_it(tmp_path, monkeypatch, gammas
 def _pm_mc_one_snr(snr_db, codebook, layout, fading, trials, seed):
     """Oracle: the single-SNR misclassification loop, which drew every
     chunk afresh for its one SNR before the grid shared one draw."""
-    r = AnalysisModel(layout=layout, snr_db=snr_db, fading=fading).p_over_n
+    r = p_over_n(snr_db, layout)
     masks = mask_matrix(codebook, layout)[:, np.asarray(layout.band_wide)].astype(bool)
     beta2 = 2 * layout.active_thin_per_wide
     guard2 = 2 * (layout.thin_per_wide - layout.active_thin_per_wide)

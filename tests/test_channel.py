@@ -11,6 +11,7 @@ from tagspot.channel import (
     gain_for_sir,
     mix,
     noise_power_for_snr,
+    p_over_n,
 )
 from tagspot.codebook import codeword_to_mask
 from tagspot.waveform import (
@@ -21,6 +22,8 @@ from tagspot.waveform import (
     spectrum_of_body,
     synthesize_tag,
 )
+
+from layouts import ODD
 
 LAY = REFERENCE_LAYOUT
 MASK = codeword_to_mask("0011" * 7, LAY)
@@ -37,6 +40,20 @@ def test_noise_power_reference_point():
     assert noise_power_for_snr(10.0, 1.0, LAY) == pytest.approx(0.05, rel=1e-12)
     with pytest.raises(ValueError):
         noise_power_for_snr(0.0, 0.0, LAY)
+
+
+def test_noise_power_follows_the_one_snr_rule():
+    # the reference: SNR = beta p / (alpha n) solved for n, spelled out
+    def spelled(snr_db, p, layout):
+        beta, alpha = layout.active_thin_per_wide, layout.thin_per_wide
+        return beta * p / (alpha * 10.0 ** (snr_db / 10.0))
+
+    for snr_db in np.arange(-300.0, 300.1, 0.25).tolist():
+        for p in (1.0, 0.37, 3e-5):
+            # alpha / beta = 2 makes both quotients exact scalings of one number
+            assert noise_power_for_snr(snr_db, p, LAY) == spelled(snr_db, p, LAY)
+            n = noise_power_for_snr(snr_db, p, ODD)
+            assert n * p_over_n(snr_db, ODD) == pytest.approx(p, rel=1e-15)
 
 
 def test_awgn_calibration_and_determinism():
@@ -57,6 +74,19 @@ def test_cfo_preserves_power_and_zero_is_identity():
     shifted = apply_cfo(frame, 1.37, LAY)
     assert mean_power(shifted) == pytest.approx(mean_power(frame), rel=1e-12)
     assert apply_cfo(frame, 0.0, LAY) is frame
+
+
+def test_a_cfo_whose_phase_overflows_fails_by_name():
+    # numpy warnings are errors in this suite, so an overflow in the rotation
+    # would raise RuntimeWarning rather than this ValueError
+    frame = _tag(21)
+    for cfo in (1e308, -1e306, 1e305):
+        with pytest.raises(ValueError, match="^cfo .* past the float range over 640 samples"):
+            apply_cfo(frame, cfo, LAY)
+    # a one-sample frame has no k past 0, but the rotation still forms 2j pi cfo
+    with pytest.raises(ValueError, match="^cfo "):
+        apply_cfo(IqFrame(np.ones(1)), 1e308, LAY)
+    assert np.isfinite(apply_cfo(frame, 1e300, LAY).samples).all()
 
 
 def test_integer_cfo_shifts_every_tone_by_whole_bins():

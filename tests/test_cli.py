@@ -79,7 +79,7 @@ def test_modulate_random_word_comes_from_the_seed(tmp_path):
     assert read_iq(again)[1]["codeword_index"] == meta["codeword_index"]
 
 
-def test_modulate_papr_cap_is_reported(tmp_path):
+def test_modulate_papr_cap_is_reported(tmp_path, capsys):
     out = tmp_path / "capped.iq"
     assert (
         cli_main(
@@ -90,6 +90,13 @@ def test_modulate_papr_cap_is_reported(tmp_path):
     _, meta = read_iq(out)
     assert meta["papr_cap_met"] is True
     assert meta["papr_db"] <= 20.0
+    # no multitone frame has a constant envelope, so every attempt misses 0 dB
+    capsys.readouterr()
+    argv = ["modulate", "--seed", "3", "--papr-cap", "0", "--max-attempts", "3", "--out", str(out)]
+    assert cli_main(argv) == 0
+    assert "papr_cap_met: 0\n" in capsys.readouterr().out
+    _, meta = read_iq(out)
+    assert meta["papr_cap_met"] is False and meta["attempts"] == 3
 
 
 def test_impair_without_impairments_is_byte_identical(tmp_path):
@@ -694,6 +701,9 @@ def test_missing_paths_exit_with_code_1(tmp_path, capsys, argv, named):
         (["impair", "--in", "{two}", "--seed", "1", "--snr=0", "--out", "{out}"], "--snr"),
         (["impair", "--in", "{tag}", "--seed", "1", "--sir=nan", "--out", "{out}"], "--sir"),
         (["impair", "--in", "{tag}", "--cfo=inf", "--out", "{out}"], "--cfo"),
+        # finite, but 2 pi cfo k overflows within the frame; numpy warnings are
+        # errors in this suite, so the rotation may raise none on the way
+        (["impair", "--in", "{tag}", "--cfo=1e306", "--out", "{out}"], "cfo 1e+306"),
         (["spot", "--in", "{tag}", "--gamma=nan"], "--gamma"),
         (["spot", "--in", "{tag}", "--carrier-sense=-inf"], "--carrier-sense"),
         (["sweep", "--carriers", "3", "--config", "{config}"], "--snr"),
@@ -702,7 +712,8 @@ def test_missing_paths_exit_with_code_1(tmp_path, capsys, argv, named):
     ids=["sweep-snr", "curves-snr-nan", "curves-snr-inf", "curves-gamma", "curves-gamma-empty",
          "curves-snr-unparsable", "range-snr-gap",
          "range-exponents", "modulate-power", "modulate-papr-cap", "modulate-sample-rate",
-         "impair-snr", "impair-snr-two-frames", "impair-sir", "impair-cfo", "spot-gamma",
+         "impair-snr", "impair-snr-two-frames", "impair-sir", "impair-cfo",
+         "impair-cfo-phase-overflow", "spot-gamma",
          "spot-carrier-sense", "sweep-config-snr", "sweep-config-huge-snr"],
 )
 def test_non_finite_numbers_exit_with_code_1(tmp_path, capsys, argv, named):

@@ -12,7 +12,6 @@ from tagspot.codebook import (
     mask_matrix,
     parse_codebook,
     serialize_codebook,
-    verify_min_distance,
 )
 
 
@@ -21,7 +20,7 @@ def test_builtin_family_shape_and_distance(codebook):
     assert codebook.word_length == 28
     assert codebook.min_distance == 13
     # declared floor is tight: the brute-force minimum is exactly 13
-    assert verify_min_distance(codebook.words) == 13
+    assert codebook.measured_distance == 13
 
 
 def test_parse_serialize_roundtrip(codebook):
@@ -74,13 +73,13 @@ def test_parser_rejects_malformed_input():
         parse_codebook("name: x\nword_length: 4\nmin_distance: 2.0\n0000\n0011\n")
 
 
-def test_verify_min_distance_requires_two_words():
-    with pytest.raises(ValueError):
-        verify_min_distance(("0000",))
-    with pytest.raises(ValueError):  # non-binary character
-        verify_min_distance(("0000", "0021"))
-    with pytest.raises(ValueError):  # words of unequal length
-        verify_min_distance(("0000", "001"))
+def test_a_codebook_measures_its_distance_from_two_words():
+    assert Codebook("x", 4, 1, ("0000",)).measured_distance is None
+    assert Codebook("x", 4, 1, ("0000", "0111")).measured_distance == 3
+    with pytest.raises(ValueError, match="non-binary"):
+        Codebook("x", 4, 1, ("0000", "0021"))
+    with pytest.raises(ValueError, match="differ in length"):
+        Codebook("x", 4, 1, ("0000", "001"))
 
 
 def test_codeword_bit_selects_group_carrier():

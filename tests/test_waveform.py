@@ -108,16 +108,15 @@ def test_papr_reference_points():
 
 def test_papr_limited_synthesis():
     rng = np.random.default_rng(6)
-    loose = synthesize_tag_papr_limited(MASK, LAY, 1.0, 20.0, rng)
-    assert loose.met_cap and loose.attempts == 1
-    assert loose.papr_db <= 20.0
+    _, papr_db, attempts = synthesize_tag_papr_limited(MASK, LAY, 1.0, 20.0, rng)
+    assert papr_db <= 20.0 and attempts == 1
 
     rng = np.random.default_rng(6)
-    tight = synthesize_tag_papr_limited(MASK, LAY, 1.0, 3.0, rng, max_attempts=4)
-    assert tight.attempts <= 4
-    if tight.met_cap:
-        assert tight.papr_db <= 3.0
-    assert papr(tight.frame) == pytest.approx(tight.papr_db, rel=1e-12)
+    frame, papr_db, attempts = synthesize_tag_papr_limited(MASK, LAY, 1.0, 3.0, rng, max_attempts=4)
+    assert attempts <= 4
+    # the redraw stops early only at a draw that meets the cap
+    assert attempts == 4 or papr_db <= 3.0
+    assert papr(frame) == pytest.approx(papr_db, rel=1e-12)
 
     with pytest.raises(ValueError):
         synthesize_tag_papr_limited(MASK, LAY, 0.0, 8.0, rng)
