@@ -13,5 +13,3 @@ __all__ = [
     "builtin_codebook",
     "load_codebook",
 ]
-
-__version__ = "0.1.0"

@@ -55,7 +55,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .carriers import CarrierLayout, REFERENCE_LAYOUT
+from .carriers import CarrierLayout, REFERENCE_LAYOUT, check_gamma
 from .channel import p_over_n
 from .codebook import Codebook, mask_matrix
 
@@ -73,6 +73,11 @@ _MC_BLOCK = 1 << 12
 _MIXTURE_BUDGET = 1 << 22
 
 
+def _check_fading(fading: str) -> None:
+    if fading not in FADING_ANALYSIS_MODELS:
+        raise ValueError(f"fading must be one of {FADING_ANALYSIS_MODELS}, got {fading!r}")
+
+
 @dataclass(frozen=True)
 class AnalysisModel:
     """One operating point of the statistical model."""
@@ -82,11 +87,7 @@ class AnalysisModel:
     fading: str = "wideband"
 
     def __post_init__(self) -> None:
-        if self.fading not in FADING_ANALYSIS_MODELS:
-            raise ValueError(
-                f"fading must be one of {FADING_ANALYSIS_MODELS}, "
-                f"got {self.fading!r}"
-            )
+        _check_fading(self.fading)
 
 
 def _unit_gauss_nodes(n: int) -> "tuple[np.ndarray, np.ndarray]":
@@ -248,8 +249,7 @@ def pd_single(
     tail. At p/n = 0 the mixture collapses to a single term, and that case
     is pf_single.
     """
-    if not 0 < gamma < 1:
-        raise ValueError("gamma must lie strictly between 0 and 1")
+    check_gamma(gamma)
     from scipy import special
 
     lay = model.layout
@@ -276,19 +276,17 @@ def gamma_equivalent_snr_db(
     bins under "all", the in-band ones under "band"). Solved for r = p/n
     and converted to dB through channel.p_over_n.
     """
-    if not 0 < gamma < 1:
-        raise ValueError("gamma must lie strictly between 0 and 1")
-    lay = layout
-    beta_c = lay.active_thin_per_wide * lay.groups
-    alpha_c = lay.thin_per_wide * lay.groups
-    d_bins = lay.thin_per_wide * len(lay.denominator_wide(denominator))
+    check_gamma(gamma)
+    beta_c = layout.active_thin_per_wide * layout.groups
+    alpha_c = layout.thin_per_wide * layout.groups
+    d_bins = layout.thin_per_wide * len(layout.denominator_wide(denominator))
     r = (gamma * d_bins - alpha_c) / (beta_c * (1.0 - gamma))
     if r <= 0:
         raise ValueError(
             f"gamma {gamma} is at or below the flat-spectrum baseline; "
             "no positive SNR balances it"
         )
-    return float(10.0 * np.log10(r / p_over_n(0.0, lay)))
+    return float(10.0 * np.log10(r / p_over_n(0.0, layout)))
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +391,7 @@ def pf_family_mc(
     interval). Consecutive calls with the same arguments but gamma
     threshold one memoized set of draws (see _family_max_ratios).
     """
+    check_gamma(gamma)
     t = gamma / (1.0 - gamma)
     ratios = _family_max_ratios(codebook, layout, trials, seed, denominator)
     hits = trials - int(np.searchsorted(ratios, t, side="right"))
@@ -411,6 +410,7 @@ def pf_pairs_bound(
     pair maxima, which no codeword's in-mask sum exceeds, so with the same
     seed and trial count it upper-bounds pf_family_mc for every codebook
     draw by draw. Only the "band" convention is modeled."""
+    check_gamma(gamma)
     t = gamma / (1.0 - gamma)
     walk = _max_ratios(
         lambda draws: draws.reshape(len(draws), layout.groups, 2).max(axis=2).sum(axis=1),
@@ -440,10 +440,7 @@ def pm_mc(
     after the shared draws and draws that SNR's noncentral tones from its
     copy, so every SNR reads the stream a single-SNR run would.
     """
-    if fading not in FADING_ANALYSIS_MODELS:
-        raise ValueError(
-            f"fading must be one of {FADING_ANALYSIS_MODELS}, got {fading!r}"
-        )
+    _check_fading(fading)
     if len(snr_dbs) == 0:
         raise ValueError("the SNR grid must not be empty")
     if not all(math.isfinite(snr_db) for snr_db in snr_dbs):

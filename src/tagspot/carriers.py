@@ -14,8 +14,8 @@ carrier of every group. Its mask is a boolean row over the wide carriers,
 True on the activated ones; codebook builds it from a codeword.
 
 A strength convention names the carriers that divide a tag strength: "band"
-the non-null ones, "all" every wide carrier. Only
-CarrierLayout.denominator_wide maps a name to its carriers.
+the non-null ones, "all" every wide carrier. Only CarrierLayout.denominator_wide
+maps a name to its carriers, and only check_gamma checks a strength threshold.
 """
 
 from __future__ import annotations
@@ -27,6 +27,12 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 STRENGTH_DENOMINATORS = ("band", "all")
+
+
+def check_gamma(gamma: float) -> None:
+    """Rejects a strength threshold outside (0, 1), NaN included."""
+    if not 0 < gamma < 1:
+        raise ValueError("gamma must lie strictly between 0 and 1")
 
 
 @dataclass(frozen=True)

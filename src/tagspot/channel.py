@@ -27,8 +27,15 @@ FADING_MODELS = ("none", "narrowband", "wideband-rayleigh")
 
 
 def p_over_n(snr_db: float, layout: CarrierLayout) -> float:
-    """Per-tone signal power over per-thin-carrier noise power at snr_db."""
-    return layout.thin_per_wide / layout.active_thin_per_wide * 10.0 ** (snr_db / 10.0)
+    """Per-tone signal power over per-thin-carrier noise power at snr_db: 0 at
+    -inf dB (no signal); a NaN SNR or a finite one past the float range raises."""
+    try:
+        r = layout.thin_per_wide / layout.active_thin_per_wide * 10.0 ** (snr_db / 10.0)
+    except OverflowError:  # float ** overflows from about 3083 dB
+        r = math.inf
+    if math.isnan(r) or (r == math.inf and snr_db != math.inf):
+        raise ValueError(f"snr {snr_db:g} dB has no power ratio in the float range")
+    return r
 
 
 def noise_power_for_snr(
@@ -37,7 +44,11 @@ def noise_power_for_snr(
     """Per-thin-carrier noise power n giving the requested SNR."""
     if not per_active_thin_power > 0:
         raise ValueError("per-tone signal power must be positive")
-    return per_active_thin_power / p_over_n(snr_db, layout)
+    r = p_over_n(snr_db, layout)
+    n = per_active_thin_power / r if r > 0 else math.inf
+    if n == math.inf:
+        raise ValueError(f"snr {snr_db:g} dB needs a noise power past the float range")
+    return n
 
 
 def apply_awgn(frame: IqFrame, n: float, rng: np.random.Generator) -> IqFrame:

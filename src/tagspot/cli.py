@@ -317,13 +317,8 @@ def _cmd_impair(args: argparse.Namespace) -> None:
 def _cmd_spot(args: argparse.Namespace) -> None:
     frame, _, layout = _read_input(args)
     codebook = _get_codebook(args.codebook)
-    detector = DetectorConfig(
-        layout=layout,
-        codebook=codebook,
-        gamma=args.gamma,
-        carrier_sense_snr_db=args.carrier_sense,
-        denominator=args.denominator,
-    )
+    detector = DetectorConfig(layout=layout, codebook=codebook, gamma=args.gamma,
+                              carrier_sense_snr_db=args.carrier_sense, denominator=args.denominator)
     report = spot_report(frame, detector)
 
     windows = [("windows_total", report.windows_total), ("windows_gated", report.windows_gated)]
@@ -487,11 +482,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(commands, "spot", _cmd_spot, "run the detector over an IQ file", layout=True)
     p.add_argument("--in", dest="in_path", help="input IQ file")
-    p.add_argument("--gamma", type=_number(float, 0, 1, open=True), default=0.62,
+    p.add_argument("--gamma", type=_number(float, 0, 1, open=True), default=DetectorConfig.gamma,
                    help="detection threshold (default %(default)s)")
-    p.add_argument("--carrier-sense", dest="carrier_sense", type=_number(float), default=-1.0,
+    p.add_argument("--carrier-sense", dest="carrier_sense", type=_number(float),
+                   default=DetectorConfig.carrier_sense_snr_db,
                    help="carrier sense gate in dB over the noise floor (default %(default)s)")
-    p.add_argument("--denominator", choices=STRENGTH_DENOMINATORS, default="band",
+    p.add_argument("--denominator", choices=STRENGTH_DENOMINATORS, default=DetectorConfig.denominator,
                    help="strength denominator convention (default %(default)s)")
     _add_codebook(p)
 
@@ -499,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "detection and false-alarm tables over snr/gamma grids", layout=True, seed=True)
     p.add_argument("--snr", type=_grid(-_DB_LIMIT, _DB_LIMIT), default="0", help="comma-separated SNR grid in dB, "
                    "default %(default)s (write --snr=-4,0,4 when the grid starts negative)")
-    p.add_argument("--gamma", type=_grid(0, 1, open=True), default="0.62",
+    p.add_argument("--gamma", type=_grid(0, 1, open=True), default=str(DetectorConfig.gamma),
                    help="comma-separated threshold grid (default %(default)s)")
     p.add_argument("--fading", choices=FADING_ANALYSIS_MODELS, default="wideband",
                    help="analysis fading model (default %(default)s)")

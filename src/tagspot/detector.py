@@ -39,14 +39,13 @@ O(C * fft_size / cp_len) for C candidates instead of comparing every pair.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .carriers import CarrierLayout
+from .carriers import CarrierLayout, check_gamma
 from .codebook import Codebook, mask_matrix
 from .waveform import IqFrame, spectrum_of_body
 
@@ -61,40 +60,32 @@ _NOISE_SMOOTHING = 0.05
 
 @dataclass(frozen=True)
 class DetectorConfig:
+    """One operating point of the spotter. Construction builds the read-only
+    arrays every run shares, the codebook's masks as floats (so a codebook
+    that does not fit the layout fails) and the convention's carriers."""
+
     layout: CarrierLayout
     codebook: Codebook
     gamma: float = 0.62
     carrier_sense_snr_db: float = -1.0
     denominator: str = "band"
+    masks: np.ndarray = field(init=False, compare=False, repr=False)
+    denominator_wide: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not 0 < self.gamma < 1:
-            raise ValueError("gamma must lie strictly between 0 and 1")
+        check_gamma(self.gamma)
         if np.isnan(self.carrier_sense_snr_db):  # -inf switches the gate off
             raise ValueError("carrier_sense_snr_db must not be NaN")
-        if self.codebook.word_length != self.layout.groups:
-            raise ValueError("codebook word length does not match layout groups")
-        self.layout.denominator_wide(self.denominator)  # rejects unknown names
+        masks = mask_matrix(self.codebook, self.layout).astype(np.float64)
+        carriers = np.asarray(self.layout.denominator_wide(self.denominator))
+        for name, array in (("masks", masks), ("denominator_wide", carriers)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def com_bound(self) -> float:
         """Largest accepted |center of mass|: the central quarter of the band."""
         return self.layout.wide_total / 8.0
-
-    @functools.cached_property
-    def masks(self) -> np.ndarray:
-        """The codebook's (codewords, wide carriers) masks as floats, built
-        on first use and shared, read-only, by every run with this config."""
-        masks = mask_matrix(self.codebook, self.layout).astype(np.float64)
-        masks.flags.writeable = False
-        return masks
-
-    @functools.cached_property
-    def denominator_wide(self) -> np.ndarray:
-        """The denominator carriers of this config's convention, read-only."""
-        carriers = np.asarray(self.layout.denominator_wide(self.denominator))
-        carriers.flags.writeable = False
-        return carriers
 
 
 class DetectionEvent(NamedTuple):

@@ -274,6 +274,28 @@ def test_unknown_strength_convention_is_rejected(codebook, call, name):
         call(codebook, name)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda book, gamma: DetectorConfig(layout=LAY, codebook=book, gamma=gamma),
+        lambda book, gamma: pf_single(gamma, LAY),
+        lambda book, gamma: pd_single(gamma, AnalysisModel()),
+        lambda book, gamma: gamma_equivalent_snr_db(gamma, LAY),
+        lambda book, gamma: build_roc([0.0], [gamma], LAY, "wideband", book, 100, 0),
+        lambda book, gamma: pf_family_mc(gamma, book, LAY, 100, 0),
+        lambda book, gamma: pf_pairs_bound(gamma, LAY, 100, 0),
+    ],
+    ids=["DetectorConfig", "pf_single", "pd_single", "gamma_equivalent_snr_db",
+         "build_roc", "pf_family_mc", "pf_pairs_bound"],
+)
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5, -0.2, math.nan])
+def test_every_gamma_entry_point_checks_the_open_unit_range(codebook, call, gamma):
+    # the Monte Carlo estimators once read 0, 1.5 and -0.2 as pf 1, NaN as
+    # pf 0, and divided by zero at 1
+    with pytest.raises(ValueError, match="^gamma must lie strictly between 0 and 1$"):
+        call(codebook, gamma)
+
+
 def test_family_pf_grows_with_size_and_pairs_bound_dominates(codebook):
     trials, seed = 100_000, 63
     estimates = [
@@ -403,6 +425,13 @@ def test_pd_single_matches_the_stats_mixture(fading, denominator, snr_db):
     assert pd_single(0.62, model, denominator) == pytest.approx(
         _pd_single_stats_oracle(0.62, model, denominator), rel=0, abs=1e-13
     )
+
+
+@pytest.mark.parametrize("snr_db", [4000.0, 3080.0, math.nan])
+def test_pd_single_names_an_snr_without_a_power_ratio(snr_db):
+    # 10 ** 400 overflows a float, and 2 * 10 ** 308 rounds to inf
+    with pytest.raises(ValueError, match=f"^snr {snr_db:g} dB"):
+        pd_single(0.62, AnalysisModel(snr_db=snr_db))
 
 
 @pytest.mark.parametrize(

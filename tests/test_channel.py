@@ -56,6 +56,20 @@ def test_noise_power_follows_the_one_snr_rule():
             assert n * p_over_n(snr_db, ODD) == pytest.approx(p, rel=1e-15)
 
 
+def test_an_snr_without_a_power_ratio_fails_by_name():
+    # -inf dB is the no-signal point: p/n is 0, as is any ratio that underflows
+    assert p_over_n(-np.inf, LAY) == 0.0 and p_over_n(-4000.0, LAY) == 0.0
+    for snr_db in (np.nan, 4000.0, 3080.0):  # 10 ** 400 overflows; 2 * 10 ** 308 is inf
+        with pytest.raises(ValueError, match=f"^snr {snr_db:g} dB has no power ratio"):
+            p_over_n(snr_db, LAY)
+        with pytest.raises(ValueError, match=f"^snr {snr_db:g} dB has no power ratio"):
+            noise_power_for_snr(snr_db, 1.0, LAY)
+    # p/n is 0 at -inf and -4000 dB, and 2e-320 at -3200 dB, whose inverse is inf
+    for snr_db in (-np.inf, -4000.0, -3200.0):
+        with pytest.raises(ValueError, match=f"^snr {snr_db:g} dB needs a noise power past"):
+            noise_power_for_snr(snr_db, 1.0, LAY)
+
+
 def test_awgn_calibration_and_determinism():
     quiet = IqFrame(np.zeros(200_000, dtype=complex))
     rng = np.random.default_rng(11)

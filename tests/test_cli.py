@@ -18,6 +18,7 @@ from tagspot.carriers import REFERENCE_LAYOUT, layout_to_dict
 from tagspot.channel import noise_power_for_snr
 from tagspot.cli import main as cli_main
 from tagspot.codebook import builtin_codebook, serialize_codebook
+from tagspot.detector import DetectorConfig
 from tagspot.iqfile import read_iq, sidecar_path, write_iq
 from tagspot.waveform import IqFrame, mean_power
 from events import parse_events
@@ -890,6 +891,15 @@ def test_the_field_flag_table_covers_every_option():
     declared = {(name, action.dest) for name, sub in cli.build_parser().commands.items()
                 for action in sub._actions if action.dest not in ("help", "config")}
     assert sorted((command, dest) for command, dest, *_ in FIELD_FLAGS) == sorted(declared)
+
+
+def test_the_spotter_defaults_are_the_detector_configs():
+    commands = cli.build_parser().commands
+    spot = commands["spot"].parse_args([])
+    default = DetectorConfig(layout=LAY, codebook=builtin_codebook())
+    assert (spot.gamma, spot.carrier_sense, spot.denominator) == (
+        default.gamma, default.carrier_sense_snr_db, default.denominator)
+    assert commands["curves"].parse_args([]).gamma == [default.gamma]
 
 
 @pytest.mark.parametrize("command, dest, flags, value", FIELD_FLAGS,

@@ -122,9 +122,9 @@ def test_noise_tracker_update():
 def test_detector_config_validation(codebook):
     config = DetectorConfig(layout=LAY, codebook=codebook)
     assert config.com_bound == 8.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gamma"):
         DetectorConfig(layout=LAY, codebook=codebook, gamma=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="denominator must be one of"):
         DetectorConfig(layout=LAY, codebook=codebook, denominator="mask")
     # a NaN gate compares false with every SNR, so it would never gate;
     # -inf switches the gate off on purpose
@@ -132,9 +132,9 @@ def test_detector_config_validation(codebook):
         DetectorConfig(layout=LAY, codebook=codebook, carrier_sense_snr_db=float("nan"))
     for gate in (-np.inf, np.inf):
         DetectorConfig(layout=LAY, codebook=codebook, carrier_sense_snr_db=gate)
-    with pytest.raises(ValueError):
-        short = Codebook(name="short", word_length=10, min_distance=10,
-                         words=("0" * 10, "1" * 10))
+    # building the masks is the fit check: one bit per carrier group
+    short = Codebook(name="short", word_length=10, min_distance=10, words=("0" * 10, "1" * 10))
+    with pytest.raises(ValueError, match="^word length 10 != layout groups 28$"):
         DetectorConfig(layout=LAY, codebook=short)
 
 
@@ -270,14 +270,19 @@ def test_config_builds_its_masks_once(codebook, monkeypatch):
 
     monkeypatch.setattr(detector, "mask_matrix", counted)
     cfg = DetectorConfig(layout=LAY, codebook=codebook)
+    assert len(calls) == 1  # on construction, before any run
     stream = _stream_with_tag(codebook, 7, 300, 6.0, seed=8)
     first = spot_report(stream, cfg)
     assert spot_report(stream, cfg) == first
     assert len(calls) == 1
-    assert cfg.masks is cfg.masks and not cfg.masks.flags.writeable
     assert np.array_equal(cfg.masks, mask_matrix(codebook, LAY))
-    with pytest.raises(ValueError):
-        cfg.masks[0, 0] = 1.0
+    assert list(cfg.denominator_wide) == list(LAY.band_wide)
+    for array in (cfg.masks, cfg.denominator_wide):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    # the arrays follow from the other fields: equality, hashing and repr skip them
+    twin = DetectorConfig(layout=LAY, codebook=codebook)
+    assert twin == cfg and hash(twin) == hash(cfg) and "masks" not in repr(cfg)
 
 
 def test_spot_working_set_does_not_grow_with_the_stream(codebook):
@@ -302,6 +307,15 @@ def test_spot_rejects_short_streams(codebook):
         spot_report(
             IqFrame(np.ones(100, dtype=complex)), DetectorConfig(layout=LAY, codebook=codebook)
         )
+
+
+def test_windows_refuses_rows_outside_the_array():
+    x = np.arange(10.0)
+    assert detector._windows(x, 1, 3, 5, 2).tolist() == [
+        [1, 2, 3, 4, 5], [3, 4, 5, 6, 7], [5, 6, 7, 8, 9]]
+    for start, count, n, hop in ((2, 3, 5, 2), (0, 0, 5, 2), (0, 3, 5, 0), (-1, 1, 5, 1)):
+        with pytest.raises(ValueError, match="overrun 10 samples"):
+            detector._windows(x, start, count, n, hop)
 
 
 def test_event_serialization_roundtrip():

@@ -1,5 +1,6 @@
 """IQ file format: interleaved float32 samples plus a JSON sidecar."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -136,6 +137,21 @@ def test_read_rejects_ragged_or_empty_files(tmp_path):
     empty.write_bytes(b"")
     with pytest.raises(ValueError):
         read_iq(empty)
+
+
+def test_read_names_a_file_that_ends_before_its_size(tmp_path, monkeypatch):
+    # a file that shrinks between the size check and the read
+    path = tmp_path / "short.iq"
+    write_iq(path, _random_frame(8, size=3))
+    real_fstat = os.fstat
+
+    def grown(fd):
+        st = real_fstat(fd)
+        return os.stat_result((*st[:6], st.st_size + 8, *st[7:]))
+
+    monkeypatch.setattr(os, "fstat", grown)
+    with pytest.raises(ValueError, match=r"short\.iq: file ended before its 32 bytes were read"):
+        read_iq(path)
 
 
 # signed zeros, float32 subnormals and values near the float32 limit
