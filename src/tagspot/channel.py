@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .carriers import CarrierLayout, REFERENCE_LAYOUT
+from .carriers import CarrierLayout
 from .waveform import IqFrame, spectrum_of_body, synthesize_tag
 
 FADING_MODELS = ("none", "narrowband", "wideband-rayleigh")
@@ -29,6 +29,7 @@ FADING_MODELS = ("none", "narrowband", "wideband-rayleigh")
 def p_over_n(snr_db: float, layout: CarrierLayout) -> float:
     """Per-tone signal power over per-thin-carrier noise power at snr_db: 0 at
     -inf dB (no signal); a NaN SNR or a finite one past the float range raises."""
+    snr_db = float(snr_db)  # a numpy SNR overflows with a warning, not an OverflowError
     try:
         r = layout.thin_per_wide / layout.active_thin_per_wide * 10.0 ** (snr_db / 10.0)
     except OverflowError:  # float ** overflows from about 3083 dB
@@ -65,9 +66,7 @@ def apply_awgn(frame: IqFrame, n: float, rng: np.random.Generator) -> IqFrame:
     return IqFrame(frame.samples + noise.view(np.complex128)[:, 0])
 
 
-def apply_cfo(
-    frame: IqFrame, cfo: float, layout: CarrierLayout = REFERENCE_LAYOUT
-) -> IqFrame:
+def apply_cfo(frame: IqFrame, cfo: float, layout: CarrierLayout) -> IqFrame:
     """Rotate sample k by exp(2j pi cfo k / fft_size); cfo in thin widths.
 
     A pure per-sample phase spin, so power is preserved exactly; integer
@@ -90,7 +89,7 @@ def apply_fading(
     frame: IqFrame,
     model: str,
     rng: np.random.Generator,
-    layout: CarrierLayout = REFERENCE_LAYOUT,
+    layout: CarrierLayout,
 ) -> IqFrame:
     """Apply a fading draw in the frequency domain.
 

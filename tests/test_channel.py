@@ -59,7 +59,8 @@ def test_noise_power_follows_the_one_snr_rule():
 def test_an_snr_without_a_power_ratio_fails_by_name():
     # -inf dB is the no-signal point: p/n is 0, as is any ratio that underflows
     assert p_over_n(-np.inf, LAY) == 0.0 and p_over_n(-4000.0, LAY) == 0.0
-    for snr_db in (np.nan, 4000.0, 3080.0):  # 10 ** 400 overflows; 2 * 10 ** 308 is inf
+    # 10 ** 400 overflows; 2 * 10 ** 308 is inf; a numpy SNR takes the same path
+    for snr_db in (np.nan, 4000.0, 3080.0, np.float64(4000.0), np.float64(3080.0)):
         with pytest.raises(ValueError, match=f"^snr {snr_db:g} dB has no power ratio"):
             p_over_n(snr_db, LAY)
         with pytest.raises(ValueError, match=f"^snr {snr_db:g} dB has no power ratio"):
