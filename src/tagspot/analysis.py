@@ -26,14 +26,25 @@ measured rather than assumed away.
 SNR follows the channel convention: r is channel.p_over_n(snr_db, layout).
 
 All Monte Carlo estimators draw with numpy's seeded Generator in fixed-size
-chunks whose seeds derive from (seed, chunk index); results are therefore
-reproducible and independent of how the chunks would be scheduled. Binomial
+chunks whose seeds derive from (seed, chunk index), so results are
+reproducible and independent of how the chunks are scheduled. Binomial
 uncertainties are 95% Wilson intervals. The family false alarm and the
 pairs bound share one noise-only walk, _max_ratios. It and the
 misclassification estimator take each chunk in row blocks of _MC_BLOCK
 draws (see _row_blocks), so a (draws, carriers) temporary spans one block,
-about 1.8 MB on the reference layout, rather than the chunk's 14.7 MB; the
+about 0.9 MB on the reference layout, rather than the chunk's 14.7 MB; the
 blocks draw and score exactly what one whole-chunk pass would.
+
+The noise-only walk and the active-carrier sweep run their chunks (the
+sweep its splits) through _mc_map, two at a time: the calling thread and
+one helper thread, since numpy's draws release the GIL. Results come back
+in chunk order, so they are bit for bit those of a serial loop. The family
+false alarm gains only with a one-thread BLAS (OPENBLAS_NUM_THREADS=1):
+with OpenBLAS on both cores of a 2-core Xeon, two chunks' matrix products
+contend for its threads, and the walk ran 11% slower than serially. pm_mc
+stays serial: each of its chunks holds its whole tone draw (14 MiB on the
+reference layout) before its first block, and two chunks in flight would
+double that.
 
 Of scipy only scipy.special is loaded, by the functions that use it, on
 their first call: the mixture weights and bounds, Beta and F tails and
@@ -51,7 +62,7 @@ import copy
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -66,8 +77,10 @@ _MC_CHUNK = 1 << 15
 #: Generator equal one large draw, and with numpy's OpenBLAS matrix products
 #: over blocks of 64 rows or more equalled the whole-chunk product bit for
 #: bit (1- and 7-row blocks did not), so blocking changes no result; the
-#: whole-chunk oracles in tests/test_analysis.py check this.
-_MC_BLOCK = 1 << 12
+#: whole-chunk oracles in tests/test_analysis.py check this. Two chunks run
+#: at once (see _mc_map), so a block of 2048 rows keeps both chunks'
+#: temporaries together near 4.6 MiB on the reference layout.
+_MC_BLOCK = 1 << 11
 
 #: Most components a closed-form mixture may span: 32 MiB per float64 array.
 _MIXTURE_BUDGET = 1 << 22
@@ -327,22 +340,51 @@ def _wilson(hits: int, trials: int) -> "tuple[float, tuple[float, float]]":
     return p, (float(low), float(high))
 
 
+def _mc_map(fn: "Callable[..., object]", items: "Iterable[tuple]") -> list:
+    """[fn(*item) for item in items], two items at a time: the calling thread
+    runs the even items and one helper thread the odd ones, a pair at a
+    time, and the results come back in item order whichever finishes first.
+    The helper is handed one item per pair, so when either item raises
+    (KeyboardInterrupt too) the other finishes, or is cancelled if it has
+    not started, and no further item starts.
+    fn must call no public function of the package: a tracer that wraps
+    those keeps one call stack, on the calling thread."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    items = list(items)
+    out = []
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for i in range(0, len(items), 2):
+            odd = [helper.submit(fn, *item) for item in items[i + 1 : i + 2]]
+            try:
+                out.append(fn(*items[i]))
+            except BaseException:
+                for future in odd:
+                    future.cancel()
+                raise
+            out += [future.result() for future in odd]
+    return out
+
+
 def _max_ratios(
     best_of: "Callable[[np.ndarray], np.ndarray]",
     layout: CarrierLayout, trials: int, seed: int, denominator: str,
-) -> "Iterator[np.ndarray]":
-    """The noise-only walk: per chunk, each draw's largest in-mask sum over
-    the power outside it, in draw order, where best_of maps a row block of
-    chi2(2 alpha) band powers to each row's largest in-mask sum. Under
-    "all" each chunk adds the null carriers' summed power, one more
-    chi-square drawn after the band's, so "band" keeps the same draws. The
-    chunk divides once: x / (T - x) never decreases in x, even rounded, so
-    the ratio of the largest sum is the largest ratio. Yielding chunks
-    keeps a consumer that only counts at one chunk's working set.
+    per_chunk: "Callable[[np.ndarray], object]" = lambda ratios: ratios,
+) -> list:
+    """The noise-only walk: per chunk, in chunk order, per_chunk of each
+    draw's largest in-mask sum over the power outside it, in draw order,
+    where best_of maps a row block of chi2(2 alpha) band powers to each
+    row's largest in-mask sum. Under "all" each chunk adds the null
+    carriers' summed power, one more chi-square drawn after the band's, so
+    "band" keeps the same draws. The chunk divides once: x / (T - x) never
+    decreases in x, even rounded, so the ratio of the largest sum is the
+    largest ratio. A per_chunk that counts keeps the walk's memory at two
+    chunks' working sets (see _mc_map) whatever the trial count.
     """
     dof_wide = 2 * layout.thin_per_wide
     dof_extra = dof_wide * (len(layout.denominator_wide(denominator)) - 2 * layout.groups)
-    for rng, m in _mc_chunks(trials, seed):
+
+    def chunk(rng: np.random.Generator, m: int):
         best, total = np.empty(m), np.empty(m)
         for block in _row_blocks(m):
             draws = rng.chisquare(dof_wide, size=(block.stop - block.start, 2 * layout.groups))
@@ -351,7 +393,9 @@ def _max_ratios(
         if dof_extra:
             total += rng.chisquare(dof_extra, size=m)
         best /= total - best
-        yield best
+        return per_chunk(best)
+
+    return _mc_map(chunk, _mc_chunks(trials, seed))
 
 
 @functools.lru_cache(maxsize=1)
@@ -368,8 +412,9 @@ def _family_max_ratios(
     caller clears the memo.
     """
     masks = mask_matrix(codebook, layout)[:, layout.band_wide].astype(np.float64)
-    walk = _max_ratios(lambda draws: np.max(draws @ masks.T, axis=1), layout, trials, seed, denominator)
-    out = np.concatenate(list(walk))
+    out = np.concatenate(
+        _max_ratios(lambda draws: np.max(draws @ masks.T, axis=1), layout, trials, seed, denominator)
+    )
     out.sort()
     out.flags.writeable = False
     return out
@@ -412,11 +457,11 @@ def pf_pairs_bound(
     draw by draw. Only the "band" convention is modeled."""
     check_gamma(gamma)
     t = gamma / (1.0 - gamma)
-    walk = _max_ratios(
+    hits = _max_ratios(
         lambda draws: draws.reshape(len(draws), layout.groups, 2).max(axis=2).sum(axis=1),
-        layout, trials, seed, "band",
+        layout, trials, seed, "band", lambda ratios: int(np.count_nonzero(ratios > t)),
     )
-    return _wilson(sum(int(np.count_nonzero(ratios > t)) for ratios in walk), trials)
+    return _wilson(sum(hits), trials)
 
 
 def pm_mc(
@@ -483,6 +528,8 @@ def pm_mc(
                 misses[i] += int(np.count_nonzero(decoded != sent[block]))
         return misses
 
+    # serial, unlike _mc_map's walks: a chunk holds its whole (m, wides) tone
+    # draw, 14 MiB on the reference layout, before its first block
     per_chunk = [chunk_misses(rng, m) for rng, m in _mc_chunks(trials, seed)]
     return [_wilson(sum(hits), trials) for hits in zip(*per_chunk)]
 
@@ -522,23 +569,25 @@ def sweep_active_carriers(
 
     alpha = REFERENCE_LAYOUT.thin_per_wide
     r = 10.0 ** (snr_db / 10.0)
-    rows = []
+    splits = []
     for q in range(1, n_carriers):
-        dfn = 2 * alpha * q
-        dfd = 2 * alpha * (n_carriers - q)
-        median = special.fdtri(dfn, dfd, 0.5)
-        t0 = (1.0 + r) * median
-        gamma0 = t0 / (1.0 + t0)
+        dfn, dfd = 2 * alpha * q, 2 * alpha * (n_carriers - q)
+        splits.append((q, dfn, dfd, (1.0 + r) * special.fdtri(dfn, dfd, 0.5)))
+
+    def hits(q: int, dfn: int, dfd: int, t0: float) -> int:
+        count = 0
+        for rng, m in _mc_chunks(trials, seed + q):
+            num = rng.chisquare(dfn, size=m) / dfn
+            den = rng.chisquare(dfd, size=m) / dfd
+            count += int(np.count_nonzero(num / den > t0))
+        return count
+
+    mc_hits = _mc_map(hits, splits) if trials > 0 else [None] * len(splits)
+    rows = []
+    for (q, dfn, dfd, t0), mc in zip(splits, mc_hits):
+        pf_mc, (low, high) = (math.nan, (math.nan, math.nan)) if mc is None else _wilson(mc, trials)
         pf = float(special.fdtrc(dfn, dfd, t0))
-        pf_mc = low = high = math.nan
-        if trials > 0:
-            hits = 0
-            for rng, m in _mc_chunks(trials, seed + q):
-                num = rng.chisquare(dfn, size=m) / dfn
-                den = rng.chisquare(dfd, size=m) / dfd
-                hits += int(np.count_nonzero(num / den > t0))
-            pf_mc, (low, high) = _wilson(hits, trials)
-        rows.append((q, float(gamma0), pf, pf_mc, low, high))
+        rows.append((q, float(t0 / (1.0 + t0)), pf, pf_mc, low, high))
     return rows
 
 

@@ -27,6 +27,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .analysis import (
     range_gain,
     sweep_active_carriers,
 )
-from .carriers import CarrierLayout, REFERENCE_LAYOUT, STRENGTH_DENOMINATORS, layout_from_dict
+from .carriers import CarrierLayout, REFERENCE_LAYOUT, STRENGTH_DENOMINATORS, check_gamma, layout_from_dict
 from .channel import FADING_MODELS, apply_awgn, apply_cfo, apply_fading, gain_for_sir, mix, noise_power_for_snr
 from .codebook import Codebook, builtin_codebook, codeword_to_mask, load_codebook
 from .detector import DetectorConfig, spot_report
@@ -124,10 +125,13 @@ def _read_input(args: argparse.Namespace) -> tuple:
     return frame, meta, layout
 
 
-def _number(kind: type, low: float = -math.inf, high: float = math.inf, open: bool = False):
+def _number(kind: type, low: float = -math.inf, high: float = math.inf, open: bool = False,
+            check: "Callable[[float], None] | None" = None):
     """A numeric option's type=: a finite value of kind (int or float) in
-    [low, high], or in (low, high) when open is set. The kind is also the
-    JSON kind that _field_flags asks of the option's config field."""
+    [low, high], or in (low, high) when open is set, that passes check, the
+    package's own rule for the value if it has one (its ValueError is the
+    option's message). The kind is also the JSON kind that _field_flags asks
+    of the option's config field."""
     def parse(text: str):
         value = kind(text)  # float() parses "inf" and "nan"
         if kind is float and not math.isfinite(value):
@@ -136,6 +140,11 @@ def _number(kind: type, low: float = -math.inf, high: float = math.inf, open: bo
             bounds = [f"{'above' if open else 'at least'} {low:g}"] if low > -math.inf else []
             bounds += [f"{'below' if open else 'at most'} {high:g}"] if high < math.inf else []
             raise argparse.ArgumentTypeError(f"must be {' and '.join(bounds)}, got {text!r}")
+        if check is not None:
+            try:
+                check(value)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
         return value
     parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
     parse.kind = kind
@@ -146,12 +155,12 @@ def _number(kind: type, low: float = -math.inf, high: float = math.inf, open: bo
 # from a dB value a finite, nonzero float
 _DB_LIMIT = 300.0
 _DB = _number(float, -_DB_LIMIT, _DB_LIMIT)
+_GAMMA = _number(float, check=check_gamma)
 
 
-def _grid(low: float = -math.inf, high: float = math.inf, open: bool = False):
+def _grid(element: "Callable[[str], float]"):
     """A grid option's type=: comma-separated values, at least one, each
-    checked by _number(float, low, high, open). Its JSON kind is a string."""
-    element = _number(float, low, high, open)
+    parsed by element, a _number(float, ...). Its JSON kind is a string."""
 
     def parse(text: str) -> "list[float]":
         values = [element(part) for part in text.split(",") if part.strip()]
@@ -482,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(commands, "spot", _cmd_spot, "run the detector over an IQ file", layout=True)
     p.add_argument("--in", dest="in_path", help="input IQ file")
-    p.add_argument("--gamma", type=_number(float, 0, 1, open=True), default=DetectorConfig.gamma,
+    p.add_argument("--gamma", type=_GAMMA, default=DetectorConfig.gamma,
                    help="detection threshold (default %(default)s)")
     p.add_argument("--carrier-sense", dest="carrier_sense", type=_number(float),
                    default=DetectorConfig.carrier_sense_snr_db,
@@ -493,9 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(commands, "curves", _cmd_curves,
                      "detection and false-alarm tables over snr/gamma grids", layout=True, seed=True)
-    p.add_argument("--snr", type=_grid(-_DB_LIMIT, _DB_LIMIT), default="0", help="comma-separated SNR grid in dB, "
+    p.add_argument("--snr", type=_grid(_DB), default="0", help="comma-separated SNR grid in dB, "
                    "default %(default)s (write --snr=-4,0,4 when the grid starts negative)")
-    p.add_argument("--gamma", type=_grid(0, 1, open=True), default=str(DetectorConfig.gamma),
+    p.add_argument("--gamma", type=_grid(_GAMMA), default=str(DetectorConfig.gamma),
                    help="comma-separated threshold grid (default %(default)s)")
     p.add_argument("--fading", choices=FADING_ANALYSIS_MODELS, default="wideband",
                    help="analysis fading model (default %(default)s)")
@@ -521,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(commands, "range", _cmd_range, "range gain from an SNR advantage")
     p.add_argument("--snr-gap", dest="snr_gap", type=_DB, default=20.0,
                    help="SNR advantage in dB (default %(default)s)")
-    p.add_argument("--exponents", type=_grid(0, open=True), default="3,6",
+    p.add_argument("--exponents", type=_grid(_number(float, 0, open=True)), default="3,6",
                    help="comma-separated path loss exponents (default %(default)s)")
 
     p = _add_command(commands, "overhead", _cmd_overhead, "tag airtime overhead for a payload size")

@@ -6,6 +6,7 @@ reflect the pin precision, not the implementation's.
 """
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -593,7 +594,7 @@ SMALL_BOOK = Codebook(
 _BLOCK = analysis._MC_BLOCK
 _CHUNK = analysis._MC_CHUNK
 # trial counts whose chunks end one row short of a block, one row past a
-# full chunk's eight blocks, and in a block of 2 * _BLOCK - 1 rows
+# full chunk's sixteen blocks, and in a block of 2 * _BLOCK - 1 rows
 _BLOCK_EDGES = [_BLOCK - 1, _CHUNK + _BLOCK + 1, 3 * _BLOCK - 1]
 _BLOCK_EDGE_IDS = ["short-block", "chunk-then-block-plus-one", "ragged-last-block"]
 
@@ -815,35 +816,124 @@ def test_row_blocks_tile_the_chunk(m):
         assert all(_BLOCK <= size < 2 * _BLOCK for size in sizes)
 
 
-def _traced_peak_mib(run):
-    """tracemalloc's peak for run(), after one small warm-up call has
+def _traced_peak_mib(run, trials):
+    """tracemalloc's peak for run(trials), after one small warm-up call has
     loaded scipy and filled the codebook's caches."""
     run(1)
     analysis._family_max_ratios.cache_clear()
     tracemalloc.start()
     try:
-        run(2 * _CHUNK)
+        run(trials)
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
         analysis._family_max_ratios.cache_clear()
 
 
+def _pairs_bound(book, trials):
+    return pf_pairs_bound(0.55, LAY, trials, 93)
+
+
 @pytest.mark.parametrize(
-    "run, bound_mib",
+    "run, chunks, bound_mib",
     [
-        (lambda book, trials: analysis._family_max_ratios(book, LAY, trials, 93, "band"), 8),
-        (lambda book, trials: analysis._family_max_ratios(book, LAY, trials, 93, "all"), 8),
-        (lambda book, trials: pf_pairs_bound(0.55, LAY, trials, 93), 8),
-        (lambda book, trials: pm_mc([0.0, -2.0], book, LAY, "wideband", trials, 93), 24),
-        (lambda book, trials: pm_mc([0.0, -2.0], book, LAY, "narrowband", trials, 93), 36),
+        (lambda book, trials: analysis._family_max_ratios(book, LAY, trials, 93, "band"), 2, 8),
+        (lambda book, trials: analysis._family_max_ratios(book, LAY, trials, 93, "all"), 2, 8),
+        (_pairs_bound, 2, 8),
+        # the pairs bound counts each chunk's hits, so eight chunks cost what two do
+        (_pairs_bound, 8, 8),
+        (lambda book, trials: pm_mc([0.0, -2.0], book, LAY, "wideband", trials, 93), 2, 24),
+        (lambda book, trials: pm_mc([0.0, -2.0], book, LAY, "narrowband", trials, 93), 2, 36),
     ],
-    ids=["family-band", "family-all", "pairs-bound", "pm-wideband", "pm-narrowband"],
+    ids=["family-band", "family-all", "pairs-bound", "pairs-bound-eight-chunks", "pm-wideband",
+         "pm-narrowband"],
 )
-def test_monte_carlo_working_set_is_bounded_by_the_block(codebook, run, bound_mib):
+def test_monte_carlo_working_set_is_bounded_by_the_block(codebook, run, chunks, bound_mib):
     # a whole-chunk pass holds several (32768, 56) float64 temporaries of
-    # 14 MiB each; a block's are an eighth of that
-    assert _traced_peak_mib(lambda trials: run(codebook, trials)) <= bound_mib
+    # 14 MiB each; a block's are a sixteenth of that, and the family walk
+    # and the pairs bound hold two chunks' blocks at once
+    assert _traced_peak_mib(lambda trials: run(codebook, trials), chunks * _CHUNK) <= bound_mib
+
+
+def test_pairs_bound_working_set_does_not_grow_with_the_trials(codebook):
+    # each chunk is counted as it is drawn: keeping six more chunks' ratios
+    # until the end would add 1.5 MiB
+    two, eight = (_traced_peak_mib(lambda trials: _pairs_bound(codebook, trials), chunks * _CHUNK)
+                  for chunks in (2, 8))
+    assert eight <= two + 0.5
+
+
+# ---------------------------------------------------------------------------
+# scheduling: _mc_map runs two chunks at once
+
+
+def _serial_map(fn, items):
+    """The Monte Carlo walks' schedule before _mc_map: one chunk at a time."""
+    return [fn(*item) for item in items]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("trials", [1, _CHUNK, 3 * _CHUNK + 5],
+                         ids=["one-trial", "one-chunk", "four-chunks"])
+def test_the_parallel_walks_equal_a_serial_loop_bit_for_bit(codebook, monkeypatch, trials):
+    memo = analysis._family_max_ratios
+    runs = {
+        "family-band": lambda: memo(codebook, LAY, trials, 95, "band"),
+        "family-all": lambda: memo(codebook, LAY, trials, 95, "all"),
+        "pairs-bound": lambda: [(pf, *ci) for pf, ci in
+                                (pf_pairs_bound(gamma, LAY, trials, 95) for gamma in (0.55, 0.58))],
+        # three splits: the last pair has no helper item
+        "sweep": lambda: sweep_active_carriers(4, 0.0, trials, 95),
+    }
+
+    def outputs():
+        out = {}
+        for name, run in runs.items():
+            memo.cache_clear()
+            out[name] = _bits(run())
+        memo.cache_clear()
+        return out
+
+    parallel = outputs()
+    monkeypatch.setattr(analysis, "_mc_map", _serial_map)
+    serial = outputs()
+    for name in runs:
+        assert np.array_equal(parallel[name], serial[name]), name
+
+
+def test_mc_map_keeps_item_order_when_the_helper_finishes_first():
+    finished = []
+
+    def fn(i):
+        if i % 2 == 0:
+            time.sleep(0.05)  # the caller's items are slow
+        finished.append(i)
+        return i * i
+
+    assert analysis._mc_map(fn, [(i,) for i in range(7)]) == [i * i for i in range(7)]
+    assert finished.index(1) < finished.index(0)  # the helper's first item finished first
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, KeyboardInterrupt])
+@pytest.mark.parametrize("bad", [2, 3], ids=["caller-item", "helper-item"])
+def test_mc_map_stops_at_the_first_exception(error, bad):
+    started = []
+
+    def fn(i):
+        started.append(i)
+        if i == bad:
+            raise error(i)
+        time.sleep(0.02)  # the failing item's partner is still running
+        return i
+
+    with pytest.raises(error):
+        analysis._mc_map(fn, [(i,) for i in range(8)])
+    # the failing item's partner may run beside it (or be cancelled before
+    # it starts); no later item starts
+    assert {0, 1, bad} <= set(started) <= {0, 1, 2, 3}
 
 
 # ---------------------------------------------------------------------------

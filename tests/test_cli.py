@@ -636,15 +636,19 @@ def test_negative_counts_exit_with_code_1(capsys):
         assert named in _fails_with_one_line(argv, capsys)
 
 
+_GAMMA_RULE = "gamma must lie strictly between 0 and 1"
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
-        (["range", "--exponents=0,3"], "--exponents"),
-        (["curves", "--gamma=1.5"], "--gamma"),
-        (["curves", "--gamma=0.62,0"], "--gamma"),
+        (["range", "--exponents=0,3"], "--exponents: must be above 0, got '0'"),
+        # a gamma option says carriers.check_gamma's rule
+        (["curves", "--gamma=1.5"], f"--gamma: {_GAMMA_RULE}, got '1.5'"),
+        (["curves", "--gamma=0.62,0"], f"--gamma: {_GAMMA_RULE}, got '0'"),
         # the input is absent, which would exit 2: the option is checked first
-        (["spot", "--in", "absent.iq", "--gamma", "1.5"], "--gamma"),
-        (["spot", "--in", "absent.iq", "--gamma", "0"], "--gamma"),
+        (["spot", "--in", "absent.iq", "--gamma", "1.5"], f"--gamma: {_GAMMA_RULE}, got '1.5'"),
+        (["spot", "--in", "absent.iq", "--gamma", "0"], f"--gamma: {_GAMMA_RULE}, got '0'"),
     ],
     ids=["range-exponents-zero", "curves-gamma-above-one", "curves-gamma-zero",
          "spot-gamma-above-one", "spot-gamma-zero"],

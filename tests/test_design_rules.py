@@ -63,10 +63,14 @@ RULES = [  # (name, files, regex, files allowed to match it, or the exact count)
     # carriers.check_gamma and analysis._check_fading; DetectorConfig builds its arrays
     ("one gamma range check", (SRC,), r"gamma must lie strictly between 0 and 1", 1),
     ("one analysis fading check", (SRC,), r"fading must be one of \{FADING_ANALYSIS_MODELS\}", 1),
+    # the CLI's gamma options check through carriers.check_gamma, not a range of their own
+    ("gamma options check through check_gamma", (CLI,), r"_number\(float, 0, 1\b|_grid\(0, 1\b", ()),
     ("no cached property in the detector", (DETECTOR,), r"cached_property", ()),
     # every statistic is a scipy.special ufunc imported where it is used: scipy.stats
     # adds about 72 MB and 0.8 s to every curves and sweep run
     ("analysis loads scipy.special only", (SRC,), r"scipy import stats|scipy\.stats|^(from|import) scipy", ()),
+    # analysis._mc_map is the one place a second thread runs: two Monte Carlo chunks at once
+    ("threads have one home", (SRC,), r"concurrent\.futures|threading|multiprocessing", 1),
     # a design rule is a row here, not a step of the workflow
     ("no design rule in CI", (".github/workflows/*.yml",), r"grep", ()),
 ]
