@@ -61,7 +61,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -144,8 +144,8 @@ def expected_offset_leak(
     sits well below the single-tone out-of-carrier leak. The offset
     expectation is a 64-node Gauss-Legendre rule.
     """
-    if not max_offset > 0:
-        raise ValueError("max_offset must be positive")
+    if not 0 < max_offset < math.inf:
+        raise ValueError(f"max_offset must be a finite positive number, got {max_offset!r}")
     u, wu = _unit_gauss_nodes(64)
     deltas = max_offset * u
     k_grid = np.arange(layout.fft_size, dtype=np.float64)
@@ -266,7 +266,7 @@ def pd_single(
     from scipy import special
 
     lay = model.layout
-    dof_x = 2 * lay.active_thin_per_wide * lay.groups
+    dof_x = 2 * lay.tones
     dof_y = 2 * (lay.thin_per_wide - lay.active_thin_per_wide) * lay.groups
     dof_z = 2 * lay.thin_per_wide * len(lay.denominator_wide(denominator)) - dof_x - dof_y
     weights, dofs = _numerator_mixture(model, dof_x, dof_y)
@@ -290,7 +290,7 @@ def gamma_equivalent_snr_db(
     and converted to dB through channel.p_over_n.
     """
     check_gamma(gamma)
-    beta_c = layout.active_thin_per_wide * layout.groups
+    beta_c = layout.tones
     alpha_c = layout.thin_per_wide * layout.groups
     d_bins = layout.thin_per_wide * len(layout.denominator_wide(denominator))
     r = (gamma * d_bins - alpha_c) / (beta_c * (1.0 - gamma))
@@ -559,7 +559,8 @@ def sweep_active_carriers(
     spends proportionally more transmit power. Returns one
     (q, gamma0, pf, pf_mc, pf_mc_ci_low, pf_mc_ci_high) row per split; the
     Monte Carlo columns cross-check the closed form when trials > 0 and are
-    nan otherwise.
+    nan otherwise. An SNR with no finite threshold (NaN, +inf dB or past the
+    float range) raises a ValueError naming it.
     """
     if n_carriers < 2:
         raise ValueError("need at least two carriers")
@@ -568,11 +569,15 @@ def sweep_active_carriers(
     from scipy import special
 
     alpha = REFERENCE_LAYOUT.thin_per_wide
-    r = 10.0 ** (snr_db / 10.0)
+    # channel's checked SNR rule on the fully active layout, beta = alpha
+    r = p_over_n(snr_db, replace(REFERENCE_LAYOUT, active_thin_per_wide=alpha))
     splits = []
     for q in range(1, n_carriers):
         dfn, dfd = 2 * alpha * q, 2 * alpha * (n_carriers - q)
-        splits.append((q, dfn, dfd, (1.0 + r) * special.fdtri(dfn, dfd, 0.5)))
+        t0 = (1.0 + r) * float(special.fdtri(dfn, dfd, 0.5))
+        if t0 == math.inf:  # at +inf dB, or a finite SNR whose threshold overflows
+            raise ValueError(f"snr {snr_db:g} dB puts the threshold past the float range")
+        splits.append((q, dfn, dfd, t0))
 
     def hits(q: int, dfn: int, dfd: int, t0: float) -> int:
         count = 0

@@ -109,6 +109,11 @@ class CarrierLayout:
         return int(self.fft_size * self.cp_fraction)
 
     @property
+    def tones(self) -> int:
+        """Tones in one tag: the active thin carriers of its one carrier per group."""
+        return self.active_thin_per_wide * self.groups
+
+    @property
     def frame_len(self) -> int:
         """Samples in one tag frame (prefix plus transform body)."""
         return self.fft_size + self.cp_len

@@ -300,8 +300,7 @@ def _cmd_impair(args: argparse.Namespace) -> None:
         frame = mix([(frame, 0, 1.0), (interference, args.interference_offset, gain)])
     if args.snr is not None:
         # the transform body holds each tone once; the prefix repeats part of it
-        tones = layout.active_thin_per_wide * layout.groups
-        p_tone = float(np.sum(np.abs(tag.samples[layout.cp_len :]) ** 2)) / tones
+        p_tone = float(np.sum(np.abs(tag.samples[layout.cp_len :]) ** 2)) / layout.tones
         frame = apply_awgn(frame, noise_power_for_snr(args.snr, p_tone, layout), rng)
 
     extra = {

@@ -31,6 +31,7 @@ import numpy as np
 from .carriers import CarrierLayout
 
 BUILTIN_CODEBOOK = "conference-28-56-13.txt"
+_HEADER_FIELDS = ("name", "word_length", "min_distance")  # each exactly once, before the words
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,8 @@ def _closest_pair(words: "Sequence[str]") -> "tuple[int, int, int]":
 
 
 def parse_codebook(text: str) -> Codebook:
-    """Parse codebook file content and verify the declared distance."""
+    """Parse codebook file content, naming any unknown, repeated or missing
+    header field, and verify the declared distance."""
     header: dict[str, str] = {}
     words: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -110,6 +112,8 @@ def parse_codebook(text: str) -> Codebook:
         if ":" in line:
             key, _, value = line.partition(":")
             key = key.strip()
+            if key not in _HEADER_FIELDS:
+                raise ValueError(f"line {lineno}: unknown header field {key!r}")
             if key in header:
                 raise ValueError(f"line {lineno}: repeated header field {key!r}")
             if words:
@@ -117,7 +121,7 @@ def parse_codebook(text: str) -> Codebook:
             header[key] = value.strip()
         else:
             words.append(line)
-    missing = {"name", "word_length", "min_distance"} - set(header)
+    missing = set(_HEADER_FIELDS) - set(header)
     if missing:
         raise ValueError(f"missing header fields: {sorted(missing)}")
     try:
@@ -143,11 +147,7 @@ def load_codebook(path: "str | Path") -> Codebook:
 
 def serialize_codebook(cb: Codebook) -> str:
     """Canonical text form: fixed header order, words sorted."""
-    lines = [
-        f"name: {cb.name}",
-        f"word_length: {cb.word_length}",
-        f"min_distance: {cb.min_distance}",
-    ]
+    lines = [f"{key}: {getattr(cb, key)}" for key in _HEADER_FIELDS]
     lines.extend(sorted(cb.words))
     return "\n".join(lines) + "\n"
 

@@ -11,10 +11,8 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from tagspot.analysis import (
-    AnalysisModel,
     expected_offset_leak,
     gamma_equivalent_snr_db,
     leakage_block,
@@ -28,68 +26,26 @@ from tagspot.analysis import (
     sweep_active_carriers,
 )
 from tagspot.carriers import REFERENCE_LAYOUT
-from tagspot.channel import apply_awgn, apply_cfo, apply_fading, mix, noise_power_for_snr
+from tagspot.channel import noise_power_for_snr
 from tagspot.cli import main as cli_main
 from tagspot.codebook import Codebook, codeword_to_mask
 from tagspot.detector import DetectorConfig, fold_spectrum, spot_report, strengths
-from tagspot.waveform import (
-    IqFrame,
-    build_tag_spectrum,
-    spectrum_of_body,
-    synthesize_data_interference,
-    synthesize_tag,
-)
+from tagspot.scenario import interferer_band_density, measured_offset_leak, short_stream_trial
+from tagspot.waveform import build_tag_spectrum, synthesize_tag
 
 LAY = REFERENCE_LAYOUT
-TAG_POWER = float(LAY.active_thin_per_wide * LAY.groups)  # per-tone power 1
 
 
-def _tag_frame(word_index, codebook, rng):
-    mask = codeword_to_mask(codebook.words[word_index], LAY)
-    return synthesize_tag(build_tag_spectrum(mask, LAY, TAG_POWER, rng), LAY)
-
-
-def _detection_trial(codebook, config, rng, noise, fading=None, cfo_limit=0.0,
-                     interferer_power=None):
-    """One stream trial: random word and offset, optional fading/cfo, then
-    noise and (optionally) data-like interference. True when some event
-    decodes the transmitted word."""
-    word = int(rng.integers(codebook.size))
-    frame = _tag_frame(word, codebook, rng)
-    if fading is not None:
-        frame = apply_fading(frame, fading, rng, LAY)
-    if cfo_limit > 0:
-        frame = apply_cfo(frame, float(rng.uniform(-cfo_limit, cfo_limit)), LAY)
-    offset = int(rng.integers(0, 1280))
-    parts = [(IqFrame(np.zeros(2560, dtype=complex)), 0, 1.0), (frame, offset, 1.0)]
-    if interferer_power is not None:
-        interferer = synthesize_data_interference(LAY, 32, interferer_power, rng)
-        parts.append((interferer, 0, 1.0))
-    stream = apply_awgn(mix(parts), noise, rng)
-    events = spot_report(stream, config).events
-    return any(e.codeword_index == word for e in events)
+def _decoded(config, seed, noise, **channel):
+    """True when some event of one short-stream trial decodes its word."""
+    stream, word, _, _ = short_stream_trial(np.random.default_rng(seed), noise, **channel)
+    return any(e.codeword_index == word for e in spot_report(stream, config).events)
 
 
 def test_criterion_01_threshold_snr_consistency():
     # equal-noise-per-bin strength balance at the operating threshold
     value = gamma_equivalent_snr_db(0.62)
     assert 0.40 - 0.05 <= value <= 0.40 + 0.05
-
-
-def _measured_offset_leak(max_offset, trials, seed):
-    """Time-domain cross-check: fraction of tag power leaving the tag's own
-    active carriers under a random frequency offset, random codewords."""
-    rng = np.random.default_rng(seed)
-    lost = 0.0
-    for _ in range(trials):
-        word = "".join("01"[b] for b in rng.integers(0, 2, LAY.groups))
-        mask = codeword_to_mask(word, LAY)
-        tag = synthesize_tag(build_tag_spectrum(mask, LAY, 1.0, rng), LAY)
-        shifted = apply_cfo(tag, float(rng.uniform(0.0, max_offset)), LAY)
-        wide = fold_spectrum(np.abs(spectrum_of_body(shifted.samples[LAY.cp_len :], LAY)) ** 2, LAY)
-        own = wide[mask].sum()
-        lost += 1.0 - own / wide.sum()
-    return lost / trials
 
 
 def test_criterion_02_leakage_closed_forms():
@@ -100,7 +56,7 @@ def test_criterion_02_leakage_closed_forms():
         assert float(leakage_single(k, 0.0)) < 1e-30
     closed = expected_offset_leak(2.0)
     assert 0.020 <= closed <= 0.026
-    measured = _measured_offset_leak(2.0, trials=2000, seed=81)
+    measured = measured_offset_leak(2.0, seed=81)
     assert abs(measured - closed) < 0.003
     assert time.monotonic() - start < 60.0
 
@@ -124,11 +80,7 @@ def test_criterion_04_end_to_end_detection_at_one_db(codebook):
     trials = 10_000
     detected = 0
     for t in range(trials):
-        rng = np.random.default_rng([83, t])
-        detected += _detection_trial(
-            codebook, config, rng, noise,
-            fading="wideband-rayleigh", cfo_limit=2.0,
-        )
+        detected += _decoded(config, [83, t], noise, fading="wideband-rayleigh", cfo_limit=2.0)
     assert detected / trials >= 0.9, detected
     # noise-only event rate stays below one per million intervals
     assert pf_single(0.62) < 1e-6
@@ -140,40 +92,18 @@ def test_criterion_05_misclassification_floor(codebook):
     assert estimate < 1e-3
 
 
-def _interferer_band_density(seed):
-    """Mean folded in-band power per thin bin per unit interferer frame
-    power, measured over the detector's interval grid."""
-    rng = np.random.default_rng(seed)
-    stream = synthesize_data_interference(LAY, 128, 1.0, rng)
-    band = np.asarray(LAY.band_wide)
-    bins = band.size * LAY.thin_per_wide
-    densities = []
-    for offset in range(0, len(stream) - LAY.fft_size + 1, LAY.cp_len):
-        window = stream.samples[offset : offset + LAY.fft_size]
-        wide = fold_spectrum(np.abs(spectrum_of_body(window, LAY)) ** 2, LAY)
-        densities.append(float(wide[band].sum()) / bins)
-    return float(np.mean(densities))
-
-
 def test_criterion_06_interference_equivalence(codebook):
     # arm A: all the disturbance is thermal noise at 0 dB SNR; arm B swaps a
     # third of that in-band disturbance density for data-like interference,
     # holding the folded signal-to-disturbance ratio at 0 dB
     config = DetectorConfig(layout=LAY, codebook=codebook, gamma=0.62)
     n_ref = noise_power_for_snr(0.0, 1.0, LAY)
-    density = _interferer_band_density(seed=85)
-    interferer_power = (n_ref / 3.0) / density
+    interferer_power = (n_ref / 3.0) / interferer_band_density()
     trials = 10_000
 
-    hits_a = sum(
-        _detection_trial(codebook, config, np.random.default_rng([86, t]), n_ref)
-        for t in range(trials)
-    )
+    hits_a = sum(_decoded(config, [86, t], n_ref) for t in range(trials))
     hits_b = sum(
-        _detection_trial(
-            codebook, config, np.random.default_rng([87, t]),
-            n_ref * (2.0 / 3.0), interferer_power=interferer_power,
-        )
+        _decoded(config, [87, t], n_ref * (2.0 / 3.0), interferer_power=interferer_power)
         for t in range(trials)
     )
     p_a, p_b = hits_a / trials, hits_b / trials

@@ -35,9 +35,10 @@ from tagspot.analysis import (
 )
 from tagspot.carriers import CarrierLayout, REFERENCE_LAYOUT
 from tagspot.channel import apply_awgn, apply_fading, noise_power_for_snr, p_over_n
-from tagspot.codebook import Codebook, codeword_to_mask, mask_matrix
+from tagspot.codebook import Codebook, mask_matrix
 from tagspot.detector import DetectorConfig, fold_spectrum, strengths
-from tagspot.waveform import IqFrame, build_tag_spectrum, spectrum_of_body, synthesize_tag
+from tagspot.scenario import tag_frame
+from tagspot.waveform import spectrum_of_body
 
 LAY = REFERENCE_LAYOUT
 
@@ -79,6 +80,9 @@ def test_expected_offset_leak_pins_and_monotonicity():
     assert expected_offset_leak(4.0) == pytest.approx(0.1135675, abs=5e-6)
     with pytest.raises(ValueError):
         expected_offset_leak(0.0)
+    for bad in (math.inf, math.nan):  # no uniform offset: named, not a NaN
+        with pytest.raises(ValueError, match="max_offset must be a finite positive number"):
+            expected_offset_leak(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +185,11 @@ _WORD_CONFIG = DetectorConfig(layout=LAY, codebook=Codebook("one-word", 28, 13, 
 
 def _window_strength_sim(snr_db, fading, trials, seed):
     """Single aligned-window banded strengths through the full waveform path."""
-    mask = codeword_to_mask(_WORD, LAY)
-    power = float(LAY.active_thin_per_wide * LAY.groups)  # per-tone power 1
     n = noise_power_for_snr(snr_db, 1.0, LAY)
     rng = np.random.default_rng(seed)
     out = np.empty(trials)
     for i in range(trials):
-        frame = synthesize_tag(build_tag_spectrum(mask, LAY, power, rng), LAY)
+        frame = tag_frame(_WORD, LAY, rng)
         if fading is not None:
             frame = apply_fading(frame, _CHANNEL_FADING[fading], rng, LAY)
         noisy = apply_awgn(frame, n, rng)
@@ -365,6 +367,13 @@ def test_sweep_monte_carlo_cross_check():
         sweep_active_carriers(1, 0.0)
     with pytest.raises(ValueError):
         sweep_active_carriers(8, 0.0, trials=-3)
+    # NaN has no power ratio, 4000 dB none in the float range and +inf dB no
+    # finite threshold: each is named
+    for snr_db in (math.nan, 4000.0, math.inf):
+        with pytest.raises(ValueError, match=f"snr {snr_db:g} dB"):
+            sweep_active_carriers(3, snr_db)
+    # at -inf dB, no signal, each threshold sits at the F median
+    assert [row[2] for row in sweep_active_carriers(3, -math.inf)] == pytest.approx([0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +403,7 @@ def _pd_single_stats_oracle(gamma, model, denominator):
     """pd_single's mixture from scipy.stats: pmf weights between the ppf
     and isf bounds at 1e-16, each tail a Beta survival function."""
     lay = model.layout
-    dof_x = 2 * lay.active_thin_per_wide * lay.groups
+    dof_x = 2 * lay.tones
     dof_y = 2 * (lay.thin_per_wide - lay.active_thin_per_wide) * lay.groups
     dof_z = 2 * lay.thin_per_wide * len(lay.denominator_wide(denominator)) - dof_x - dof_y
     r = p_over_n(model.snr_db, lay)

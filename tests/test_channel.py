@@ -29,9 +29,9 @@ LAY = REFERENCE_LAYOUT
 MASK = codeword_to_mask("0011" * 7, LAY)
 
 
-def _tag(seed, power=1.0):
+def _tag(seed):
     rng = np.random.default_rng(seed)
-    return synthesize_tag(build_tag_spectrum(MASK, LAY, power, rng), LAY)
+    return synthesize_tag(build_tag_spectrum(MASK, LAY, 1.0, rng), LAY)
 
 
 def test_noise_power_reference_point():

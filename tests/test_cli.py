@@ -117,8 +117,7 @@ def test_impair_adds_calibrated_noise(tmp_path):
     clean, _ = read_iq(source)
     noisy, meta = read_iq(out)
     assert meta["snr_db"] == 0.0
-    tones = LAY.active_thin_per_wide * LAY.groups
-    p_tone = float(np.sum(np.abs(clean.samples[LAY.cp_len :]) ** 2)) / tones
+    p_tone = float(np.sum(np.abs(clean.samples[LAY.cp_len :]) ** 2)) / LAY.tones
     n = noise_power_for_snr(0.0, p_tone, LAY)
     assert abs(mean_power(noisy) - mean_power(clean) - n) < 0.2 * n
     # the noise is exactly the seed's first normal draw, scaled by sqrt(n / 2)

@@ -67,6 +67,8 @@ def test_parser_rejects_malformed_input():
         parse_codebook("name: x\nword_length: 4\n0000\nmin_distance: 2\n0011\n")
     with pytest.raises(ValueError, match="line 2: repeated header field 'name'"):
         parse_codebook("name: x\nname: y\nword_length: 4\nmin_distance: 2\n0000\n0011\n")
+    with pytest.raises(ValueError, match="line 2: unknown header field 'nmae'"):  # misspelt
+        parse_codebook("name: x\nnmae: y\nword_length: 4\nmin_distance: 2\n0000\n0011\n")
     with pytest.raises(ValueError, match="non-integer header field"):
         parse_codebook("name: x\nword_length: four\nmin_distance: 2\n0000\n0011\n")
     with pytest.raises(ValueError, match="non-integer header field"):

@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SRC, SCRIPTS, CLI = "src/tagspot/*.py", "scripts/*.py", "src/tagspot/cli.py"
+SRC, SCRIPTS, TESTS, CLI = "src/tagspot/*.py", "scripts/*.py", "tests/*.py", "src/tagspot/cli.py"
 ANALYSIS, DETECTOR, IQFILE = "src/tagspot/analysis.py", "src/tagspot/detector.py", "src/tagspot/iqfile.py"
+CARRIERS, SCENARIO = "src/tagspot/carriers.py", "src/tagspot/scenario.py"
 
 RULES = [  # (name, files, regex, files allowed to match it, or the exact count)
     # waveform is the only module that transforms or reorders; spectra are plain arrays
@@ -71,6 +72,14 @@ RULES = [  # (name, files, regex, files allowed to match it, or the exact count)
     ("analysis loads scipy.special only", (SRC,), r"scipy import stats|scipy\.stats|^(from|import) scipy", ()),
     # analysis._mc_map is the one place a second thread runs: two Monte Carlo chunks at once
     ("threads have one home", (SRC,), r"concurrent\.futures|threading|multiprocessing", 1),
+    ("one home for the tone count", (SRC, SCRIPTS, TESTS),
+     r"active_thin_per_wide\s*\*\s*[\w.]*groups|groups\s*\*\s*[\w.]*active_thin_per_wide", (CARRIERS,)),
+    # tests and scripts take the tag, the tagged stream, the trial, the interferer density
+    # and the time-domain leak from scenario
+    ("one home for the tag scenarios", (SRC, SCRIPTS, TESTS),
+     r"\b(_detection_trial|_stream_with_tag|_measured_offset_leak|measured_leak|_interferer_band_density)\b"
+     r"|float\([\w.]*\btones\)", (SCENARIO, "tests/test_design_rules.py")),
+    ("the package never loads its scenarios", (SRC,), r"(\.|\bimport )scenario\b", (SCENARIO,)),
     # a design rule is a row here, not a step of the workflow
     ("no design rule in CI", (".github/workflows/*.yml",), r"grep", ()),
 ]

@@ -9,7 +9,7 @@ import pytest
 from tagspot import detector
 from tagspot.carriers import CarrierLayout, REFERENCE_LAYOUT
 from tagspot.cli import serialize_events
-from tagspot.channel import apply_awgn, mix, noise_power_for_snr
+from tagspot.channel import apply_awgn, mix
 from tagspot.codebook import Codebook, codeword_to_mask, mask_matrix
 from tagspot.detector import (
     DetectionEvent,
@@ -20,23 +20,12 @@ from tagspot.detector import (
     spot_report,
     strengths,
 )
+from tagspot.scenario import tag_frame, tagged_stream
 from tagspot.waveform import IqFrame, build_tag_spectrum, synthesize_tag
 from events import parse_events
 from layouts import ODD
 
 LAY = REFERENCE_LAYOUT
-
-
-def _stream_with_tag(codebook, word_index, offset, snr_db, total=2560, seed=0):
-    """Tag embedded in calibrated noise; per-tone power 1."""
-    rng = np.random.default_rng(seed)
-    mask = codeword_to_mask(codebook.words[word_index], LAY)
-    power = float(LAY.active_thin_per_wide * LAY.groups)
-    tag = synthesize_tag(build_tag_spectrum(mask, LAY, power, rng), LAY)
-    quiet = IqFrame(np.zeros(total, dtype=complex))
-    stream = mix([(quiet, 0, 1.0), (tag, offset, 1.0)])
-    n = noise_power_for_snr(snr_db, 1.0, LAY)
-    return apply_awgn(stream, n, rng)
 
 
 def test_fold_conserves_power():
@@ -139,7 +128,7 @@ def test_detector_config_validation(codebook):
 
 
 def test_single_clean_tag_yields_one_correct_event(codebook):
-    stream = _stream_with_tag(codebook, 7, offset=777, snr_db=30.0, seed=50)
+    stream = tagged_stream(LAY, [(777, codebook.words[7])], 2560, 30.0, np.random.default_rng(50))
     config = DetectorConfig(layout=LAY, codebook=codebook)
     events = spot_report(stream, config).events
     assert len(events) == 1
@@ -185,12 +174,8 @@ def test_a_clean_tag_is_found_on_a_valid_layout(layout, word):
 
 
 def test_two_separated_tags_give_two_events(codebook):
-    a = _stream_with_tag(codebook, 3, offset=1000, snr_db=30.0, total=6000, seed=51)
-    mask = codeword_to_mask(codebook.words[12], LAY)
-    power = float(LAY.active_thin_per_wide * LAY.groups)
-    tag_b = synthesize_tag(
-        build_tag_spectrum(mask, LAY, power, np.random.default_rng(52)), LAY
-    )
+    a = tagged_stream(LAY, [(1000, codebook.words[3])], 6000, 30.0, np.random.default_rng(51))
+    tag_b = tag_frame(codebook.words[12], LAY, np.random.default_rng(52))
     stream = mix([(a, 0, 1.0), (tag_b, 4000, 1.0)])
     events = spot_report(stream, DetectorConfig(layout=LAY, codebook=codebook)).events
     assert [e.codeword_index for e in events] == [3, 12]
@@ -199,8 +184,8 @@ def test_two_separated_tags_give_two_events(codebook):
 def test_a_reversed_view_spots_like_its_copy(codebook):
     # np.abs rounds a negative-stride view differently in the last bit, so
     # IqFrame stores its samples C-contiguous and the events match bit for bit
-    a = _stream_with_tag(codebook, 3, offset=1000, snr_db=3.0, total=6000, seed=51)
-    b = _stream_with_tag(codebook, 12, offset=3000, snr_db=3.0, total=6000, seed=52)
+    a = tagged_stream(LAY, [(1000, codebook.words[3])], 6000, 3.0, np.random.default_rng(51))
+    b = tagged_stream(LAY, [(3000, codebook.words[12])], 6000, 3.0, np.random.default_rng(52))
     x = mix([(a, 0, 1.0), (b, 0, 1.0)]).samples
     frame = IqFrame(x[::-1].copy()[::-1])
     assert frame.samples.flags.c_contiguous
@@ -213,7 +198,7 @@ def test_a_reversed_view_spots_like_its_copy(codebook):
 def test_overlapping_candidates_are_suppressed_to_one(codebook):
     # a tag aligned to the interval grid fills two intervals completely;
     # only the stronger one may survive
-    stream = _stream_with_tag(codebook, 0, offset=1280, snr_db=30.0, seed=53)
+    stream = tagged_stream(LAY, [(1280, codebook.words[0])], 2560, 30.0, np.random.default_rng(53))
     report = spot_report(stream, DetectorConfig(layout=LAY, codebook=codebook))
     assert len(report.events) == 1
     assert report.windows_total == (len(stream) - LAY.fft_size) // LAY.cp_len + 1
@@ -221,7 +206,7 @@ def test_overlapping_candidates_are_suppressed_to_one(codebook):
 
 def test_carrier_sense_gates_quiet_intervals(codebook):
     # leading silence seeds the tracker at zero power and is gated
-    stream = _stream_with_tag(codebook, 5, offset=1400, snr_db=30.0, seed=54)
+    stream = tagged_stream(LAY, [(1400, codebook.words[5])], 2560, 30.0, np.random.default_rng(54))
     silent = np.concatenate([np.zeros(640, dtype=complex), stream.samples])
     report = spot_report(IqFrame(silent), DetectorConfig(layout=LAY, codebook=codebook))
     assert report.windows_gated >= 1
@@ -230,10 +215,8 @@ def test_carrier_sense_gates_quiet_intervals(codebook):
 
 
 def test_a_stream_that_opens_with_a_tag_is_not_gated_until_the_floor_is_seeded(codebook):
-    mask = codeword_to_mask(codebook.words[4], LAY)
-    power = float(LAY.active_thin_per_wide * LAY.groups)
     rng = np.random.default_rng(60)
-    tag = synthesize_tag(build_tag_spectrum(mask, LAY, power, rng), LAY)
+    tag = tag_frame(codebook.words[4], LAY, rng)
     config = DetectorConfig(layout=LAY, codebook=codebook, carrier_sense_snr_db=100.0)
     # no interval at or below gamma: the floor is never set, nothing is gated
     report = spot_report(tag, config)
@@ -249,7 +232,7 @@ def test_a_stream_that_opens_with_a_tag_is_not_gated_until_the_floor_is_seeded(c
 
 
 def test_band_denominator_reads_higher_than_all(codebook):
-    stream = _stream_with_tag(codebook, 9, offset=600, snr_db=10.0, seed=55)
+    stream = tagged_stream(LAY, [(600, codebook.words[9])], 2560, 10.0, np.random.default_rng(55))
     banded = spot_report(
         stream, DetectorConfig(layout=LAY, codebook=codebook, denominator="band")
     ).events
@@ -271,7 +254,7 @@ def test_config_builds_its_masks_once(codebook, monkeypatch):
     monkeypatch.setattr(detector, "mask_matrix", counted)
     cfg = DetectorConfig(layout=LAY, codebook=codebook)
     assert len(calls) == 1  # on construction, before any run
-    stream = _stream_with_tag(codebook, 7, 300, 6.0, seed=8)
+    stream = tagged_stream(LAY, [(300, codebook.words[7])], 2560, 6.0, np.random.default_rng(8))
     first = spot_report(stream, cfg)
     assert spot_report(stream, cfg) == first
     assert len(calls) == 1

@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagspot.carriers import REFERENCE_LAYOUT
-from tagspot.channel import apply_awgn, mix, noise_power_for_snr
-from tagspot.codebook import Codebook, codeword_to_mask, mask_matrix
+from tagspot.codebook import Codebook, mask_matrix
 from tagspot.detector import (
     _CHUNK_WINDOWS,
     DetectionEvent,
@@ -23,7 +22,8 @@ from tagspot.detector import (
     noise_tracker_update,
     spot_report,
 )
-from tagspot.waveform import IqFrame, _ascending, build_tag_spectrum, synthesize_tag
+from tagspot.scenario import tagged_stream
+from tagspot.waveform import IqFrame, _ascending
 from layouts import ODD, VALID_LAYOUTS
 
 LAY = REFERENCE_LAYOUT
@@ -106,17 +106,10 @@ def _assert_same_as_reference(stream, config):
     return report
 
 
-def _tagged_stream(layout, codebook, total, tags, snr_db, seed, zero=()):
+def _tagged_stream(layout, total, tags, snr_db, seed, zero=()):
     """Calibrated noise over `total` samples with (offset, word) tags mixed
     in, then every (lo, hi) stretch in `zero` set to exactly 0."""
-    rng = np.random.default_rng(seed)
-    power = float(layout.active_thin_per_wide * layout.groups)
-    parts = [(IqFrame(np.zeros(total, dtype=complex)), 0, 1.0)]
-    for offset, word in tags:
-        mask = codeword_to_mask(codebook.words[word], layout)
-        tag = synthesize_tag(build_tag_spectrum(mask, layout, power, rng), layout)
-        parts.append((tag, offset, 1.0))
-    stream = apply_awgn(mix(parts), noise_power_for_snr(snr_db, 1.0, layout), rng)
+    stream = tagged_stream(layout, tags, total, snr_db, np.random.default_rng(seed))
     samples = stream.samples[:total].copy()
     for lo, hi in zero:
         samples[lo:hi] = 0
@@ -135,10 +128,10 @@ def test_window_counts_around_the_chunk_size(codebook):
             total = _length_for_windows(LAY, windows, extra)
             # the last tag's prefix and body fill the last two windows
             last = total - extra - LAY.frame_len
-            tags = [(o, (o // 640) % codebook.size) for o in range(300, last - 640, 2000)]
+            tags = [(o, codebook.words[(o // 640) % codebook.size]) for o in range(300, last - 640, 2000)]
             if last >= 0:
-                tags.append((last, 11))
-            stream = _tagged_stream(LAY, codebook, total, tags, 3.0, seed=windows + extra)
+                tags.append((last, codebook.words[11]))
+            stream = _tagged_stream(LAY, total, tags, 3.0, seed=windows + extra)
             report = _assert_same_as_reference(stream, config)
             assert report.windows_total == windows
             if last >= 0:
@@ -148,9 +141,9 @@ def test_window_counts_around_the_chunk_size(codebook):
 def test_zero_stretches_leading_and_in_the_middle(codebook):
     config = DetectorConfig(layout=LAY, codebook=codebook)
     total = _length_for_windows(LAY, 3 * _CHUNK_WINDOWS + 5)
-    tags = [(1500, 4), (9000, 21), (20000, 40)]
+    tags = [(1500, codebook.words[4]), (9000, codebook.words[21]), (20000, codebook.words[40])]
     zero = [(0, 1100), (12000, 15000)]
-    stream = _tagged_stream(LAY, codebook, total, tags, 2.0, seed=70, zero=zero)
+    stream = _tagged_stream(LAY, total, tags, 2.0, seed=70, zero=zero)
     report = _assert_same_as_reference(stream, config)
     assert report.windows_gated > 20
     # a stream that is silent from the first sample to the last
@@ -162,11 +155,11 @@ def test_zero_stretches_leading_and_in_the_middle(codebook):
 def test_back_to_back_tags(codebook):
     frame = LAY.frame_len
     count = 40
-    tags = [(k * frame, (7 * k) % codebook.size) for k in range(count)]
+    tags = [(k * frame, codebook.words[(7 * k) % codebook.size]) for k in range(count)]
     for denominator in ("band", "all"):
         config = DetectorConfig(layout=LAY, codebook=codebook, denominator=denominator)
         for snr_db, seed in ((6.0, 71), (30.0, 72)):
-            stream = _tagged_stream(LAY, codebook, count * frame, tags, snr_db, seed)
+            stream = _tagged_stream(LAY, count * frame, tags, snr_db, seed)
             report = _assert_same_as_reference(stream, config)
             assert len(report.events) > count // 2
 
@@ -177,8 +170,8 @@ def test_center_of_mass_rejects_leave_the_noise_floor_frozen(codebook):
     # while the center of mass sits near -28.5, beyond com_bound = 8
     config = DetectorConfig(layout=LAY, codebook=codebook)
     total = _length_for_windows(LAY, 2 * _CHUNK_WINDOWS + 40)
-    tags = [(o, (o // 640) % codebook.size) for o in (900, 14000, 17000, 21000)]
-    stream = _tagged_stream(LAY, codebook, total, tags, 2.0, seed=75)
+    tags = [(o, codebook.words[(o // 640) % codebook.size]) for o in (900, 14000, 17000, 21000)]
+    stream = _tagged_stream(LAY, total, tags, 2.0, seed=75)
     edge = LAY.band_wide[0] * LAY.thin_per_wide + LAY.active_thin_offsets[0]
     lo, hi = 3000, 9000
     t = np.arange(hi - lo)
@@ -210,8 +203,8 @@ def test_odd_fft_size_layout():
         assert np.array_equal(fold_spectrum(np.abs(_ascending(bins)) ** 2, ODD), _reference_fold(bins, ODD))
     total = _length_for_windows(ODD, 2 * _CHUNK_WINDOWS + 1)
     spacing = ODD.frame_len + 3
-    tags = [(k * spacing, k % codebook.size) for k in range(total // spacing)]
-    stream = _tagged_stream(ODD, codebook, total, tags, 10.0, seed=74, zero=[(0, 50)])
+    tags = [(k * spacing, codebook.words[k % codebook.size]) for k in range(total // spacing)]
+    stream = _tagged_stream(ODD, total, tags, 10.0, seed=74, zero=[(0, 50)])
     report = _assert_same_as_reference(stream, config)
     assert report.events
 
@@ -233,12 +226,12 @@ def test_the_spotter_matches_its_oracle_on_drawn_layouts_and_gates(layout, data)
     )
     windows = data.draw(st.integers(1, 2 * _CHUNK_WINDOWS + 2))
     total = _length_for_windows(layout, windows, data.draw(st.integers(0, layout.cp_len - 1)))
-    tags = data.draw(st.lists(st.tuples(st.integers(0, total - 1),
-                                        st.integers(0, codebook.size - 1)), max_size=4))
+    tags = data.draw(st.lists(st.tuples(st.integers(0, total - 1), st.sampled_from(codebook.words)),
+                              max_size=4))
     lo = data.draw(st.integers(0, total))
     zero = [(lo, data.draw(st.integers(lo, total)))]
     snr_db = data.draw(st.sampled_from([-3.0, 3.0, 20.0]))
-    stream = _tagged_stream(layout, codebook, total, tags, snr_db,
+    stream = _tagged_stream(layout, total, tags, snr_db,
                             seed=data.draw(st.integers(0, 2**32 - 1)), zero=zero)
     report = _assert_same_as_reference(stream, config)
     outcomes = (report.windows_gated + report.windows_below_gamma

@@ -1,9 +1,9 @@
 """The short-stream trial path: synthesis, channel and spotter.
 
 Each rewrite of a per-call expression on this path must keep its bits, so
-the expression it replaced is kept here as the reference and compared as
-raw 64-bit words. Non-finite scalar parameters must fail by name before
-any draw.
+the expression it replaced is kept as the reference (here, or for the
+interferer test_waveform's frame loop) and compared as raw 64-bit words.
+Non-finite scalar parameters must fail by name before any draw.
 """
 
 import math
@@ -15,26 +15,25 @@ from tagspot.carriers import REFERENCE_LAYOUT
 from tagspot.channel import apply_awgn, apply_cfo, apply_fading, mix, noise_power_for_snr
 from tagspot.codebook import builtin_codebook, codeword_to_mask
 from tagspot.detector import DetectorConfig, spot_report
+from tagspot.scenario import tag_frame
 from tagspot.waveform import (
     IqFrame,
-    _ofdm_frames,
     build_tag_spectrum,
-    interference_frame_len,
-    interference_occupied_carriers,
     spectrum_of_body,
     synthesize_data_interference,
     synthesize_tag,
 )
 from layouts import ODD
+from test_waveform import _interference_by_frame
 
 LAY = REFERENCE_LAYOUT
-MASK = codeword_to_mask("0011" * 7, LAY)
+WORD = "0011" * 7
+MASK = codeword_to_mask(WORD, LAY)
 SEEDS = range(12)
 
 
-def _tag(seed, power=112.0):
-    rng = np.random.default_rng(seed)
-    return synthesize_tag(build_tag_spectrum(MASK, LAY, power, rng), LAY)
+def _tag(seed):
+    return tag_frame(WORD, LAY, np.random.default_rng(seed))
 
 
 def _bits(x):
@@ -50,19 +49,6 @@ def _wideband_reference(frame, rng, layout):
     spectrum = spectrum_of_body(frame.samples[layout.cp_len :], layout)
     pairs = rng.normal(scale=np.sqrt(0.5), size=(layout.fft_size, 2))
     return synthesize_tag(spectrum * (pairs[:, 0] + 1j * pairs[:, 1]), layout).samples
-
-
-def _interference_reference(layout, n_frames, total_power, rng):
-    """One complex exp per symbol."""
-    body_len = layout.wide_total
-    cp = interference_frame_len(layout) - body_len
-    occupied = np.asarray(interference_occupied_carriers(layout))
-    amplitude = np.sqrt(total_power / occupied.size)
-    symbols = rng.integers(0, 4, (n_frames, occupied.size))
-    phases = symbols * (np.pi / 2) + np.pi / 4
-    spectra = np.zeros((n_frames, body_len), dtype=np.complex128)
-    spectra[:, occupied] = amplitude * np.exp(1j * phases)
-    return _ofdm_frames(spectra, cp).ravel()
 
 
 @pytest.mark.parametrize("n", [0.5, 0.0631, 3.7e-5])
@@ -88,7 +74,7 @@ def test_interference_indexes_four_points_as_the_per_symbol_exp_did(layout, n_fr
     for seed in SEEDS:
         got = synthesize_data_interference(
             layout, n_frames, total_power, np.random.default_rng(seed)).samples
-        want = _interference_reference(layout, n_frames, total_power, np.random.default_rng(seed))
+        want = _interference_by_frame(layout, n_frames, total_power, np.random.default_rng(seed))
         assert np.array_equal(_bits(got), _bits(want))
 
 
@@ -100,8 +86,7 @@ def test_the_spotter_reads_a_strided_stream_as_its_copy(step, gate_db):
     book = builtin_codebook()
     config = DetectorConfig(layout=LAY, codebook=book, carrier_sense_snr_db=gate_db)
     rng = np.random.default_rng(11)
-    tags = [synthesize_tag(build_tag_spectrum(
-        codeword_to_mask(book.words[w], LAY), LAY, 112.0, rng), LAY) for w in (3, 17, 40)]
+    tags = [tag_frame(book.words[w], LAY, rng) for w in (3, 17, 40)]
     stream = apply_awgn(mix([
         (IqFrame(np.zeros(12_000, dtype=complex)), 0, 1.0),
         (tags[0], 2_000, 1.0), (tags[1], 9_000, 1.0),

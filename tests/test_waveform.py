@@ -195,13 +195,14 @@ def test_a_word_mask_takes_one_carrier_of_every_group(layout, data):
     assert not mask[sorted(layout.null_wide)].any()
     assert np.count_nonzero(mask) == layout.groups
     bins = active_thin_bins(mask, layout)
-    assert np.unique(bins).size == bins.size == layout.groups * layout.active_thin_per_wide
+    assert np.unique(bins).size == bins.size == layout.tones
     assert mask[bins // layout.thin_per_wide].all()
     assert set((bins % layout.thin_per_wide).tolist()) <= set(layout.active_thin_offsets)
 
 
 def _interference_by_frame(layout, n_frames, total_power, rng):
-    """Frame-by-frame oracle for synthesize_data_interference."""
+    """Frame-by-frame oracle for synthesize_data_interference, one complex
+    exp per symbol; test_trial_path reads it too."""
     body_len = layout.wide_total
     cp = interference_frame_len(layout) - body_len
     occupied = np.asarray(interference_occupied_carriers(layout))
