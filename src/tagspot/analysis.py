@@ -35,16 +35,26 @@ draws (see _row_blocks), so a (draws, carriers) temporary spans one block,
 about 0.9 MB on the reference layout, rather than the chunk's 14.7 MB; the
 blocks draw and score exactly what one whole-chunk pass would.
 
-The noise-only walk and the active-carrier sweep run their chunks (the
-sweep its splits) through _mc_map, two at a time: the calling thread and
-one helper thread, since numpy's draws release the GIL. Results come back
-in chunk order, so they are bit for bit those of a serial loop. The family
-false alarm gains only with a one-thread BLAS (OPENBLAS_NUM_THREADS=1):
-with OpenBLAS on both cores of a 2-core Xeon, two chunks' matrix products
-contend for its threads, and the walk ran 11% slower than serially. pm_mc
-stays serial: each of its chunks holds its whole tone draw (14 MiB on the
-reference layout) before its first block, and two chunks in flight would
-double that.
+The misclassification estimator's chunk draws all its tone noise before
+its guard noise, so a block's tones and guards lie a whole tone draw
+apart in the stream. It therefore copies the generator before the tone
+draw and advances the original past it one block at a time, throwing the
+values away (_skip_chisquare): each block then takes its tones from the
+copy and its guards from the original, the values one whole-chunk draw
+gave. That costs one more tone draw per chunk: serially, a two-SNR
+wideband run of 200,000 draws took 0.94-1.16 s against 0.69-0.81 s for
+the whole-chunk draw (one BLAS thread, 2-core Xeon), which running two
+chunks at once more than pays back.
+
+Every walk runs its chunks (the sweep its splits) through _mc_map, two at
+a time: the calling thread and one helper thread, since numpy's draws
+release the GIL. Results come back in chunk order, so they are bit for bit
+those of a serial loop. The family false alarm and the misclassification
+estimator gain only with a one-thread BLAS (OPENBLAS_NUM_THREADS=1): with
+OpenBLAS on both cores of a 2-core Xeon, two chunks' matrix products
+contend for its threads. The family walk ran 11% slower than serially,
+and that two-SNR wideband misclassification run took 1.15-1.24 s against
+0.80-0.94 s for the serial whole-chunk draw.
 
 Of scipy only scipy.special is loaded, by the functions that use it, on
 their first call: the mixture weights and bounds, Beta and F tails and
@@ -78,8 +88,9 @@ _MC_CHUNK = 1 << 15
 #: over blocks of 64 rows or more equalled the whole-chunk product bit for
 #: bit (1- and 7-row blocks did not), so blocking changes no result; the
 #: whole-chunk oracles in tests/test_analysis.py check this. Two chunks run
-#: at once (see _mc_map), so a block of 2048 rows keeps both chunks'
-#: temporaries together near 4.6 MiB on the reference layout.
+#: at once (see _mc_map) and none holds a whole-chunk array, so a block of
+#: 2048 rows keeps both chunks' working sets together under 8 MiB on the
+#: reference layout, the misclassification estimator's included.
 _MC_BLOCK = 1 << 11
 
 #: Most components a closed-form mixture may span: 32 MiB per float64 array.
@@ -324,6 +335,17 @@ def _row_blocks(m: int) -> "list[slice]":
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:] + [m])]
 
 
+def _skip_chisquare(rng: np.random.Generator, dof: int, m: int, cols: int) -> np.random.Generator:
+    """Copy rng, then advance rng past an (m, cols) chisquare(dof) draw one
+    row block at a time, throwing the values away; the copy returned draws
+    those values. dof 0 draws nothing."""
+    ahead = copy.deepcopy(rng)
+    if dof > 0:
+        for block in _row_blocks(m):
+            rng.chisquare(dof, size=(block.stop - block.start, cols))
+    return ahead
+
+
 def _wilson(hits: int, trials: int) -> "tuple[float, tuple[float, float]]":
     """Hit fraction and its 95% Wilson interval, Newcombe's (1998) closed
     form in the expression order of scipy's binomtest(...).proportion_ci(
@@ -478,12 +500,12 @@ def pm_mc(
     in the module docstring. Returns one (estimate, 95% Wilson interval)
     per SNR.
 
-    The grid shares one draw. Each chunk's generator draws the sent words,
-    the tone-bin noise and, narrowband only, the guard noise; each row
-    block scores every SNR, wideband after drawing the block's guard noise
-    from the same generator. Narrowband copies the generator once per SNR
-    after the shared draws and draws that SNR's noncentral tones from its
-    copy, so every SNR reads the stream a single-SNR run would.
+    The grid shares one draw. Each chunk's generator draws, in stream
+    order, the sent words, the tone-bin noise and the guard noise; each row
+    block takes its share of both (see the module docstring on copy and
+    skip) and scores every SNR. Narrowband copies the generator once per
+    SNR after the shared draws and draws that SNR's noncentral tones from
+    its copy, so every SNR reads the stream a single-SNR run would.
     """
     _check_fading(fading)
     if len(snr_dbs) == 0:
@@ -498,20 +520,18 @@ def pm_mc(
 
     def chunk_misses(rng: np.random.Generator, m: int) -> "list[int]":
         sent = rng.integers(0, codebook.size, size=m)
-        tone_noise = rng.chisquare(beta2, size=(m, wides))
-        chunk_guard = None
-        if fading == "narrowband" and guard2 > 0:
-            chunk_guard = rng.chisquare(guard2, size=(m, wides))
-        tone_rngs = [copy.deepcopy(rng) for _ in rs] if fading == "narrowband" else []
+        tones = _skip_chisquare(rng, beta2, m, wides)
+        guards, tone_rngs = rng, []
+        if fading == "narrowband":
+            # the noncentral tones follow the guard draw, so the guards come
+            # from a copy too
+            guards = _skip_chisquare(rng, guard2, m, wides)
+            tone_rngs = [copy.deepcopy(rng) for _ in rs]
         misses = [0] * len(rs)
         for block in _row_blocks(m):
-            noise = tone_noise[block]
+            noise = tones.chisquare(beta2, size=(block.stop - block.start, wides))
             active = masks[sent[block]]
-            guard = 0.0
-            if chunk_guard is not None:
-                guard = chunk_guard[block]
-            elif guard2 > 0:
-                guard = rng.chisquare(guard2, size=noise.shape)
+            guard = guards.chisquare(guard2, size=noise.shape) if guard2 > 0 else 0.0
             powers = np.empty(noise.shape)
             for i, r in enumerate(rs):
                 if fading == "wideband":
@@ -528,9 +548,7 @@ def pm_mc(
                 misses[i] += int(np.count_nonzero(decoded != sent[block]))
         return misses
 
-    # serial, unlike _mc_map's walks: a chunk holds its whole (m, wides) tone
-    # draw, 14 MiB on the reference layout, before its first block
-    per_chunk = [chunk_misses(rng, m) for rng, m in _mc_chunks(trials, seed)]
+    per_chunk = _mc_map(chunk_misses, _mc_chunks(trials, seed))
     return [_wilson(sum(hits), trials) for hits in zip(*per_chunk)]
 
 

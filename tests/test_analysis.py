@@ -851,16 +851,18 @@ def _pairs_bound(book, trials):
         (_pairs_bound, 2, 8),
         # the pairs bound counts each chunk's hits, so eight chunks cost what two do
         (_pairs_bound, 8, 8),
-        (lambda book, trials: pm_mc([0.0, -2.0], book, LAY, "wideband", trials, 93), 2, 24),
-        (lambda book, trials: pm_mc([0.0, -2.0], book, LAY, "narrowband", trials, 93), 2, 36),
+        (lambda book, trials: pm_mc([0.0, -2.0], book, LAY, "wideband", trials, 93), 2, 8),
+        (lambda book, trials: pm_mc([0.0, -2.0], book, LAY, "narrowband", trials, 93), 2, 8),
+        # pm_mc counts each chunk's misses, so eight chunks cost what two do
+        (lambda book, trials: pm_mc([0.0, -2.0], book, LAY, "wideband", trials, 93), 8, 8),
     ],
     ids=["family-band", "family-all", "pairs-bound", "pairs-bound-eight-chunks", "pm-wideband",
-         "pm-narrowband"],
+         "pm-narrowband", "pm-wideband-eight-chunks"],
 )
 def test_monte_carlo_working_set_is_bounded_by_the_block(codebook, run, chunks, bound_mib):
     # a whole-chunk pass holds several (32768, 56) float64 temporaries of
-    # 14 MiB each; a block's are a sixteenth of that, and the family walk
-    # and the pairs bound hold two chunks' blocks at once
+    # 14 MiB each; a block's are a sixteenth of that, and every walk holds
+    # two chunks' blocks at once
     assert _traced_peak_mib(lambda trials: run(codebook, trials), chunks * _CHUNK) <= bound_mib
 
 
@@ -889,6 +891,10 @@ def _bits(values):
                          ids=["one-trial", "one-chunk", "four-chunks"])
 def test_the_parallel_walks_equal_a_serial_loop_bit_for_bit(codebook, monkeypatch, trials):
     memo = analysis._family_max_ratios
+
+    def pm_rows(fading):
+        return [(pm, *ci) for pm, ci in pm_mc([0.0, -2.0], codebook, LAY, fading, trials, 95)]
+
     runs = {
         "family-band": lambda: memo(codebook, LAY, trials, 95, "band"),
         "family-all": lambda: memo(codebook, LAY, trials, 95, "all"),
@@ -896,6 +902,8 @@ def test_the_parallel_walks_equal_a_serial_loop_bit_for_bit(codebook, monkeypatc
                                 (pf_pairs_bound(gamma, LAY, trials, 95) for gamma in (0.55, 0.58))],
         # three splits: the last pair has no helper item
         "sweep": lambda: sweep_active_carriers(4, 0.0, trials, 95),
+        "pm-wideband": lambda: pm_rows("wideband"),
+        "pm-narrowband": lambda: pm_rows("narrowband"),
     }
 
     def outputs():

@@ -36,6 +36,8 @@ RULES = [  # (name, files, regex, files allowed to match it, or the exact count)
     ("one owner for the family draws", (SRC,), r"_family_max_ratios", (ANALYSIS,)),
     # the family false alarm and the pairs bound draw their noise in _max_ratios
     ("one noise-only walk", (ANALYSIS,), r"chisquare\(dof_wide", 1),
+    # no walk holds a whole (m, ...) chunk draw: each draws one row block at a time
+    ("Monte Carlo chunks draw in row blocks", (ANALYSIS,), r"size=\(m,", 0),
     # each narrowband SNR of pm_mc draws from its own copy of the chunk's generator
     ("no saved generator state", (SRC,), r"bit_generator", ()),
     # gated windows and windows at or below gamma update the floor at one site
