@@ -11,11 +11,11 @@ tracked noise floor, unitary FFT to an ascending-order spectrum
 (waveform.spectrum_of_body), thin-bin powers |bin|^2, fold to wide-carrier
 powers, tag strength for every codeword, then a candidate requires max
 strength above gamma and a valid center of mass, so each window is gated,
-at or below gamma, rejected by its center of mass, or a candidate
-DetectionEvent. Most windows hold only noise and stop at gamma, so the
-center of mass is computed only above it. A candidate is kept only when no
-overlapping interval produced a candidate of strictly larger strength (ties
-resolve to the earliest interval, then the lowest codeword index).
+at or below gamma, rejected by its center of mass, or a candidate. Most
+windows hold only noise and stop at gamma, so the center of mass is
+computed only above it. A candidate is kept, as a DetectionEvent, only when
+no overlapping interval produced a candidate of strictly larger strength
+(ties resolve to the earliest interval, then the lowest codeword index).
 
 DetectorConfig.denominator names the strength convention (see carriers):
 "band" divides in-mask power by the non-null carriers' power, "all" by
@@ -31,10 +31,14 @@ its windows span, averages the same view of those squares into window
 powers, transforms its windows in one spectrum_of_body call and squares the
 magnitudes of those spectra. A scalar pass over the chunk then runs the
 gate and noise-tracker recurrence, which is sequential in time, and folds
-and scores each window that passes the gate. Overlap suppression is a
-forward scan over the candidates, sorted by start: each candidate is
-compared only with those less than fft_size samples after it,
-O(C * fft_size / cp_len) for C candidates instead of comparing every pair.
+and scores each window that passes the gate. A window above gamma freezes
+the floor whatever its center of mass, so the chunk's windows above gamma
+wait for its end: one center_of_mass call over their stacked wide powers
+sorts them, in window order, into candidates and center-of-mass rejects.
+Overlap suppression is a forward scan over the candidates, plain tuples
+sorted by start: each candidate is compared only with those less than
+fft_size samples after it, O(C * fft_size / cp_len) for C candidates
+instead of comparing every pair. Only the survivors become DetectionEvents.
 """
 
 from __future__ import annotations
@@ -89,7 +93,8 @@ class DetectorConfig:
 
 
 class DetectionEvent(NamedTuple):
-    """A candidate; each passed the center-of-mass test."""
+    """A candidate that overlap suppression kept; each passed the
+    center-of-mass test."""
 
     interval_start: int
     codeword_index: int
@@ -116,20 +121,28 @@ def strengths(wide: np.ndarray, config: DetectorConfig) -> np.ndarray:
     """Every codeword's tag strength for one window's wide-carrier powers
     under the config's convention. Masks lie in the band, so a window with
     no power in the denominator carriers scores 0 for every codeword."""
-    numerators = config.masks @ wide
+    # .dot and /= skip matmul's ufunc dispatch and a temporary: same dgemv, same quotients
+    numerators = config.masks.dot(wide)
     denominator = np.add.reduce(wide[config.denominator_wide])
-    return numerators / denominator if denominator > 0 else numerators
+    if denominator > 0:
+        numerators /= denominator
+    return numerators
 
 
-def center_of_mass(wide_powers: np.ndarray, layout: CarrierLayout) -> float:
+def center_of_mass(wide_powers: np.ndarray, layout: CarrierLayout) -> "float | np.ndarray":
     """Power-weighted mean carrier position on layout.centered_wide, so
-    centered on the carrier array's midpoint. The spotter accepts a
-    candidate only within DetectorConfig.com_bound."""
+    centered on the carrier array's midpoint, of powers shaped
+    (..., wide_total): a float for one row, an array of one position per
+    row for a stack, each row's bit for bit its own call's. Any all-zero
+    row raises. The spotter passes each chunk's windows above gamma as
+    one stack and accepts a candidate only within
+    DetectorConfig.com_bound."""
     powers = np.asarray(wide_powers, dtype=np.float64)
-    total = powers.sum()
-    if total == 0:
+    total = powers.sum(axis=-1)
+    if not np.all(total):
         raise ValueError("center of mass undefined for all-zero powers")
-    return float((layout.centered_wide * powers).sum() / total)
+    position = (layout.centered_wide * powers).sum(axis=-1) / total
+    return float(position) if powers.ndim == 1 else position
 
 
 def noise_tracker_update(current_estimate: "float | None", interval_power: float) -> float:
@@ -166,9 +179,12 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
     carrier-sense-gated ones, whose power is already in hand); one above
     gamma leaves it frozen, center of mass valid or not, so neither tags
     nor off-center interferers lift the floor. Each window that passes the
-    gate is folded and scored once; its center of mass is computed only
+    gate is folded and scored once. Its center of mass is computed only
     when its best strength is above gamma, since a window at or below
-    gamma fails the candidate test whatever its position.
+    gamma fails the candidate test whatever its position, and then in one
+    center_of_mass call per chunk over the stacked wide powers of that
+    chunk's windows above gamma. Candidates stay tuples until overlap
+    suppression; a DetectionEvent is built for each one it keeps.
     """
     layout = config.layout
     n = layout.fft_size
@@ -181,7 +197,7 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
     gate_db = config.carrier_sense_snr_db
     windows_total = (len(stream) - n) // hop + 1
 
-    candidates: "list[DetectionEvent]" = []
+    candidates: "list[tuple]" = []
     noise_estimate: "float | None" = None
     windows_gated = windows_below_gamma = windows_com_rejected = 0
     for first in range(0, windows_total, _CHUNK_WINDOWS):
@@ -196,6 +212,8 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
         powers /= n
         thin = np.abs(spectrum_of_body(_windows(stream, lo, count, n, hop), layout))
         np.square(thin, out=thin)
+        above: "list[tuple]" = []
+        above_wide: "list[np.ndarray]" = []
         for k, power in enumerate(powers.tolist()):
             # carrier-sense SNR estimate: interval power over tracked floor
             if power == 0:
@@ -214,17 +232,22 @@ def spot_report(samples: IqFrame, config: DetectorConfig) -> SpotReport:
                 if strength <= gamma:
                     windows_below_gamma += 1
                 else:
-                    position = center_of_mass(wide, layout)
-                    if abs(position) <= com_bound:
-                        candidates.append(DetectionEvent(
-                            lo + k * hop, best, strength, position, snr_estimate_db))
-                    else:
-                        windows_com_rejected += 1
+                    # the floor stays frozen whatever the center of mass
+                    above.append((lo + k * hop, best, strength, snr_estimate_db))
+                    above_wide.append(wide)
                     continue
             noise_estimate = noise_tracker_update(noise_estimate, power)
+        if above:
+            positions = center_of_mass(np.stack(above_wide), layout).tolist()
+            for (start, best, strength, snr_db), position in zip(above, positions):
+                if abs(position) <= com_bound:
+                    candidates.append((start, best, strength, position, snr_db))
+                else:
+                    windows_com_rejected += 1
 
-    return SpotReport(tuple(_suppress(candidates, n)), windows_total, windows_gated,
-                      windows_below_gamma, windows_com_rejected, len(candidates))
+    events = tuple(DetectionEvent._make(kept) for kept in _suppress(candidates, n))
+    return SpotReport(events, windows_total, windows_gated, windows_below_gamma,
+                      windows_com_rejected, len(candidates))
 
 
 def _windows(x: np.ndarray, start: int, count: int, n: int, hop: int) -> np.ndarray:
@@ -241,7 +264,7 @@ def _windows(x: np.ndarray, start: int, count: int, n: int, hop: int) -> np.ndar
     return as_strided(x[start:], shape=(count, n), strides=(hop * step, step), writeable=False)
 
 
-def _suppress(candidates: "list[DetectionEvent]", n: int) -> "list[DetectionEvent]":
+def _suppress(candidates: "list[tuple]", n: int) -> "list[tuple]":
     """Candidates that no overlapping candidate outranks.
 
     Candidates are events, or any tuples with the start at [0] and the

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tagspot import detector
 from tagspot.carriers import CarrierLayout, REFERENCE_LAYOUT
@@ -23,7 +25,7 @@ from tagspot.detector import (
 from tagspot.scenario import tag_frame, tagged_stream
 from tagspot.waveform import IqFrame, build_tag_spectrum, synthesize_tag
 from events import parse_events
-from layouts import ODD
+from layouts import ODD, VALID_LAYOUTS
 
 LAY = REFERENCE_LAYOUT
 
@@ -83,24 +85,44 @@ def test_silent_band_windows_score_zero_without_warnings(codebook):
     assert report.windows_total == (len(stream) - LAY.fft_size) // LAY.cp_len + 1
 
 
-def test_center_of_mass_positions(codebook):
+@given(layout=VALID_LAYOUTS, data=st.data())
+def test_center_of_mass_positions(codebook, layout, data):
     bound = DetectorConfig(layout=LAY, codebook=codebook).com_bound
     delta = np.zeros(64)
     delta[40] = 2.0
     position = center_of_mass(delta, LAY)
+    assert type(position) is float
     assert position == LAY.centered_wide[40] == 8.5
     assert abs(position) > bound  # outside the central quarter
 
-    delta = np.zeros(64)
-    delta[39] = 1.0
-    position = center_of_mass(delta, LAY)
-    assert position == 7.5 and abs(position) <= bound
+    near = np.zeros(64)
+    near[39] = 1.0
+    assert center_of_mass(near, LAY) == 7.5 <= bound
 
     symmetric = np.zeros(64)
     symmetric[10] = symmetric[53] = 3.0
     assert center_of_mass(symmetric, LAY) == 0.0
     with pytest.raises(ValueError):
         center_of_mass(np.zeros(64), LAY)
+
+    # a stack of rows: one position per row, each its 1-D call's bit for bit
+    rows = np.stack([delta, near, symmetric])
+    positions = center_of_mass(rows, LAY)
+    assert positions.tolist() == [8.5, 7.5, 0.0]
+    with pytest.raises(ValueError):
+        center_of_mass(np.stack([delta, np.zeros(64), near]), LAY)
+
+    # random nonnegative stacks on any layout, every row with some power
+    count = data.draw(st.integers(1, 8))
+    cells = count * layout.wide_total
+    values = data.draw(st.lists(st.floats(0.0, 1e300), min_size=cells, max_size=cells))
+    stack = np.array(values).reshape(count, layout.wide_total)
+    for row in stack:
+        if not row.any():
+            row[data.draw(st.integers(0, layout.wide_total - 1))] = data.draw(
+                st.floats(5e-324, 1e300))
+    each = np.array([center_of_mass(row, layout) for row in stack])
+    assert np.array_equal(center_of_mass(stack, layout).view(np.uint64), each.view(np.uint64))
 
 
 def test_noise_tracker_update():

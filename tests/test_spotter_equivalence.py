@@ -2,14 +2,16 @@
 
 ``_reference_spot_report`` and ``_reference_suppress`` are the spotter as it
 was before the window front end was batched and overlap suppression made
-linear: one FFT per window, ``np.fft.fftshift`` in the fold, and every
-candidate compared with every other one. They are kept here only as oracles.
+linear: one FFT per window, ``np.fft.fftshift`` in the fold, its own score
+and center of mass per window, and every candidate compared with every
+other one. They are kept here only as oracles.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tagspot import detector
 from tagspot.carriers import REFERENCE_LAYOUT
 from tagspot.codebook import Codebook, mask_matrix
 from tagspot.detector import (
@@ -17,7 +19,6 @@ from tagspot.detector import (
     DetectionEvent,
     DetectorConfig,
     _suppress,
-    center_of_mass,
     fold_spectrum,
     noise_tracker_update,
     spot_report,
@@ -82,11 +83,12 @@ def _reference_spot_report(samples, config):
         denominator = wide.sum() if config.denominator == "all" else wide[band].sum()
         best = int(np.argmax(numerators))
         strength = float(numerators[best] / denominator)
-        position = center_of_mass(wide, layout)
         if strength <= config.gamma:
             counts["windows_below_gamma"] += 1
             noise_estimate = noise_tracker_update(noise_estimate, power)
-        elif abs(position) <= config.com_bound:
+            continue
+        position = float((layout.centered_wide * wide).sum() / wide.sum())
+        if abs(position) <= config.com_bound:
             counts["candidates"] += 1
             candidates.append((start, best, strength, position, snr_estimate_db))
         else:
@@ -164,28 +166,59 @@ def test_back_to_back_tags(codebook):
             assert len(report.events) > count // 2
 
 
-def test_center_of_mass_rejects_leave_the_noise_floor_frozen(codebook):
-    # a burst of one strong tone on the lowest band carrier, a band edge:
-    # every codeword holding that carrier scores near 1, far above gamma,
-    # while the center of mass sits near -28.5, beyond com_bound = 8
-    config = DetectorConfig(layout=LAY, codebook=codebook)
+def _burst_stream(codebook, zero=()):
+    """Four 2 dB tags over 168 windows, and from sample 3000 to 9000 a
+    strong tone on the lowest band carrier, a band edge: every codeword
+    holding that carrier scores near 1, far above gamma, while the center
+    of mass sits near -28.5, beyond com_bound = 8."""
     total = _length_for_windows(LAY, 2 * _CHUNK_WINDOWS + 40)
     tags = [(o, codebook.words[(o // 640) % codebook.size]) for o in (900, 14000, 17000, 21000)]
-    stream = _tagged_stream(LAY, total, tags, 2.0, seed=75)
+    stream = _tagged_stream(LAY, total, tags, 2.0, seed=75, zero=zero)
     edge = LAY.band_wide[0] * LAY.thin_per_wide + LAY.active_thin_offsets[0]
     lo, hi = 3000, 9000
     t = np.arange(hi - lo)
     tone = 3.0 * np.exp(2j * np.pi * (edge - LAY.fft_size // 2) * t / LAY.fft_size)
     samples = stream.samples.copy()
     samples[lo:hi] += tone
-    stream = IqFrame(samples)
+    return IqFrame(samples)
 
-    report = _assert_same_as_reference(stream, config)
+
+def test_center_of_mass_rejects_leave_the_noise_floor_frozen(codebook):
+    config = DetectorConfig(layout=LAY, codebook=codebook)
+    report = _assert_same_as_reference(_burst_stream(codebook), config)
     assert report.windows_com_rejected > 10
     # the rejected tone windows leave the floor frozen, so nothing after the
     # tone is gated and the 2 dB tag after it is found
     assert report.windows_gated == 0
     assert any(e.interval_start == 14080 and e.codeword_index == 21 for e in report.events)
+
+
+def test_fold_and_center_of_mass_call_counts(codebook, monkeypatch):
+    """fold_spectrum runs once per window that passes the gate, and
+    center_of_mass at most once per chunk, over a stack of the chunk's
+    windows above gamma. CI's traced benchmark step checks the fold
+    identity on every detector workload; items 6b and 7 of the ROADMAP,
+    which score whole chunks, change it together with this test."""
+    calls = {"fold_spectrum": [], "center_of_mass": []}
+    for name, log in calls.items():
+        original = getattr(detector, name)
+
+        def counted(powers, layout, original=original, log=log):
+            log.append(np.shape(powers))
+            return original(powers, layout)
+
+        monkeypatch.setattr(detector, name, counted)
+    config = DetectorConfig(layout=LAY, codebook=codebook)
+    # a silent stretch after the tone gives gated windows too
+    report = _assert_same_as_reference(_burst_stream(codebook, zero=[(10000, 12000)]), config)
+    assert min(report.windows_gated, report.windows_below_gamma,
+               report.windows_com_rejected, report.candidates) > 0
+    assert len(calls["fold_spectrum"]) == report.windows_total - report.windows_gated
+    chunks = -(-report.windows_total // _CHUNK_WINDOWS)
+    assert 0 < len(calls["center_of_mass"]) <= chunks
+    assert all(len(shape) == 2 for shape in calls["center_of_mass"])
+    assert sum(rows for rows, _ in calls["center_of_mass"]) == (
+        report.windows_com_rejected + report.candidates)
 
 
 def test_odd_fft_size_layout():
