@@ -4,6 +4,15 @@ A codebook is a set of binary words, one bit per carrier group. Bit g of a
 word selects which of group g's two carriers is activated, so two codewords
 at Hamming distance d produce masks that differ in 2*d wide carriers.
 
+The built-in family, conference-28-56-13, is built here from a skew
+conference matrix C of order 28: Paley's construction from the quadratic
+character of GF(27) = GF(3)[x] / (x^3 - x - 1), bordered. C is skew and
+C C^T = 27 I, so the rows of C + I and of -C + I, mapped {+1 -> 1, -1 -> 0},
+are 56 words of length 28 whose pairwise Hamming distances lie in
+{13, 14, 15, 27}: the minimum distance is exactly 13. An exhaustive scan of
+all 2^28 words finds none at distance >= 13 from all 56, so the family is
+maximal; scripts/prove_codebook_maximal.py reruns that scan.
+
 Codebook file format: a small header followed by one bit string per line.
 
     name: conference-28-56-13
@@ -21,7 +30,7 @@ built in code, verifies its declared minimum distance on construction.
 
 from __future__ import annotations
 
-import importlib.resources
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -30,7 +39,6 @@ import numpy as np
 
 from .carriers import CarrierLayout
 
-BUILTIN_CODEBOOK = "conference-28-56-13.txt"
 _HEADER_FIELDS = ("name", "word_length", "min_distance")  # each exactly once, before the words
 
 
@@ -51,6 +59,10 @@ class Codebook:
     measured_distance: "int | None" = field(default=None, init=False, compare=False)
 
     def __post_init__(self) -> None:
+        # a set or generator has no fixed order for events to index
+        if not (isinstance(self.words, (tuple, list)) and all(isinstance(w, str) for w in self.words)):
+            raise ValueError(f"words must be a tuple or list of strings, got {self.words!r}")
+        object.__setattr__(self, "words", tuple(self.words))  # a copy: hashable, and frozen
         if not self.name:
             raise ValueError("codebook name must be nonempty")
         if self.word_length <= 0:
@@ -133,7 +145,7 @@ def parse_codebook(text: str) -> Codebook:
         name=header["name"],
         word_length=word_length,
         min_distance=min_distance,
-        words=tuple(words),
+        words=words,
     )
 
 
@@ -152,10 +164,34 @@ def serialize_codebook(cb: Codebook) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _conference_matrix() -> np.ndarray:
+    """The 28x28 skew conference matrix: the quadratic character chi(b - a)
+    of GF(27) = GF(3)[x] / (x^3 - x - 1), bordered by a row of +1 and a
+    column of -1. Elements a are coefficient triples of 1, x, x^2, indexed
+    in itertools.product order."""
+    coef = np.array(list(itertools.product(range(3), repeat=3)))
+    index = np.array([9, 3, 1])
+    square = np.zeros((27, 5), dtype=int)
+    for i, j in itertools.product(range(3), repeat=2):
+        square[:, i + j] += coef[:, i] * coef[:, j]
+    # reduce with x^3 = x + 1, hence x^4 = x^2 + x
+    square = (square[:, :3] + square[:, 3:4] * [1, 1, 0] + square[:, 4:] * [0, 1, 1]) % 3
+    chi = np.full(27, -1)
+    chi[square @ index] = 1
+    chi[0] = 0
+    c = np.zeros((28, 28), dtype=int)
+    c[0, 1:], c[1:, 0] = 1, -1
+    c[1:, 1:] = chi[((coef[None, :] - coef[:, None]) % 3) @ index]
+    return c
+
+
 def builtin_codebook() -> Codebook:
-    """The codebook shipped with the package."""
-    ref = importlib.resources.files("tagspot").joinpath("data", BUILTIN_CODEBOOK)
-    return parse_codebook(ref.read_text())
+    """The built-in family: the rows of C + I and -C + I as bits, sorted."""
+    c, eye = _conference_matrix(), np.eye(28, dtype=int)
+    bits = (np.vstack([c + eye, eye - c]) > 0).astype(np.uint8)
+    # each row's 28 ASCII digits, read as one bytes string
+    words = (bits + ord("0")).view("S28").ravel()
+    return Codebook("conference-28-56-13", 28, 13, sorted(w.decode() for w in words))
 
 
 def _masks(words: "Sequence[str]", layout: CarrierLayout) -> np.ndarray:

@@ -1,4 +1,7 @@
-"""Code family parsing, distance verification, and carrier mask mapping."""
+"""Code family construction, parsing, distance verification, and carrier
+mask mapping."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from tagspot.carriers import REFERENCE_LAYOUT
 from tagspot.codebook import (
     Codebook,
+    _conference_matrix,
     codeword_to_mask,
     mask_matrix,
     parse_codebook,
@@ -21,6 +25,15 @@ def test_builtin_family_shape_and_distance(codebook):
     assert codebook.min_distance == 13
     # declared floor is tight: the brute-force minimum is exactly 13
     assert codebook.measured_distance == 13
+    # events name codewords by index, so the words and their order are pinned
+    digest = hashlib.sha256(serialize_codebook(codebook).encode()).hexdigest()
+    assert digest == "dcd54783764e1d438e1c084b455e084619b182d2f554e303ff36c4deb82a0fba"
+    bits = np.array([[int(b) for b in w] for w in codebook.words])
+    dist = np.count_nonzero(bits[:, None] != bits[None, :], axis=2)
+    assert set(dist[~np.eye(56, dtype=bool)].tolist()) == {13, 14, 15, 27}
+    c = _conference_matrix()
+    assert np.array_equal(c.T, -c)
+    assert np.array_equal(c @ c.T, 27 * np.eye(28, dtype=int))
 
 
 def test_parse_serialize_roundtrip(codebook):
@@ -124,3 +137,14 @@ def test_codebook_construction_validation():
         Codebook(name="x", word_length=4, min_distance=2, words=("0000", "011"))
     with pytest.raises(ValueError):  # non-binary characters
         Codebook(name="x", word_length=4, min_distance=2, words=("0000", "0021"))
+    with pytest.raises(ValueError, match="tuple or list of strings"):  # no fixed order
+        Codebook(name="x", word_length=4, min_distance=4, words=(w for w in ("0000", "1111")))
+    with pytest.raises(ValueError, match="tuple or list of strings"):
+        Codebook(name="x", word_length=4, min_distance=4, words=("0000", 1111))
+    # a list is copied into a tuple: the analysis family memo hashes the
+    # codebook, and a later append cannot add a word the distance never saw
+    source = ["0000", "1111"]
+    cb = Codebook("x", 4, 4, source)
+    source.append("0001")
+    assert cb.words == ("0000", "1111")
+    assert hash(cb) == hash(Codebook("x", 4, 4, ("0000", "1111")))

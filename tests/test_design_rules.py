@@ -82,6 +82,10 @@ RULES = [  # (name, files, regex, files allowed to match it, or the exact count)
      r"\b(_detection_trial|_stream_with_tag|_measured_offset_leak|measured_leak|_interferer_band_density)\b"
      r"|float\([\w.]*\btones\)", (SCENARIO, "tests/test_design_rules.py")),
     ("the package never loads its scenarios", (SRC,), r"(\.|\bimport )scenario\b", (SCENARIO,)),
+    # codebook builds the built-in family (GF(27) arithmetic is mod 3) and reads no
+    # package data
+    ("one home for the built-in family", (SRC, SCRIPTS, TESTS), r"% 3\b|importlib\.resources",
+     ("src/tagspot/codebook.py", "tests/test_design_rules.py")),
     # a design rule is a row here, not a step of the workflow
     ("no design rule in CI", (".github/workflows/*.yml",), r"grep", ()),
 ]
