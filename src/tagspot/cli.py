@@ -202,8 +202,12 @@ def _seed(args: argparse.Namespace, why: "str | None") -> int:
     return 0 if args.seed is None else args.seed
 
 
-def _get_codebook(path: "str | None") -> Codebook:
-    return builtin_codebook() if path is None else load_codebook(path)
+def _get_codebook(path: "str | None", layout: "CarrierLayout | None") -> Codebook:
+    """The --codebook file's family or the built-in one, with one bit per group of layout."""
+    codebook = builtin_codebook() if path is None else load_codebook(path)
+    if layout is not None and codebook.word_length != layout.groups:
+        raise ValueError(f"word length {codebook.word_length} != layout groups {layout.groups}")
+    return codebook
 
 
 def _header(command: str, fields) -> str:
@@ -240,7 +244,7 @@ def _emit_table(out, command: str, fields, columns: str, rows) -> None:
 
 def _cmd_modulate(args: argparse.Namespace) -> None:
     layout = args.layout or REFERENCE_LAYOUT
-    codebook = _get_codebook(args.codebook)
+    codebook = _get_codebook(args.codebook, layout)
     seed = _seed(args, "tone phases are random")
     if args.out is None:
         raise ValueError("--out is required")
@@ -324,7 +328,7 @@ def _cmd_impair(args: argparse.Namespace) -> None:
 
 def _cmd_spot(args: argparse.Namespace) -> None:
     frame, _, layout = _read_input(args)
-    codebook = _get_codebook(args.codebook)
+    codebook = _get_codebook(args.codebook, layout)
     detector = DetectorConfig(layout=layout, codebook=codebook, gamma=args.gamma,
                               carrier_sense_snr_db=args.carrier_sense, denominator=args.denominator)
     report = spot_report(frame, detector)
@@ -347,7 +351,7 @@ def _cmd_spot(args: argparse.Namespace) -> None:
 
 def _cmd_curves(args: argparse.Namespace) -> None:
     layout = args.layout or REFERENCE_LAYOUT
-    codebook = _get_codebook(args.codebook)
+    codebook = _get_codebook(args.codebook, layout)
     # --include-null-noise is this command's spelling of denominator="all"
     denominator = "all" if args.include_null_noise else "band"
     seed = _seed(args, "Monte Carlo columns are requested" if args.trials > 0 else None)
@@ -423,7 +427,7 @@ def _cmd_overhead(args: argparse.Namespace) -> None:
 
 
 def _cmd_codebook_verify(args: argparse.Namespace) -> None:
-    codebook = _get_codebook(args.codebook)  # rejects a violated declared distance
+    codebook = _get_codebook(args.codebook, None)  # rejects a violated declared distance
     _emit(args.out, _lines([
         ("name", codebook.name), ("size", codebook.size), ("word_length", codebook.word_length),
         ("declared_min_distance", codebook.min_distance),

@@ -24,8 +24,8 @@ Codebook file format: a small header followed by one bit string per line.
 Blank lines and lines starting with '#' are ignored when reading. The
 canonical serialization emits exactly the three header fields above followed
 by the words in lexicographic order, which makes load -> serialize a
-byte-identical round trip for canonical files. Every Codebook, loaded or
-built in code, verifies its declared minimum distance on construction.
+byte-identical round trip for canonical files. The word_length header must
+match the words. Every Codebook verifies its claimed distance on creation.
 """
 
 from __future__ import annotations
@@ -47,15 +47,15 @@ class Codebook:
     """An ordered family of binary codewords with a verified distance floor.
 
     The word order is meaningful: detection events refer to codewords by
-    their index in this order. measured_distance is the closest pair's
-    Hamming distance, measured on construction (None for one word); it
-    follows from the words, so equality and hashing leave it out.
+    their index in this order. word_length and measured_distance, the
+    closest pair's Hamming distance (None for one word), follow from the
+    words, so equality and hashing leave them out.
     """
 
     name: str
-    word_length: int
     min_distance: int
     words: tuple[str, ...]
+    word_length: int = field(init=False, compare=False)
     measured_distance: "int | None" = field(default=None, init=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -65,16 +65,12 @@ class Codebook:
         object.__setattr__(self, "words", tuple(self.words))  # a copy: hashable, and frozen
         if not self.name:
             raise ValueError("codebook name must be nonempty")
-        if self.word_length <= 0:
-            raise ValueError("word_length must be positive")
+        object.__setattr__(self, "word_length", _word_bits(self.words).shape[1] if self.words else 0)
+        if not self.word_length:
+            raise ValueError(f"codebook needs one or more nonempty words, got {self.words!r}")
         if not 1 <= self.min_distance <= self.word_length:
             raise ValueError(f"min_distance {self.min_distance} out of range for "
                              f"word_length {self.word_length}")
-        if not self.words:
-            raise ValueError("codebook contains no words")
-        length = _word_bits(self.words).shape[1]
-        if length != self.word_length:
-            raise ValueError(f"words have length {length}, expected {self.word_length}")
         # a repeated word is at distance 0, below every legal min_distance
         if len(self.words) >= 2:
             distance, i, j = _closest_pair(self.words)
@@ -114,7 +110,7 @@ def _closest_pair(words: "Sequence[str]") -> "tuple[int, int, int]":
 
 def parse_codebook(text: str) -> Codebook:
     """Parse codebook file content, naming any unknown, repeated or missing
-    header field, and verify the declared distance."""
+    header field, and verify the declared length and distance."""
     header: dict[str, str] = {}
     words: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -141,12 +137,10 @@ def parse_codebook(text: str) -> Codebook:
         min_distance = int(header["min_distance"])
     except ValueError as exc:
         raise ValueError(f"non-integer header field: {exc}") from exc
-    return Codebook(
-        name=header["name"],
-        word_length=word_length,
-        min_distance=min_distance,
-        words=words,
-    )
+    # before the Codebook checks, which name the words' own length
+    if words and len(words[0]) != word_length:
+        raise ValueError(f"word_length {word_length} differs from the words' length {len(words[0])}")
+    return Codebook(header["name"], min_distance, words)
 
 
 def load_codebook(path: "str | Path") -> Codebook:
@@ -191,7 +185,7 @@ def builtin_codebook() -> Codebook:
     bits = (np.vstack([c + eye, eye - c]) > 0).astype(np.uint8)
     # each row's 28 ASCII digits, read as one bytes string
     words = (bits + ord("0")).view("S28").ravel()
-    return Codebook("conference-28-56-13", 28, 13, sorted(w.decode() for w in words))
+    return Codebook("conference-28-56-13", 13, sorted(w.decode() for w in words))
 
 
 def _masks(words: "Sequence[str]", layout: CarrierLayout) -> np.ndarray:

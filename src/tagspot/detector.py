@@ -88,7 +88,7 @@ class DetectorConfig:
 
     @property
     def com_bound(self) -> float:
-        """Largest accepted |center of mass|: the central quarter of the band."""
+        """Largest accepted |center of mass|: a quarter of all carriers about their midpoint, not of the band."""
         return self.layout.wide_total / 8.0
 
 
@@ -267,13 +267,13 @@ def _windows(x: np.ndarray, start: int, count: int, n: int, hop: int) -> np.ndar
 def _suppress(candidates: "list[tuple]", n: int) -> "list[tuple]":
     """Candidates that no overlapping candidate outranks.
 
-    Candidates are events, or any tuples with the start at [0] and the
-    strength at [2], sorted by unique start. Candidate i is dropped when an
-    earlier one less than n samples away has strength >= its own, or a
-    later one that close has strength > its own. The rule is not
-    transitive: a dropped candidate still drops its weaker neighbours. Each
-    overlapping pair is compared once in a forward scan, and starts lie at
-    least one hop apart, so C candidates cost O(C * n / hop), linear in C.
+    Candidates are tuples with the start at [0] and the strength at [2],
+    sorted by unique start. Candidate i is dropped when an earlier one less
+    than n samples away has strength >= its own, or a later one that close
+    has strength > its own. The rule is not transitive: a dropped candidate
+    still drops its weaker neighbours. Each overlapping pair is compared
+    once in a forward scan, and starts lie at least one hop apart, so C
+    candidates cost O(C * n / hop), linear in C.
     """
     dropped = [False] * len(candidates)
     for i, (start, _, strength, *_) in enumerate(candidates):

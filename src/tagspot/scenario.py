@@ -21,7 +21,7 @@ LEAK_TRIALS = 2000  # tags per measured_offset_leak
 
 @functools.cache
 def _codebook() -> Codebook:
-    return builtin_codebook()  # read on first use, not on import
+    return builtin_codebook()  # built on first use, not on import
 
 
 def tag_frame(word: str, layout: CarrierLayout, rng: np.random.Generator) -> IqFrame:

@@ -1,5 +1,5 @@
-"""Carrier layouts shared by the tests: an odd-sized one and a strategy that
-draws every kind of layout CarrierLayout accepts."""
+"""Carrier layouts shared by the tests: an odd-sized one, a 32-wide one and
+a strategy that draws every kind of layout CarrierLayout accepts."""
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -15,6 +15,14 @@ ODD = CarrierLayout(
     null_wide=frozenset({0, 10, 20}),
     fft_size=105,
     cp_fraction=0.2,
+)
+
+# 32 wide carriers of 8 thin bins: 12 two-carrier groups and 8 nulls
+SMALL = CarrierLayout(
+    fft_size=256,
+    wide_total=32,
+    groups=12,
+    null_wide=frozenset({0, 1, 2, 16, 28, 29, 30, 31}),
 )
 
 

@@ -64,7 +64,7 @@ def test_criterion_02_leakage_closed_forms():
 def test_criterion_03_false_alarm_closed_form_vs_monte_carlo(codebook):
     # the symmetric band statistic has an exact median
     assert pf_single(0.5) == 0.5
-    single = Codebook("single", LAY.groups, 13, (codebook.words[0],))
+    single = Codebook("single", 13, (codebook.words[0],))
     trials = 1_000_000
     for gamma in (0.45, 0.5, 0.55, 0.6):
         closed = pf_single(gamma)
@@ -128,7 +128,7 @@ def test_criterion_09_family_ordering_and_pairs_bound(codebook):
     sizes = (1, 8, 28, 56)
     estimates = []
     for size in sizes:
-        family = Codebook(f"prefix-{size}", LAY.groups, 13, codebook.words[:size])
+        family = Codebook(f"prefix-{size}", 13, codebook.words[:size])
         estimates.append(pf_family_mc(gamma, family, LAY, trials, seed)[0])
     # nested prefixes on one seed share draws, so growth is pointwise
     assert all(a < b for a, b in zip(estimates, estimates[1:])), estimates

@@ -39,16 +39,17 @@ from tagspot.codebook import Codebook, mask_matrix
 from tagspot.detector import DetectorConfig, fold_spectrum, strengths
 from tagspot.scenario import tag_frame
 from tagspot.waveform import spectrum_of_body
+from layouts import SMALL
 
 LAY = REFERENCE_LAYOUT
 
 
 def _single_word_family(codebook):
-    return Codebook("single", 28, 13, (codebook.words[0],))
+    return Codebook("single", 13, (codebook.words[0],))
 
 
 def _prefix_family(codebook, size):
-    return Codebook(f"prefix-{size}", 28, 13, codebook.words[:size])
+    return Codebook(f"prefix-{size}", 13, codebook.words[:size])
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +181,7 @@ def test_analysis_model_validation():
 
 _CHANNEL_FADING = {"wideband": "wideband-rayleigh", "narrowband": "narrowband"}
 _WORD = "01" * 14
-_WORD_CONFIG = DetectorConfig(layout=LAY, codebook=Codebook("one-word", 28, 13, (_WORD,)))
+_WORD_CONFIG = DetectorConfig(layout=LAY, codebook=Codebook("one-word", 13, (_WORD,)))
 
 
 def _window_strength_sim(snr_db, fading, trials, seed):
@@ -587,15 +588,8 @@ def _tie_gamma(codebook, layout, trials, seed, denominator):
     raise AssertionError("no drawn ratio round-trips through gamma")
 
 
-# 32 wide carriers of 8 thin bins: 12 two-carrier groups and 8 nulls
-SMALL = CarrierLayout(
-    fft_size=256,
-    wide_total=32,
-    groups=12,
-    null_wide=frozenset({0, 1, 2, 16, 28, 29, 30, 31}),
-)
 SMALL_BOOK = Codebook(
-    "small-12", 12, 1,
+    "small-12", 1,
     tuple(format(w, "012b") for w in (0, 0xFFF, 0xA5A, 0x3C3, 0x0F0, 0x555)),
 )
 

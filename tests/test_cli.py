@@ -529,6 +529,16 @@ def _fails_with_one_line(argv, capsys):
     return err
 
 
+def test_curves_checks_the_codebook_against_the_layout_without_trials(tmp_path, capsys):
+    config = tmp_path / "odd.json"
+    config.write_text(json.dumps({"config_version": 1, "layout": layout_to_dict(ODD)}))
+    argv = ["curves", "--gamma", "0.6", "--config", str(config)]
+    assert _fails_with_one_line(argv, capsys) == "word length 28 != layout groups 9\n"
+    codebook = tmp_path / "cb9.txt"
+    codebook.write_text("name: nine\nword_length: 9\nmin_distance: 9\n000000000\n111111111\n")
+    assert cli_main([*argv, "--codebook", str(codebook)]) == 0
+
+
 def test_sidecar_follows_the_config_repeated_field_rule(tmp_path, capsys):
     source = _modulate(tmp_path)
     side = sidecar_path(source)
@@ -770,8 +780,9 @@ def test_modulate_never_writes_samples_past_float32(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "content",
-    [b"\xff\xfe", b"name: bad\nword_length: 4\nmin_distance: 4\n0000\n0011\n"],
-    ids=["not-utf8", "violated-distance"],
+    [b"\xff\xfe", b"name: bad\nword_length: 4\nmin_distance: 4\n0000\n0011\n",
+     b"name: bad\nword_length: 5\nmin_distance: 2\n0000\n0011\n"],
+    ids=["not-utf8", "violated-distance", "word-length-header"],
 )
 def test_codebook_errors_name_the_file(tmp_path, capsys, content):
     book = tmp_path / "book.txt"

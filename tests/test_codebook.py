@@ -2,6 +2,7 @@
 mask mapping."""
 
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
@@ -61,10 +62,10 @@ def test_declared_distance_is_reverified():
 
 def test_a_codebook_built_in_code_cannot_claim_a_false_distance():
     with pytest.raises(ValueError, match="violated by words 0 and 1 at distance 2"):
-        Codebook(name="x", word_length=4, min_distance=3, words=("0000", "0011"))
+        Codebook(name="x", min_distance=3, words=("0000", "0011"))
     with pytest.raises(ValueError, match="violated by words 0 and 2 at distance 0"):
-        Codebook(name="x", word_length=4, min_distance=1, words=("0000", "1111", "0000"))
-    assert Codebook(name="x", word_length=4, min_distance=2, words=("0000", "0011")).size == 2
+        Codebook(name="x", min_distance=1, words=("0000", "1111", "0000"))
+    assert Codebook(name="x", min_distance=2, words=("0000", "0011")).size == 2
 
 
 def test_parser_rejects_malformed_input():
@@ -88,13 +89,32 @@ def test_parser_rejects_malformed_input():
         parse_codebook("name: x\nword_length: 4\nmin_distance: 2.0\n0000\n0011\n")
 
 
+def test_a_codebook_measures_its_word_length():
+    # the length follows from the words, so it is no constructor argument
+    assert list(inspect.signature(Codebook).parameters) == ["name", "min_distance", "words"]
+    cb = Codebook("x", 1, ("000", "011"))
+    assert cb.word_length == 3
+
+
+@pytest.mark.parametrize(
+    "header, min_distance",
+    [(0, 4), (3, 4), (5, 4), (5, 5)],
+    # the last claims a distance the header allows and the 4-bit words do not
+    ids=["zero", "longer-words", "shorter-words", "checked-before-the-distance"],
+)
+def test_a_word_length_header_that_disagrees_with_the_words_fails(header, min_distance):
+    text = f"name: x\nword_length: {header}\nmin_distance: {min_distance}\n0000\n1111\n"
+    with pytest.raises(ValueError, match=f"^word_length {header} differs from the words' length 4$"):
+        parse_codebook(text)
+
+
 def test_a_codebook_measures_its_distance_from_two_words():
-    assert Codebook("x", 4, 1, ("0000",)).measured_distance is None
-    assert Codebook("x", 4, 1, ("0000", "0111")).measured_distance == 3
+    assert Codebook("x", 1, ("0000",)).measured_distance is None
+    assert Codebook("x", 1, ("0000", "0111")).measured_distance == 3
     with pytest.raises(ValueError, match="non-binary"):
-        Codebook("x", 4, 1, ("0000", "0021"))
+        Codebook("x", 1, ("0000", "0021"))
     with pytest.raises(ValueError, match="differ in length"):
-        Codebook("x", 4, 1, ("0000", "001"))
+        Codebook("x", 1, ("0000", "001"))
 
 
 def test_codeword_bit_selects_group_carrier():
@@ -107,7 +127,7 @@ def test_codeword_bit_selects_group_carrier():
         codeword_to_mask("01", lay)
     with pytest.raises(ValueError):
         codeword_to_mask("0" * 27 + "2", lay)
-    short = Codebook(name="x", word_length=4, min_distance=4, words=("0000", "1111"))
+    short = Codebook(name="x", min_distance=4, words=("0000", "1111"))
     with pytest.raises(ValueError):  # words shorter than the layout's groups
         mask_matrix(short, lay)
 
@@ -124,27 +144,25 @@ def test_mask_difference_doubles_hamming_distance(x, y):
 
 def test_codebook_construction_validation():
     with pytest.raises(ValueError):
-        Codebook(name="", word_length=4, min_distance=2, words=("0000",))
-    with pytest.raises(ValueError, match="word_length must be positive"):
-        Codebook(name="x", word_length=0, min_distance=1, words=("",))
+        Codebook(name="", min_distance=2, words=("0000",))
+    with pytest.raises(ValueError, match="one or more nonempty words"):
+        Codebook(name="x", min_distance=1, words=("",))
+    with pytest.raises(ValueError, match="min_distance 5 out of range for word_length 4"):
+        Codebook(name="x", min_distance=5, words=("0000",))
     with pytest.raises(ValueError):
-        Codebook(name="x", word_length=4, min_distance=5, words=("0000",))
-    with pytest.raises(ValueError):
-        Codebook(name="x", word_length=4, min_distance=2, words=())
-    with pytest.raises(ValueError):  # words shorter than word_length
-        Codebook(name="x", word_length=4, min_distance=2, words=("000", "011"))
+        Codebook(name="x", min_distance=2, words=())
     with pytest.raises(ValueError):  # ragged words
-        Codebook(name="x", word_length=4, min_distance=2, words=("0000", "011"))
+        Codebook(name="x", min_distance=2, words=("0000", "011"))
     with pytest.raises(ValueError):  # non-binary characters
-        Codebook(name="x", word_length=4, min_distance=2, words=("0000", "0021"))
+        Codebook(name="x", min_distance=2, words=("0000", "0021"))
     with pytest.raises(ValueError, match="tuple or list of strings"):  # no fixed order
-        Codebook(name="x", word_length=4, min_distance=4, words=(w for w in ("0000", "1111")))
+        Codebook(name="x", min_distance=4, words=(w for w in ("0000", "1111")))
     with pytest.raises(ValueError, match="tuple or list of strings"):
-        Codebook(name="x", word_length=4, min_distance=4, words=("0000", 1111))
+        Codebook(name="x", min_distance=4, words=("0000", 1111))
     # a list is copied into a tuple: the analysis family memo hashes the
     # codebook, and a later append cannot add a word the distance never saw
     source = ["0000", "1111"]
-    cb = Codebook("x", 4, 4, source)
+    cb = Codebook("x", 4, source)
     source.append("0001")
     assert cb.words == ("0000", "1111")
-    assert hash(cb) == hash(Codebook("x", 4, 4, ("0000", "1111")))
+    assert hash(cb) == hash(Codebook("x", 4, ("0000", "1111")))

@@ -144,7 +144,7 @@ def test_detector_config_validation(codebook):
     for gate in (-np.inf, np.inf):
         DetectorConfig(layout=LAY, codebook=codebook, carrier_sense_snr_db=gate)
     # building the masks is the fit check: one bit per carrier group
-    short = Codebook(name="short", word_length=10, min_distance=10, words=("0" * 10, "1" * 10))
+    short = Codebook(name="short", min_distance=10, words=("0" * 10, "1" * 10))
     with pytest.raises(ValueError, match="^word length 10 != layout groups 28$"):
         DetectorConfig(layout=LAY, codebook=short)
 
@@ -181,8 +181,7 @@ OFF_CENTER_BAND = CarrierLayout(thin_per_wide=4, active_thin_per_wide=1, groups=
 )
 def test_a_clean_tag_is_found_on_a_valid_layout(layout, word):
     # the all-zero and all-one words: each group's first carriers, then its second
-    codebook = Codebook(name="zeros-ones", word_length=layout.groups,
-                        min_distance=layout.groups,
+    codebook = Codebook(name="zeros-ones", min_distance=layout.groups,
                         words=("0" * layout.groups, "1" * layout.groups))
     mask = codeword_to_mask(codebook.words[word], layout)
     tag = synthesize_tag(build_tag_spectrum(mask, layout, 1.0, np.random.default_rng(word)),

@@ -224,7 +224,6 @@ def test_fold_and_center_of_mass_call_counts(codebook, monkeypatch):
 def test_odd_fft_size_layout():
     codebook = Codebook(
         name="odd-9-8-3",
-        word_length=ODD.groups,
         min_distance=3,
         words=("001001010", "001100101", "001110110", "010000000",
                "101111111", "110001001", "110011010", "110110101"),
@@ -248,7 +247,7 @@ def test_the_spotter_matches_its_oracle_on_drawn_layouts_and_gates(layout, data)
     groups = layout.groups
     words = data.draw(st.lists(st.integers(0, 2**groups - 1), min_size=1, max_size=6,
                                unique=True))
-    codebook = Codebook(name="drawn", word_length=groups, min_distance=1,
+    codebook = Codebook(name="drawn", min_distance=1,
                         words=tuple(format(word, f"0{groups}b") for word in words))
     config = DetectorConfig(
         layout=layout,

@@ -23,18 +23,11 @@ from tagspot.waveform import (
     synthesize_tag,
     synthesize_tag_papr_limited,
 )
-from layouts import ODD, VALID_LAYOUTS
+from layouts import ODD, SMALL, VALID_LAYOUTS
 
 LAY = REFERENCE_LAYOUT
 MASK = codeword_to_mask("0101" * 7, LAY)
 
-# 32 wide carriers of 8 thin bins: 12 two-carrier groups and 8 nulls
-SMALL = CarrierLayout(
-    fft_size=256,
-    wide_total=32,
-    groups=12,
-    null_wide=frozenset({0, 1, 2, 16, 28, 29, 30, 31}),
-)
 
 
 def test_spectrum_puts_equal_tones_on_the_active_bins():
