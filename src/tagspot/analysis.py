@@ -627,9 +627,9 @@ def range_gain(snr_gap_db: float, path_loss_exponent: float) -> float:
         gain = float(10.0 ** (snr_gap_db / (10.0 * path_loss_exponent)))
     except OverflowError:
         gain = math.inf
-    if gain == math.inf:  # 10.0 ** inf is inf, not an OverflowError
+    if gain in (0.0, math.inf):  # 10.0 ** inf is inf, not an OverflowError; 10.0 ** -1e301 is 0
         raise ValueError(f"SNR gap {snr_gap_db:g} dB at path loss exponent "
-                         f"{path_loss_exponent:g} gives a range gain past the float range")
+                         f"{path_loss_exponent:g} gives a range gain outside the float range")
     return gain
 
 

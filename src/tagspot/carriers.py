@@ -43,30 +43,30 @@ class CarrierLayout:
     active_thin_per_wide: thin carriers that actually carry tones inside an
         active wide carrier (the central block; the rest act as guards).
     groups: number of two-carrier groups available for signaling.
-    wide_total: number of wide carriers across the whole band.
     null_wide: wide carrier indices that are never activated.
-    fft_size: transform length in thin-carrier bins.
     cp_fraction: cyclic prefix length as a fraction of fft_size, at most 1.
 
-    Construction checks each field's type; bools are not counts. The
-    derived geometry (band_wide, group_map, active_thin_offsets,
-    centered_wide) is cached on first access, immutable, and ignored by
-    equality and hashing.
+    Construction works out the sizes, wide_total = 2 * groups + the null
+    count and fft_size = wide_total * thin_per_wide thin-carrier bins, and
+    checks each field's type; bools are not counts. The sizes and the derived
+    geometry (band_wide, group_map, active_thin_offsets, centered_wide, cached
+    on first access and immutable) are ignored by equality and hashing.
     """
 
     thin_per_wide: int = 8
     active_thin_per_wide: int = 4
     groups: int = 28
-    wide_total: int = 64
+    # worked out on construction; declared in place, so repr and asdict keep their order
+    wide_total: int = field(init=False, compare=False)
     null_wide: frozenset[int] = field(
         default_factory=lambda: frozenset({0, 1, 2, 32, 60, 61, 62, 63})
     )
-    fft_size: int = 512
+    fft_size: int = field(init=False, compare=False)
     cp_fraction: float = 0.25
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if f.type == "int" and type(getattr(self, f.name)) is not int:
+            if f.init and f.type == "int" and type(getattr(self, f.name)) is not int:
                 raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
         null_wide = tuple(self.null_wide)  # a generator is read once
         if not all(type(w) is int for w in null_wide):
@@ -77,27 +77,20 @@ class CarrierLayout:
         # a bound, not math.isfinite, which overflows on an int past float range
         if not (type(self.cp_fraction) in (int, float) and abs(self.cp_fraction) <= sys.float_info.max):
             raise ValueError(f"cp_fraction must be a finite number, got {self.cp_fraction!r}")
-        if min(self.thin_per_wide, self.fft_size, self.wide_total, self.groups) <= 0:
-            raise ValueError("carrier counts and groups must be positive")
+        if min(self.thin_per_wide, self.groups) <= 0:
+            raise ValueError("thin_per_wide and groups must be positive")
         if not 0 < self.active_thin_per_wide <= self.thin_per_wide:
             raise ValueError(
                 "active_thin_per_wide must lie in [1, thin_per_wide], got "
                 f"{self.active_thin_per_wide} of {self.thin_per_wide}"
             )
-        if self.wide_total * self.thin_per_wide != self.fft_size:
-            raise ValueError(
-                f"wide_total * thin_per_wide = {self.wide_total * self.thin_per_wide}"
-                f" must equal fft_size = {self.fft_size}"
-            )
-        if 2 * self.groups + len(self.null_wide) != self.wide_total:
-            raise ValueError(
-                "2 * groups + null carriers must cover all wide carriers: "
-                f"2*{self.groups} + {len(self.null_wide)} != {self.wide_total}"
-            )
+        wide_total = 2 * self.groups + len(null_wide)
+        vars(self).update(wide_total=wide_total, fft_size=wide_total * self.thin_per_wide)
         if any(not 0 <= w < self.wide_total for w in self.null_wide):
             raise ValueError("null_wide contains out-of-range indices")
-        cp = self.fft_size * self.cp_fraction
-        if not 0 < cp <= self.fft_size or cp != int(cp):  # at most one body; int(inf) overflows
+        cp = self.fft_size * self.cp_fraction if 0 < self.cp_fraction <= 1 else 0.0
+        # a whole product, or the quotient of its rounding: 49 * (1 / 49) misses 1
+        if round(cp) < 1 or (round(cp) != cp and round(cp) / self.fft_size != self.cp_fraction):
             raise ValueError(
                 f"cp_fraction {self.cp_fraction} must yield a whole number of "
                 f"samples in 1..fft_size for fft_size {self.fft_size}"
@@ -106,7 +99,7 @@ class CarrierLayout:
     @property
     def cp_len(self) -> int:
         """Cyclic prefix length in samples."""
-        return int(self.fft_size * self.cp_fraction)
+        return round(self.fft_size * self.cp_fraction)
 
     @property
     def tones(self) -> int:
@@ -173,9 +166,10 @@ def layout_to_dict(layout: CarrierLayout) -> dict:
 
 
 def layout_from_dict(data: object) -> CarrierLayout:
-    """The layout a config document or IQ sidecar describes. Only the JSON
-    shape (an object of known fields, null_wide a list) is checked here;
-    CarrierLayout checks the types, so malformed outside data raises ValueError."""
+    """The layout a config document or IQ sidecar describes. The JSON shape
+    (an object of known fields, null_wide a list) and any stated size, which
+    must be the integer worked out, are checked here; CarrierLayout checks
+    the types, so malformed outside data raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError(f"layout must be an object, got {type(data).__name__}")
     unknown = set(data) - {f.name for f in fields(CarrierLayout)}
@@ -183,4 +177,9 @@ def layout_from_dict(data: object) -> CarrierLayout:
         raise ValueError(f"unknown layout fields: {sorted(unknown)}")
     if not isinstance(data.get("null_wide", []), list):
         raise ValueError(f"null_wide must be a list, got {data['null_wide']!r}")
-    return CarrierLayout(**data)
+    sizes = [f.name for f in fields(CarrierLayout) if not f.init]
+    layout = CarrierLayout(**{k: v for k, v in data.items() if k not in sizes})
+    for name in sizes:
+        if name in data and (type(data[name]) is not int or data[name] != getattr(layout, name)):
+            raise ValueError(f"{name} must be {getattr(layout, name)}, got {data[name]!r}")
+    return layout

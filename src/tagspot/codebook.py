@@ -22,10 +22,8 @@ Codebook file format: a small header followed by one bit string per line.
     ...
 
 Blank lines and lines starting with '#' are ignored when reading. The
-canonical serialization emits exactly the three header fields above followed
-by the words in lexicographic order, which makes load -> serialize a
-byte-identical round trip for canonical files. The word_length header must
-match the words. Every Codebook verifies its claimed distance on creation.
+word_length header must match the words. Every Codebook verifies its
+claimed distance on creation.
 """
 
 from __future__ import annotations
@@ -68,6 +66,8 @@ class Codebook:
         object.__setattr__(self, "word_length", _word_bits(self.words).shape[1] if self.words else 0)
         if not self.word_length:
             raise ValueError(f"codebook needs one or more nonempty words, got {self.words!r}")
+        if type(self.min_distance) is not int:  # bools are not distances
+            raise ValueError(f"min_distance must be an integer, got {self.min_distance!r}")
         if not 1 <= self.min_distance <= self.word_length:
             raise ValueError(f"min_distance {self.min_distance} out of range for "
                              f"word_length {self.word_length}")
@@ -127,7 +127,12 @@ def parse_codebook(text: str) -> Codebook:
             if words:
                 raise ValueError(f"line {lineno}: header field after words")
             header[key] = value.strip()
-        else:
+        else:  # the checks of _word_bits, naming the line
+            if line.strip("01"):
+                raise ValueError(f"line {lineno}: word {line!r} contains non-binary characters")
+            if words and len(line) != len(words[0]):
+                raise ValueError(f"line {lineno}: word of length {len(line)} after words "
+                                 f"of length {len(words[0])}")
             words.append(line)
     missing = set(_HEADER_FIELDS) - set(header)
     if missing:
@@ -149,13 +154,6 @@ def load_codebook(path: "str | Path") -> Codebook:
         return parse_codebook(Path(path).read_text())
     except ValueError as exc:  # a malformed file or a UnicodeDecodeError
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def serialize_codebook(cb: Codebook) -> str:
-    """Canonical text form: fixed header order, words sorted."""
-    lines = [f"{key}: {getattr(cb, key)}" for key in _HEADER_FIELDS]
-    lines.extend(sorted(cb.words))
-    return "\n".join(lines) + "\n"
 
 
 def _conference_matrix() -> np.ndarray:

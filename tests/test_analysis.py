@@ -469,6 +469,9 @@ def test_range_gain_pins():
     assert range_gain(0.0, 3.0) == 1.0
     with pytest.raises(ValueError):
         range_gain(20.0, 0.0)
+    for gap in (300.0, -300.0):  # a gain of inf or 0 is no range
+        with pytest.raises(ValueError, match=f"^SNR gap {gap:g} dB at path loss exponent 1e-300"):
+            range_gain(gap, 1e-300)
 
 
 def test_payload_frames_is_an_exact_integer_ceiling():

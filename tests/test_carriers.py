@@ -1,6 +1,7 @@
 """Carrier grid geometry and layout serialization."""
 
 import dataclasses
+import inspect
 
 import pytest
 from hypothesis import given
@@ -11,7 +12,7 @@ from tagspot.carriers import (
     layout_from_dict,
     layout_to_dict,
 )
-from layouts import VALID_LAYOUTS
+from layouts import ODD, SMALL, VALID_LAYOUTS
 
 
 def test_reference_layout_shape():
@@ -93,10 +94,13 @@ def test_centered_wide_index_is_symmetric():
 
 
 def test_layout_rejects_inconsistent_geometry():
-    with pytest.raises(ValueError):
-        CarrierLayout(wide_total=60)  # 60 * 8 != 512
-    with pytest.raises(ValueError):
-        CarrierLayout(groups=27)  # 2*27 + 8 nulls != 64
+    with pytest.raises(ValueError, match="^wide_total must be 64"):
+        layout_from_dict({"wide_total": 60})  # 60 * 8 != 512
+    with pytest.raises(ValueError, match="^wide_total must be 62"):
+        layout_from_dict({"groups": 27, "null_wide": [0, 1, 2, 31, 58, 59, 60, 61],
+                          "wide_total": 64})  # 2*27 + 8 nulls != 64
+    with pytest.raises(ValueError, match="^fft_size must be 512"):
+        layout_from_dict({"fft_size": 511})
     with pytest.raises(ValueError):
         CarrierLayout(active_thin_per_wide=9)
     with pytest.raises(ValueError):
@@ -109,11 +113,7 @@ def test_layout_rejects_inconsistent_geometry():
     with pytest.raises(ValueError, match="null_wide repeats"):  # nine entries, eight carriers
         CarrierLayout(null_wide=[0, 1, 2, 32, 60, 61, 62, 63, 63])
     with pytest.raises(ValueError, match="groups"):
-        CarrierLayout(groups=0, wide_total=4, null_wide=frozenset(range(4)), fft_size=32)
-
-
-# one two-carrier group on two wide carriers: valid with groups=1
-ONE_GROUP = {"wide_total": 2, "null_wide": frozenset(), "fft_size": 16}
+        CarrierLayout(groups=0, null_wide=frozenset(range(4)))
 
 
 @pytest.mark.parametrize(
@@ -121,8 +121,9 @@ ONE_GROUP = {"wide_total": 2, "null_wide": frozenset(), "fft_size": 16}
     [
         ({"fft_size": 512.0}, "fft_size"),
         ({"thin_per_wide": 8.0}, "thin_per_wide"),
-        ({**ONE_GROUP, "groups": True}, "groups"),
-        ({"null_wide": frozenset({0, 1, 2, 32.0, 60, 61, 62, 63})}, "null_wide"),
+        # one two-carrier group on two wide carriers, were True the count 1
+        ({"groups": True, "null_wide": []}, "groups"),
+        ({"null_wide": [0, 1, 2, 32.0, 60, 61, 62, 63]}, "null_wide"),
         ({"cp_fraction": "0.25"}, "cp_fraction"),
     ],
     ids=["float-fft-size", "float-thin-per-wide", "bool-groups", "float-null", "string-cp"],
@@ -130,7 +131,40 @@ ONE_GROUP = {"wide_total": 2, "null_wide": frozenset(), "fft_size": 16}
 def test_layout_rejects_wrong_field_types(fields, named):
     # a wrong type fails on construction, naming its field, not later in its users
     with pytest.raises(ValueError, match=f"^{named} must"):
-        CarrierLayout(**fields)
+        layout_from_dict(fields)
+
+
+def test_a_layout_works_out_its_sizes():
+    assert list(inspect.signature(CarrierLayout).parameters) == [
+        "thin_per_wide", "active_thin_per_wide", "groups", "null_wide", "cp_fraction"]
+    assert (ODD.wide_total, ODD.fft_size, ODD.cp_len) == (21, 105, 21)
+    assert (SMALL.wide_total, SMALL.fft_size, SMALL.cp_len) == (32, 256, 64)
+    # a config may leave the sizes out, and a stated size that agrees is accepted
+    small = {"groups": 12, "null_wide": [0, 1, 2, 16, 28, 29, 30, 31]}
+    assert layout_from_dict(small) == SMALL
+    assert layout_from_dict({**small, "wide_total": 32, "fft_size": 256}) == SMALL
+    for size, stated in (("wide_total", 64), ("fft_size", 512), ("fft_size", True)):
+        with pytest.raises(ValueError, match=f"^{size} must be"):
+            layout_from_dict({**small, size: stated})
+
+
+@given(VALID_LAYOUTS)
+def test_a_valid_layout_reads_back_from_its_dict(lay):
+    assert lay.wide_total == 2 * lay.groups + len(lay.null_wide)
+    assert lay.fft_size == lay.wide_total * lay.thin_per_wide
+    assert layout_from_dict(layout_to_dict(lay)) == lay
+
+
+def test_every_prefix_length_can_be_stated():
+    # every fft_size from 2 on is wide_total * thin_per_wide for a wide_total
+    # of its least prime factor p: p = 2 is one group, an odd p adds a null
+    for fft_size in range(2, 301):
+        p = next(p for p in range(2, fft_size + 1) if fft_size % p == 0)
+        layout = dict(thin_per_wide=fft_size // p, active_thin_per_wide=1,
+                      groups=p // 2, null_wide=frozenset(range(p % 2)))
+        for cp_len in range(1, fft_size + 1):
+            lay = CarrierLayout(**layout, cp_fraction=cp_len / fft_size)
+            assert (lay.fft_size, lay.cp_len) == (fft_size, cp_len)
 
 
 def test_null_wide_may_be_a_generator():

@@ -17,7 +17,7 @@ from tagspot.analysis import AnalysisModel, pd_single, pf_single
 from tagspot.carriers import REFERENCE_LAYOUT, layout_to_dict
 from tagspot.channel import noise_power_for_snr
 from tagspot.cli import main as cli_main
-from tagspot.codebook import builtin_codebook, serialize_codebook
+from tagspot.codebook import builtin_codebook
 from tagspot.detector import DetectorConfig
 from tagspot.iqfile import read_iq, sidecar_path, write_iq
 from tagspot.waveform import IqFrame, mean_power
@@ -759,9 +759,11 @@ def test_non_finite_numbers_exit_with_code_1(tmp_path, capsys, argv, named):
         (["impair", "--in", "{tag}", "--seed", "1", "--sir=-4000", "--out", "{out}"], ["--sir"]),
         # within the bound, but 10^(300 / (10 * 0.001)) is past the float range
         (["range", "--snr-gap", "300", "--exponents", "0.001"], ["gap 300", "exponent 0.001"]),
+        # and 10^(-300 / (10 * 1e-300)) underflows to 0
+        (["range", "--snr-gap=-300", "--exponents", "1e-300"], ["gap -300", "exponent 1e-300"]),
     ],
     ids=["sweep-snr", "curves-snr", "range-snr-gap", "impair-sir", "impair-snr-negative",
-         "impair-sir-negative", "range-gain-overflow"],
+         "impair-sir-negative", "range-gain-overflow", "range-gain-underflow"],
 )
 def test_decibel_options_are_bounded_at_300_db(tmp_path, capsys, argv, named):
     paths = {"tag": _modulate(tmp_path), "out": tmp_path / "o.iq"}
@@ -961,7 +963,6 @@ def test_readme_quickstart_commands_run(tmp_path, monkeypatch, capsys):
     ]
     assert len(commands) == 9
     monkeypatch.chdir(tmp_path)
-    Path("family.txt").write_text(serialize_codebook(builtin_codebook()))
     for argv in commands:
         assert cli_main(argv[1:]) == 0, " ".join(argv)
     capsys.readouterr()

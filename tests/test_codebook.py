@@ -16,7 +16,6 @@ from tagspot.codebook import (
     codeword_to_mask,
     mask_matrix,
     parse_codebook,
-    serialize_codebook,
 )
 
 
@@ -27,8 +26,8 @@ def test_builtin_family_shape_and_distance(codebook):
     # declared floor is tight: the brute-force minimum is exactly 13
     assert codebook.measured_distance == 13
     # events name codewords by index, so the words and their order are pinned
-    digest = hashlib.sha256(serialize_codebook(codebook).encode()).hexdigest()
-    assert digest == "dcd54783764e1d438e1c084b455e084619b182d2f554e303ff36c4deb82a0fba"
+    digest = hashlib.sha256("".join(codebook.words).encode()).hexdigest()
+    assert digest == "adcb4c018012b234eabc354d1abab24182e87eafaa6a5bca6da26656753bd171"
     bits = np.array([[int(b) for b in w] for w in codebook.words])
     dist = np.count_nonzero(bits[:, None] != bits[None, :], axis=2)
     assert set(dist[~np.eye(56, dtype=bool)].tolist()) == {13, 14, 15, 27}
@@ -37,11 +36,9 @@ def test_builtin_family_shape_and_distance(codebook):
     assert np.array_equal(c @ c.T, 27 * np.eye(28, dtype=int))
 
 
-def test_parse_serialize_roundtrip(codebook):
-    text = serialize_codebook(codebook)
-    again = parse_codebook(text)
-    assert again == codebook
-    assert serialize_codebook(again) == text
+def test_a_codebook_file_parses_to_its_family(codebook):
+    header = f"name: {codebook.name}\nword_length: 28\nmin_distance: 13\n"
+    assert parse_codebook(header + "\n".join(codebook.words)) == codebook
 
 
 def test_parser_ignores_comments_and_blank_lines():
@@ -87,6 +84,17 @@ def test_parser_rejects_malformed_input():
         parse_codebook("name: x\nword_length: four\nmin_distance: 2\n0000\n0011\n")
     with pytest.raises(ValueError, match="non-integer header field"):
         parse_codebook("name: x\nword_length: 4\nmin_distance: 2.0\n0000\n0011\n")
+
+
+@pytest.mark.parametrize(
+    "word, message",
+    [("001", "line 5: word of length 3 after words of length 4"),
+     ("0021", "line 5: word '0021' contains non-binary characters")],
+    ids=["ragged", "non-binary"],
+)
+def test_a_bad_word_names_its_line(word, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_codebook(f"name: x\nword_length: 4\nmin_distance: 2\n0000\n{word}\n")
 
 
 def test_a_codebook_measures_its_word_length():
@@ -149,6 +157,9 @@ def test_codebook_construction_validation():
         Codebook(name="x", min_distance=1, words=("",))
     with pytest.raises(ValueError, match="min_distance 5 out of range for word_length 4"):
         Codebook(name="x", min_distance=5, words=("0000",))
+    for not_a_count in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match="^min_distance must be an integer"):
+            Codebook("x", not_a_count, ("00", "11"))
     with pytest.raises(ValueError):
         Codebook(name="x", min_distance=2, words=())
     with pytest.raises(ValueError):  # ragged words

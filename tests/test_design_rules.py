@@ -89,6 +89,11 @@ RULES = [  # (name, files, regex, files allowed to match it, or the exact count)
     # a Codebook measures its word length from its words; only a file's header states it
     ("a codebook's word length is measured", (SRC, SCRIPTS, TESTS), r"\bword_length=",
      ("tests/test_design_rules.py",)),
+    # a CarrierLayout works out wide_total and fft_size; no call states them (the
+    # regex follows two levels of nested brackets inside the call)
+    ("a layout's sizes are worked out", (SRC, SCRIPTS, TESTS),
+     r"CarrierLayout\((?:[^()]|\((?:[^()]|\([^()]*\))*\))*?\b(fft_size|wide_total)=",
+     ("tests/test_design_rules.py",)),
     # a design rule is a row here, not a step of the workflow
     ("no design rule in CI", (".github/workflows/*.yml",), r"grep", ()),
 ]

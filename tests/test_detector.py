@@ -166,8 +166,7 @@ def test_single_clean_tag_yields_one_correct_event(codebook):
 # carriers 0, 2, 4 and 6, sits at -2.5, outside com_bound 1.5, so a clean tag
 # of it is never reported
 OFF_CENTER_BAND = CarrierLayout(thin_per_wide=4, active_thin_per_wide=1, groups=4,
-                                wide_total=12, null_wide=frozenset({7, 8, 9, 10}),
-                                fft_size=48, cp_fraction=1 / 6)
+                                null_wide=frozenset({7, 8, 9, 10}), cp_fraction=1 / 6)
 
 
 @pytest.mark.parametrize(

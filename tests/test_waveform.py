@@ -236,8 +236,8 @@ def test_interference_matches_the_loop_on_any_valid_layout(layout, n_frames, see
 
 
 @given(VALID_LAYOUTS)
-@example(CarrierLayout(thin_per_wide=3, active_thin_per_wide=1, groups=10, wide_total=22,
-                       null_wide=frozenset({0, 11}), fft_size=66, cp_fraction=45 / 66))
+@example(CarrierLayout(thin_per_wide=3, active_thin_per_wide=1, groups=10,
+                       null_wide=frozenset({0, 11}), cp_fraction=45 / 66))
 def test_interference_prefix_is_the_tag_fraction_rounded_down(layout):
     # the example's 22 * (45 / 66) is 14.999999999999998 in floats; its prefix is 15
     cp = interference_frame_len(layout) - layout.wide_total
